@@ -9,7 +9,7 @@ import numpy as np
 
 from .metrics import pairwise_f1
 from .model import ConstraintStore, ERError
-from .similarity import cosine, jaccard
+from .similarity import cosine, jaccard, pair_cosines
 
 
 class BadThresholds(ERError):
@@ -108,38 +108,72 @@ def filter_block(token_sets: dict[str, set], params: BlockingParams) -> list[Blo
     return _components(ids, kept)
 
 
+# Candidate pairs verified per einsum: bounds the gathered (2, chunk, dim)
+# rows, so peak memory does not grow with the number of candidates.
+_VERIFY_CHUNK = 1024
+# Einsum dots and axis norms may differ from cosine()'s in the last bits;
+# pairs this close to b_t are decided by cosine() itself, so the kept pairs
+# match it exactly.
+_TIE_MARGIN = 1e-9
+
+
+def _band_pairs(band: np.ndarray) -> np.ndarray:
+    """Codes lo*n+hi (lo < hi) of every pair of rows with equal band bits."""
+    n = len(band)
+    # lexicographic row order; the row index, as the last tie-break, keeps
+    # the rows of each bucket ascending (and gives a zero-width band a key)
+    order = np.lexsort((np.arange(n), *band.T))
+    sorted_band = band[order]
+    changed = np.any(sorted_band[1:] != sorted_band[:-1], axis=1)
+    starts = np.flatnonzero(np.r_[True, changed])
+    sizes = np.diff(np.r_[starts, n])
+    codes = [np.empty(0, dtype=np.int64)]
+    for size in np.unique(sizes[sizes >= 2]):
+        # rows of every bucket of this size, ascending, so triu positions
+        # give lo < hi
+        rows = order[starts[sizes == size][:, None] + np.arange(size)]
+        lo, hi = np.triu_indices(size, 1)
+        codes.append((rows[:, lo] * n + rows[:, hi]).ravel())
+    return np.concatenate(codes)
+
+
 def lsh_block(
     embeddings: dict[str, np.ndarray], params: BlockingParams
 ) -> list[Block]:
-    """Random-hyperplane LSH banding, purified by an exact cosine check at b_t."""
+    """Random-hyperplane LSH banding, purified by an exact cosine check at b_t.
+
+    Rows sharing a band's bit pattern are candidates; candidates are
+    deduplicated over all bands and verified in chunks of _VERIFY_CHUNK.
+    """
     ids = sorted(embeddings)
     if not ids:
         return []
+    n = len(ids)
     dim = len(next(iter(embeddings.values())))
     rng = np.random.default_rng(params.seed)
     planes = rng.standard_normal((params.lsh_planes, dim))
-    matrix = np.array([embeddings[rid] for rid in ids])
+    matrix = np.array([embeddings[rid] for rid in ids], dtype=float)
     bits = (matrix @ planes.T) > 0  # n x planes
 
     rows_per_band = max(1, params.lsh_planes // params.lsh_bands)
-    candidates: set[tuple[str, str]] = set()
-    for band in range(params.lsh_bands):
-        lo = band * rows_per_band
-        hi = lo + rows_per_band
-        buckets: dict[bytes, list[int]] = {}
-        for i in range(len(ids)):
-            buckets.setdefault(bits[i, lo:hi].tobytes(), []).append(i)
-        for bucket in buckets.values():
-            for x in range(len(bucket)):
-                for y in range(x + 1, len(bucket)):
-                    a, b = ids[bucket[x]], ids[bucket[y]]
-                    candidates.add((min(a, b), max(a, b)))
+    codes = np.unique(
+        np.concatenate(
+            [
+                _band_pairs(bits[:, lo : lo + rows_per_band])
+                for lo in range(0, params.lsh_bands * rows_per_band, rows_per_band)
+            ]
+        )
+    )
 
-    kept = [
-        (a, b)
-        for a, b in candidates
-        if cosine(embeddings[a], embeddings[b]) >= params.b_t
-    ]
+    norms = np.linalg.norm(matrix, axis=1)
+    kept = []
+    for chunk in range(0, len(codes), _VERIFY_CHUNK):
+        ia, ib = np.divmod(codes[chunk : chunk + _VERIFY_CHUNK], n)
+        sims = pair_cosines(matrix, norms, ia, ib)
+        for k in np.flatnonzero(np.abs(sims - params.b_t) <= _TIE_MARGIN):
+            sims[k] = cosine(matrix[ia[k]], matrix[ib[k]])
+        keep = sims >= params.b_t
+        kept.extend(zip((ids[i] for i in ia[keep]), (ids[i] for i in ib[keep])))
     return _components(ids, kept)
 
 

@@ -21,19 +21,21 @@ from .model import (
     SetClustering,
     SetConfig,
 )
-from .setbuilder import next_record_set
+from .setbuilder import neg_key, next_record_set
 from .similarity import SimilarityConfig, SimilarityIndex, cosine
 
 
 @dataclass
 class GuardrailStats:
     """Outcome counts of the misclustering check. Every failed check ends in
-    exactly one of: a call-free repair, a regeneration, or exhaustion."""
+    exactly one of: a call-free repair, a regeneration, or exhaustion.
+    ``fallbacks`` counts clusterings the backend never answered parseably."""
 
     checks_failed: int = 0
     repaired: int = 0
     regenerations: int = 0
     exhausted: int = 0
+    fallbacks: int = 0
     conflict_warnings: int = 0
 
     def add(self, other: "GuardrailStats") -> None:
@@ -41,6 +43,7 @@ class GuardrailStats:
         self.repaired += other.repaired
         self.regenerations += other.regenerations
         self.exhausted += other.exhausted
+        self.fallbacks += other.fallbacks
         self.conflict_warnings += other.conflict_warnings
 
 
@@ -189,12 +192,20 @@ def guarded_cluster(
     (regenerate_set) and clustered again, up to max_regen times; the last
     clustering is then returned either way, flagged "guardrail-exhausted" if
     it still fails. max_regen=0 turns off both remedies.
+
+    A one-member set has one valid clustering and costs no call. A
+    "fallback-singletons" clustering is no answer, so it is not checked;
+    it is returned as is and counted in ``fallbacks``.
     """
     stats = GuardrailStats()
+    if len(record_set) == 1:
+        return record_set, SetClustering(record_set.set_id, ((0,),)), stats
     sims = set_similarities(record_set, pair_sim)
     clustering = gateway.cluster_records(record_set)
     attempts = 0
-    while not mdg_check(clustering, record_set, sims):
+    while not _is_fallback(clustering) and not mdg_check(
+        clustering, record_set, sims
+    ):
         stats.checks_failed += 1
         repaired = repair_clustering(clustering, sims) if max_regen else None
         if repaired is not None:
@@ -210,7 +221,13 @@ def guarded_cluster(
         clustering = gateway.cluster_records(record_set)
         stats.regenerations += 1
         attempts += 1
+    if _is_fallback(clustering):
+        stats.fallbacks += 1
     return record_set, clustering, stats
+
+
+def _is_fallback(clustering: SetClustering) -> bool:
+    return "fallback-singletons" in clustering.flags
 
 
 def _representative(members: frozenset[str], index: SimilarityIndex) -> str:
@@ -234,7 +251,8 @@ def apply_clustering(
     Group mates are must-linked; distinct groups are pairwise cannot-linked.
     When a group contradicts existing cannot-links it is split along them
     (earlier evidence wins) and a conflict warning is counted; a cannot-link
-    between groups that already share a root is skipped with a warning.
+    between groups that already share a root is skipped with a warning. A
+    fallback clustering records no answer and adds no cannot-links.
     Returns the new cluster nodes and the warning count.
     """
     clustering.validate(record_set)
@@ -263,15 +281,16 @@ def apply_clustering(
                 store.merge(a.representative, b.representative)
         merged.extend(subgroups)
 
-    for i in range(len(merged)):
-        for j in range(i + 1, len(merged)):
-            a = merged[i][0].representative
-            b = merged[j][0].representative
-            if store.same_entity(a, b):
-                warnings += 1
-                continue
-            if not store.cannot_link(a, b):
-                store.add_cannot_link(a, b)
+    if not _is_fallback(clustering):
+        for i in range(len(merged)):
+            for j in range(i + 1, len(merged)):
+                a = merged[i][0].representative
+                b = merged[j][0].representative
+                if store.same_entity(a, b):
+                    warnings += 1
+                    continue
+                if not store.cannot_link(a, b):
+                    store.add_cannot_link(a, b)
 
     new_nodes = []
     for sub in merged:
@@ -370,7 +389,7 @@ def merge_round(
             if picks:
                 best_join = max(
                     (
-                        (max(sim(n, p) for p in picks), _NegStr(n.representative), n)
+                        (max(sim(n, p) for p in picks), neg_key(n.representative), n)
                         for n in candidates
                     ),
                     key=lambda t: t[:2],
@@ -383,7 +402,7 @@ def merge_round(
                             continue
                         key = (
                             sim(p, q),
-                            _NegStr(min(p.representative, q.representative)),
+                            neg_key(min(p.representative, q.representative)),
                         )
                         if best_pair is None or key > best_pair[:2]:
                             a, b = sorted(
@@ -424,7 +443,7 @@ def merge_round(
             last = ordered_picks[-1]
             nxt = max(
                 picks,
-                key=lambda n: (sim(last, n), _NegStr(n.representative)),
+                key=lambda n: (sim(last, n), neg_key(n.representative)),
             )
             picks.remove(nxt)
             ordered_picks.append(nxt)
@@ -436,21 +455,6 @@ def merge_round(
             )
         )
     return out
-
-
-class _NegStr:
-    """Inverts string ordering so max() breaks ties toward the lower id."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: str):
-        self.value = value
-
-    def __lt__(self, other):
-        return self.value > other.value
-
-    def __eq__(self, other):
-        return self.value == other.value
 
 
 def final_check(
@@ -481,7 +485,7 @@ def final_check(
         }
         seed = max(
             range(len(nodes)),
-            key=lambda i: (degree[i], _NegStr(nodes[i].representative)),
+            key=lambda i: (degree[i], neg_key(nodes[i].representative)),
         )
         if degree[seed] == 0:
             break
@@ -533,6 +537,7 @@ class ResolveReport:
             "repaired": self.guardrail.repaired,
             "regenerations": self.guardrail.regenerations,
             "exhausted": self.guardrail.exhausted,
+            "fallbacks": self.guardrail.fallbacks,
             "conflict_warnings": self.guardrail.conflict_warnings,
             "ledger": dict(self.ledger),
         }
@@ -670,7 +675,8 @@ class Resolver:
 
         # Exit condition: sweep remaining unresolved pairs until none are left.
         # A sweep set may reuse a node, so each wave ends by rebuilding one
-        # node per entity to keep the level's nodes disjoint.
+        # node per entity to keep the level's nodes disjoint. A wave whose
+        # replies all fell back resolved nothing and would only repeat.
         wave = 0
         counter = 0
         while True:
@@ -683,10 +689,11 @@ class Resolver:
             counter += len(sets)
             self.report.final_check_sets += len(sets)
             self.report.final_check_rounds = max(self.report.final_check_rounds, wave)
-            self._apply_all(state, self._cluster_all(sets))
+            results = self._cluster_all(sets)
+            self._apply_all(state, results)
             state.level += 1
             state.nodes = self._nodes_by_root(block)
-            if wave >= self.max_levels:
+            if wave >= self.max_levels or all(_is_fallback(c) for _, c, _ in results):
                 break
 
     def resolve(self, blocks: list[Block]) -> tuple[Partition, CostLedger, ResolveReport]:

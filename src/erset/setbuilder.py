@@ -108,13 +108,13 @@ def sequential_order(members, similarity) -> list:
     order = [remaining.pop(0)]
     while remaining:
         last = order[-1]
-        best = max(remaining, key=lambda m: (similarity(last, m), _neg_key(m)))
+        best = max(remaining, key=lambda m: (similarity(last, m), neg_key(m)))
         remaining.remove(best)
         order.append(best)
     return order
 
 
-class _neg_key:
+class neg_key:
     """Inverts string ordering so max() breaks similarity ties toward lower ids."""
 
     __slots__ = ("value",)
@@ -181,7 +181,7 @@ def next_record_set(
         while len(take) < min(target_size, room) and candidates:
             nxt = max(
                 candidates,
-                key=lambda m: (max(similarity(m, t) for t in take), _neg_key(m)),
+                key=lambda m: (max(similarity(m, t) for t in take), neg_key(m)),
             )
             candidates.remove(nxt)
             take.append(nxt)

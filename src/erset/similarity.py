@@ -79,16 +79,34 @@ def jaccard(a, b) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+def _cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
+    """Cosine of float vectors u and v with norms nu and nv."""
     if u.shape != v.shape:
         raise DimMismatch(f"dims differ: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         raise ZeroVector("cosine undefined for zero vectors")
     return float(np.dot(u, v) / (nu * nv))
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return _cosine(u, v, float(np.linalg.norm(u)), float(np.linalg.norm(v)))
+
+
+def pair_cosines(
+    matrix: np.ndarray, norms: np.ndarray, ia: np.ndarray, ib: np.ndarray
+) -> np.ndarray:
+    """Cosine of rows ia[k] and ib[k] of matrix, given its row norms.
+
+    One row-wise einsum over the gathered pairs; callers bound memory by
+    passing pairs in chunks. The dot may differ from np.dot in the last
+    bits. Raises ZeroVector if any pair holds a zero row.
+    """
+    na, nb = norms[ia], norms[ib]
+    if not (np.all(na) and np.all(nb)):
+        raise ZeroVector("cosine undefined for zero vectors")
+    return np.einsum("ij,ij->i", matrix[ia], matrix[ib]) / (na * nb)
 
 
 def _signed_hash(token: str, seed: int) -> int:
@@ -195,16 +213,22 @@ class SimilarityIndex:
         self.records = records
         self.token_sets = {rid: set(tokenize(r)) for rid, r in records.items()}
         if embeddings is not None:
-            self.embeddings = embeddings
+            self.embeddings = {
+                rid: np.asarray(v, dtype=float) for rid, v in embeddings.items()
+            }
         else:
             embedder = HashedTfidfEmbedder(self.config.dim, self.config.seed)
             embedder.fit(records.values())
             self.embeddings = {rid: embedder.embed(r) for rid, r in records.items()}
+        self._norms = {
+            rid: float(np.linalg.norm(v)) for rid, v in self.embeddings.items()
+        }
 
     def sim(self, a: str, b: str) -> float:
         if self.config.measure == "jaccard":
             return jaccard(self.token_sets[a], self.token_sets[b])
-        return cosine(self.embeddings[a], self.embeddings[b])
+        vectors, norms = self.embeddings, self._norms
+        return _cosine(vectors[a], vectors[b], norms[a], norms[b])
 
     def mean_embedding(self, record_ids) -> np.ndarray:
         return np.mean([self.embeddings[rid] for rid in record_ids], axis=0)

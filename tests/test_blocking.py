@@ -10,6 +10,8 @@ from erset.blocking import (
     Block,
     BlockingParams,
     NoValidationData,
+    _band_pairs,
+    _components,
     canopy_block,
     filter_block,
     lsh_block,
@@ -17,7 +19,7 @@ from erset.blocking import (
     tune_threshold,
 )
 from erset.model import Attribute, Record
-from erset.similarity import cosine, jaccard
+from erset.similarity import SimilarityIndex, ZeroVector, cosine, jaccard
 from erset.synth import generate_dataset, planted_embeddings
 
 
@@ -96,6 +98,93 @@ class TestLshBlock:
         a = lsh_block(emb, BlockingParams(seed=5))
         b = lsh_block(emb, BlockingParams(seed=5))
         assert a == b
+
+
+def _reference_lsh_block(embeddings, params):
+    """LSH blocking as a plain loop: bucket rows per band by their bit
+    bytes, collect every within-bucket pair, keep it when cosine() >= b_t."""
+    ids = sorted(embeddings)
+    if not ids:
+        return []
+    dim = len(next(iter(embeddings.values())))
+    rng = np.random.default_rng(params.seed)
+    planes = rng.standard_normal((params.lsh_planes, dim))
+    bits = np.array([embeddings[rid] for rid in ids]) @ planes.T > 0
+    rows_per_band = max(1, params.lsh_planes // params.lsh_bands)
+    candidates = set()
+    for band in range(params.lsh_bands):
+        lo = band * rows_per_band
+        buckets = {}
+        for i in range(len(ids)):
+            buckets.setdefault(bits[i, lo : lo + rows_per_band].tobytes(), []).append(i)
+        for bucket in buckets.values():
+            for x, y in itertools.combinations(bucket, 2):
+                candidates.add((ids[x], ids[y]))
+    kept = [
+        (a, b)
+        for a, b in candidates
+        if cosine(embeddings[a], embeddings[b]) >= params.b_t
+    ]
+    return _components(ids, kept)
+
+
+def _tfidf_embeddings(n_entities, seed):
+    records, _ = generate_dataset(n_entities, 5, typo_rate=0.2, seed=seed)
+    return SimilarityIndex(records).embeddings
+
+
+class TestLshMatchesReference:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("b_t", [0.2, 0.5, 0.8])
+    def test_tfidf_blocks(self, seed, b_t):
+        emb = _tfidf_embeddings(80, seed)  # 400 records
+        params = BlockingParams(b_t=b_t, seed=seed)
+        assert lsh_block(emb, params) == _reference_lsh_block(emb, params)
+
+    @pytest.mark.parametrize(
+        "planes, bands",
+        [
+            (16, 8),  # 2-bit bands: large buckets of many sizes
+            (4, 8),  # bands past the last plane are empty: one bucket of all
+            (130, 2),  # 65-bit bands, wider than a 64-bit word
+        ],
+    )
+    def test_band_shapes(self, planes, bands):
+        emb = _tfidf_embeddings(60, 3)
+        params = BlockingParams(b_t=0.4, lsh_planes=planes, lsh_bands=bands, seed=3)
+        assert lsh_block(emb, params) == _reference_lsh_block(emb, params)
+
+    @pytest.mark.parametrize("width", [0, 1, 64, 65])
+    def test_band_pairs_tell_every_bit(self, width):
+        # rows 1..width each differ from row 0 in one bit; the last row
+        # repeats row 0, so the only pair is (0, n-1)
+        n = width + 2
+        band = np.zeros((n, width), dtype=bool)
+        band[np.arange(1, width + 1), np.arange(width)] = True
+        assert _band_pairs(band).tolist() == [n - 1]
+
+    def test_zero_vector_candidate_raises(self):
+        emb = {"a": np.zeros(8), "b": np.zeros(8), "c": np.ones(8)}
+        with pytest.raises(ZeroVector):
+            _reference_lsh_block(emb, BlockingParams())
+        with pytest.raises(ZeroVector):
+            lsh_block(emb, BlockingParams())
+
+    def test_zero_and_one_records(self):
+        params = BlockingParams()
+        one = {"a": np.ones(8)}
+        assert lsh_block({}, params) == _reference_lsh_block({}, params) == []
+        assert lsh_block(one, params) == _reference_lsh_block(one, params)
+        assert lsh_block(one, params) == [Block("b00000", ("a",))]
+
+    def test_all_buckets_singletons(self):
+        # -v hashes to the complement of v's bits, so no band bucket is shared
+        v = np.random.default_rng(0).standard_normal(16)
+        emb = {"a": v, "b": -v}
+        params = BlockingParams(b_t=0.1)
+        blocks = lsh_block(emb, params)
+        assert blocks == _reference_lsh_block(emb, params)
+        assert [b.members for b in blocks] == [("a",), ("b",)]
 
 
 class TestCanopyBlock:

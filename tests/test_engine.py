@@ -104,10 +104,10 @@ class TestRegenerateSet:
 
 class _ScriptedBackend:
     def __init__(self, texts):
-        self.texts = list(texts)
+        self.texts = iter(texts)
 
     def complete(self, prompt, record_sets):
-        return self.texts.pop(0), None
+        return next(self.texts), None
 
 
 def _gateway(texts, ids="abc"):
@@ -205,6 +205,31 @@ class TestGuardedCluster:
         assert sorted(clustering.groups) == [(0, 2), (1,)]
         assert "guardrail-repaired" in clustering.flags
 
+    def test_one_member_set_costs_no_call(self):
+        gateway = _gateway([])
+        rs = _set_of("a")
+        out_rs, clustering, stats = guarded_cluster(
+            rs, gateway, _table_sim(ABC_SIMS), max_regen=2
+        )
+        assert gateway.ledger.api_calls == 0
+        assert out_rs is rs
+        assert clustering.groups == ((0,),) and not clustering.flags
+        assert stats == type(stats)()
+
+    def test_fallback_is_not_checked(self):
+        # a reply that never parses falls back to singletons; with these
+        # similarities {a},{b},{c} would not pass the check (a-b above 1.0)
+        gateway = _gateway(["?"] * 4)
+        rs = _set_of("abc")
+        sims = {("a", "b"): 1.5, ("a", "c"): 0.5, ("b", "c"): 0.1}
+        _, clustering, stats = guarded_cluster(
+            rs, gateway, _table_sim(sims), max_regen=2
+        )
+        assert gateway.ledger.api_calls == 4
+        assert clustering.flags == ("fallback-singletons",)
+        assert stats.fallbacks == 1
+        assert stats.checks_failed == 0
+
     def test_no_remedy_without_regenerations(self):
         gateway = _gateway(["R1,R2\nR3"])
         rs = _set_of("abc")
@@ -245,6 +270,16 @@ class TestApplyClustering:
         assert store.same_entity("a", "b")
         assert len(nodes) == 1
         assert nodes[0].members == frozenset("ab")
+
+    def test_fallback_adds_no_cannot_links(self):
+        store = ConstraintStore(["a", "b", "c"])
+        state = LevelState(0, [], store)
+        fallback = SetClustering("s0", ((0,), (1,), (2,)), ("fallback-singletons",))
+        nodes, warnings = apply_clustering(
+            state, _set_of("abc"), fallback, _index_for("abc")
+        )
+        assert not store.has_cannot_links("abc")
+        assert warnings == 0 and len(nodes) == 3
 
     def test_single_member_set_adds_nothing(self):
         store = ConstraintStore(["a"])
@@ -456,6 +491,35 @@ class TestResolve:
         nodes = seen[1][0]
         assert sum(len(n.members) for n in nodes) == len(records)
         assert frozenset().union(*(n.members for n in nodes)) == set(records)
+
+    def test_one_record_block_costs_no_call(self):
+        records, truth = generate_dataset(3, 2, seed=5)
+        emb = planted_embeddings(truth, seed=5)
+        ids = sorted(records)
+        blocks = [Block("b0", (ids[0],)), Block("b1", tuple(ids[1:]))]
+        backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
+        _, ledger, _ = resolve(records, blocks[1:], backend, embeddings=emb)
+        alone, ledger_alone, _ = resolve(records, blocks[:1], backend, embeddings=emb)
+        both, ledger_both, _ = resolve(records, blocks, backend, embeddings=emb)
+        assert ledger_alone.api_calls == 0
+        assert ledger_both.api_calls == ledger.api_calls
+        assert alone.as_labels()[ids[0]] == both.as_labels()[ids[0]]
+
+    def test_unparseable_replies_add_no_cannot_links(self):
+        records, truth = generate_dataset(6, 3, seed=4)
+        emb = planted_embeddings(truth, seed=4)
+        block = Block("b0", tuple(sorted(records)))
+        backend = _ScriptedBackend(itertools.repeat("no labels here"))
+        resolver = Resolver(records, backend, embeddings=emb)
+        _, ledger, report = resolver.resolve([block])
+        assert not resolver.store.has_cannot_links(records)
+        fallback_sets = sum(report.level_set_counts) + report.final_check_sets
+        attempts = resolver.gateway.max_retries + 1
+        assert report.guardrail.fallbacks == fallback_sets > 0
+        assert ledger.api_calls == attempts * fallback_sets
+        assert report.as_dict()["fallbacks"] == fallback_sets
+        assert report.guardrail.checks_failed == 0
+        assert report.final_check_rounds == 1  # an all-fallback wave ends the sweep
 
     def test_noisy_hierarchy_ends_before_max_levels(self):
         """A round whose groups are all split along known cannot-links merges

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from erset.model import Attribute, EmptyRecord, Record
+from erset.synth import generate_dataset, planted_embeddings
 from erset.similarity import (
     DimMismatch,
     HashedTfidfEmbedder,
@@ -136,3 +137,29 @@ def test_jaccard_bounds_and_symmetry(a, b):
     s = jaccard(a, b)
     assert 0.0 <= s <= 1.0
     assert s == jaccard(b, a)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_index_sim_equals_cosine_exactly(planted):
+    records, truth = generate_dataset(20, 3, seed=8)
+    emb = planted_embeddings(truth, noise=0.1, seed=8) if planted else None
+    idx = SimilarityIndex(records, embeddings=emb)
+    ids = sorted(records)
+    for a in ids[:12]:
+        for b in ids:
+            u, v = idx.embeddings[a], idx.embeddings[b]
+            assert idx.sim(a, b) == cosine(u, v)
+            assert cosine(u, v) == float(
+                np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+            )
+
+
+def test_index_sim_raises_zero_vector_at_call():
+    records = {rid: _record(rid, name=rid) for rid in ("a", "b", "c")}
+    emb = {"a": np.zeros(3), "b": np.ones(3), "c": np.arange(3.0)}
+    idx = SimilarityIndex(records, embeddings=emb)
+    assert idx.sim("b", "c") == cosine(emb["b"], emb["c"])
+    with pytest.raises(ZeroVector):
+        idx.sim("a", "b")
+    with pytest.raises(ZeroVector):
+        idx.sim("c", "a")
