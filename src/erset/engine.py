@@ -21,8 +21,8 @@ from .model import (
     SetClustering,
     SetConfig,
 )
-from .setbuilder import neg_key, next_record_set
-from .similarity import SimilarityConfig, SimilarityIndex, cosine
+from .setbuilder import next_record_set
+from .similarity import SimilarityConfig, SimilarityIndex
 
 
 @dataclass
@@ -57,16 +57,21 @@ class LevelState:
     store: ConstraintStore
 
 
-def set_similarities(record_set: RecordSet, pair_sim) -> np.ndarray:
-    """Symmetric (n, n) matrix of pair_sim over the set's members, in set
-    order; the diagonal is unused."""
-    members = record_set.members
-    n = len(members)
+def node_similarities(nodes, pair_sim) -> np.ndarray:
+    """Symmetric (n, n) matrix of pair_sim over a sequence of nodes, one call
+    per unordered pair; the diagonal is unused."""
+    n = len(nodes)
     sims = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            sims[i, j] = sims[j, i] = pair_sim(members[i], members[j])
+            sims[i, j] = sims[j, i] = pair_sim(nodes[i], nodes[j])
     return sims
+
+
+def set_similarities(record_set: RecordSet, pair_sim) -> np.ndarray:
+    """Symmetric (n, n) matrix of pair_sim over the set's members, in set
+    order; the diagonal is unused."""
+    return node_similarities(record_set.members, pair_sim)
 
 
 def _as_matrix(record_set: RecordSet, sims) -> np.ndarray:
@@ -235,9 +240,11 @@ def _representative(members: frozenset[str], index: SimilarityIndex) -> str:
     if len(ids) == 1:
         return ids[0]
     mean = index.mean_embedding(ids)
-    if float(np.linalg.norm(mean)) == 0.0:
+    norm = float(np.linalg.norm(mean))
+    if norm == 0.0:
         return ids[0]
-    return min(ids, key=lambda rid: (1.0 - cosine(index.embeddings[rid], mean), rid))
+    sims = index.cosines_to(ids, mean, norm)
+    return min(zip(ids, sims), key=lambda t: (1.0 - t[1], t[0]))[0]
 
 
 def apply_clustering(
@@ -317,30 +324,33 @@ def merge_round(
     never co-packed (their separation is already known), so a wave takes at
     most one cluster per origin set. The emitted set keeps similar clusters
     adjacent (greedy sequential order).
+
+    The round works on node indices in candidate order (origin sets sorted,
+    then representative) over one similarity matrix, with one node_sim call
+    per pair. Nodes without an origin set share the origin "".
     """
     by_origin: dict[str, list[ClusterNode]] = {}
     for node in state.nodes:
         by_origin.setdefault(node.origin_set or "", []).append(node)
-    for members in by_origin.values():
-        members.sort(key=lambda n: n.representative)
     if len(by_origin) < 2:
         return []
-
-    memo: dict[tuple[str, str], float] = {}
-
-    def sim(a: ClusterNode, b: ClusterNode) -> float:
-        key = (a.representative, b.representative)
-        if key[0] > key[1]:
-            key = (key[1], key[0])
-        value = memo.get(key)
-        if value is None:
-            value = node_sim(a, b)
-            memo[key] = value
-        return value
-
-    unselected: dict[str, list[ClusterNode]] = {
-        origin: list(by_origin[origin]) for origin in sorted(by_origin)
-    }
+    nodes: list[ClusterNode] = []
+    spans: list[tuple[int, int]] = []  # each origin's index range
+    for key in sorted(by_origin):
+        spans.append((len(nodes), len(nodes) + len(by_origin[key])))
+        nodes.extend(sorted(by_origin[key], key=lambda n: n.representative))
+    span_of = [span for span in spans for _ in range(*span)]
+    c = len(nodes)
+    rank = np.empty(c, dtype=int)  # representative order
+    rank[sorted(range(c), key=lambda i: nodes[i].representative)] = np.arange(c)
+    sims = node_similarities(nodes, node_sim)
+    # Pairs a wave may seed with: cross-origin, upper triangle, i.e. each
+    # origin's rows against the later origins' columns. Index order is
+    # candidate order, so the first of several maxima in row-major order is
+    # the first pair a scan over the candidates would meet.
+    pair_sims = np.full((c, c), -np.inf)
+    for lo, hi in spans:
+        pair_sims[lo:hi, hi:] = sims[lo:hi, hi:]
 
     # Stage the descent of the hierarchy. Packing every wave to S_s members
     # narrows the level width so fast that a later round cannot fit the
@@ -359,68 +369,45 @@ def merge_round(
         target_sets = max(target_sets, min(origins - 1, plateau))
     size_cap = min(max_size, math.ceil(n_total / target_sets))
 
-    groups: list[list[ClusterNode]] = []
-    while any(unselected.values()):
+    unselected = np.ones(c, dtype=bool)
+    groups: list[list[int]] = []
+    while unselected.any():
         # Build one output set. Each step adds either the best remaining
         # cross-origin pair (two clusters from two unused origin sets) or
         # the single cluster best matching the picks so far, whichever has
         # the higher similarity — joins win ties so entities complete. This
         # packs several likely-duplicate pairs into one set instead of
         # burning origin-set capacity on arbitrary fillers that would block
-        # a twin from entering the wave.
-        picks: list[ClusterNode] = []
-        used_origins: set[str | None] = set()
-
-        def take(node: ClusterNode) -> None:
-            unselected[node.origin_set or ""].remove(node)
-            used_origins.add(node.origin_set)
-            picks.append(node)
-
+        # a twin from entering the wave. Pair ties go to the lowest smaller
+        # representative, join ties to the lowest representative.
+        picks: list[int] = []
+        available = unselected.copy()
+        join = np.full(c, -np.inf)  # best similarity to the picks so far
         while len(picks) < size_cap:
-            candidates = [
-                n
-                for origin, nodes in unselected.items()
-                if origin not in used_origins
-                for n in nodes
-            ]
-            if not candidates:
+            idx = available.nonzero()[0]
+            if not idx.size:
                 break
-            best_join: tuple | None = None
-            if picks:
-                best_join = max(
-                    (
-                        (max(sim(n, p) for p in picks), neg_key(n.representative), n)
-                        for n in candidates
-                    ),
-                    key=lambda t: t[:2],
-                )
-            best_pair: tuple | None = None
+            joins = join[idx]
+            take: list[int] = []
             if len(picks) + 2 <= size_cap:
-                for i, p in enumerate(candidates):
-                    for q in candidates[i + 1 :]:
-                        if p.origin_set == q.origin_set:
-                            continue
-                        key = (
-                            sim(p, q),
-                            neg_key(min(p.representative, q.representative)),
-                        )
-                        if best_pair is None or key > best_pair[:2]:
-                            a, b = sorted(
-                                (p, q), key=lambda n: n.representative
-                            )
-                            best_pair = (*key, a, b)
-            if best_pair is not None and (
-                best_join is None or best_pair[0] > best_join[0]
-            ):
-                take(best_pair[2])
-                take(best_pair[3])
-            elif best_join is not None:
-                take(best_join[2])
-            else:
-                take(min(candidates, key=lambda n: n.representative))
-
-        if not picks:
-            break
+                block = pair_sims[idx[:, None], idx]
+                best = block.max()
+                if best > -np.inf and (not picks or best > joins.max()):
+                    rows, cols = (block == best).nonzero()  # row-major
+                    a, b = idx[rows], idx[cols]
+                    k = np.minimum(rank[a], rank[b]).argmin()
+                    take = sorted((int(a[k]), int(b[k])), key=lambda i: rank[i])
+            if not take and picks:
+                ties = idx[joins == joins.max()]
+                take = [int(ties[rank[ties].argmin()])]
+            elif not take:
+                take = [int(idx[rank[idx].argmin()])]
+            for i in take:
+                unselected[i] = False
+                lo, hi = span_of[i]
+                available[lo:hi] = False
+                np.maximum(join, sims[i], out=join)
+                picks.append(i)
         groups.append(picks)
 
     # Leftover waves fragment when the remaining clusters concentrate in few
@@ -438,19 +425,16 @@ def merge_round(
     out: list[RecordSet] = []
     for counter, picks in enumerate(groups):
         # keep similar clusters adjacent in the emitted set
-        ordered_picks = [picks.pop(0)]
+        ordered = [picks.pop(0)]
         while picks:
-            last = ordered_picks[-1]
-            nxt = max(
-                picks,
-                key=lambda n: (sim(last, n), neg_key(n.representative)),
-            )
+            row = sims[ordered[-1]]
+            nxt = max(picks, key=lambda i: (row[i], -rank[i]))
             picks.remove(nxt)
-            ordered_picks.append(nxt)
+            ordered.append(nxt)
         out.append(
             RecordSet(
                 set_id=f"{set_id_prefix}.{counter:04d}",
-                members=tuple(ordered_picks),
+                members=tuple(nodes[i] for i in ordered),
                 level=state.level + 1,
             )
         )
@@ -467,46 +451,41 @@ def final_check(
     S_s nodes maximizing newly covered unresolved pairs (distinct roots, no
     cannot-link). Known-distinct nodes may share a set — their pair adds no
     information, but mixing sides is what lets one call cover up to
-    floor(S_s/2) * ceil(S_s/2) unresolved pairs."""
+    floor(S_s/2) * ceil(S_s/2) unresolved pairs.
+
+    Unresolved pairs are a symmetric boolean matrix over the nodes in
+    representative order, so argmax ties go to the lowest id."""
     store = state.store
     nodes = sorted(state.nodes, key=lambda n: n.representative)
-    uncovered: set[frozenset[int]] = set()
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            a, b = nodes[i].representative, nodes[j].representative
+    n = len(nodes)
+    uncovered = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        a = nodes[i].representative
+        for j in range(i + 1, n):
+            b = nodes[j].representative
             if not store.same_entity(a, b) and not store.cannot_link(a, b):
-                uncovered.add(frozenset((i, j)))
+                uncovered[i, j] = uncovered[j, i] = True
 
     out: list[RecordSet] = []
     counter = start
-    while uncovered:
-        degree = {
-            i: sum(1 for pair in uncovered if i in pair) for i in range(len(nodes))
-        }
-        seed = max(
-            range(len(nodes)),
-            key=lambda i: (degree[i], neg_key(nodes[i].representative)),
-        )
-        if degree[seed] == 0:
-            break
+    while uncovered.any():
+        seed = int(uncovered.sum(axis=1).argmax())
         chosen = [seed]
+        # newly covered pairs per candidate; chosen nodes sit at -n, below
+        # any gain they can still collect
+        gain = uncovered[seed].astype(int)
+        gain[seed] = -n
         while len(chosen) < config.set_size:
-            best, best_gain = None, 0
-            # nodes are in representative order, so ties go to the lowest id
-            for i in range(len(nodes)):
-                if i in chosen:
-                    continue
-                gain = sum(1 for c in chosen if frozenset((i, c)) in uncovered)
-                if gain > best_gain:
-                    best, best_gain = i, gain
-            if best is None or best_gain == 0:
+            best = int(gain.argmax())
+            if gain[best] <= 0:
                 break
             chosen.append(best)
+            gain += uncovered[best]
+            gain[best] = -n
         if len(chosen) < 2:
             break
-        for x in range(len(chosen)):
-            for y in range(x + 1, len(chosen)):
-                uncovered.discard(frozenset((chosen[x], chosen[y])))
+        rows = np.array(chosen)
+        uncovered[rows[:, None], rows] = False
         out.append(
             RecordSet(
                 set_id=f"{set_id_prefix}.{counter:04d}",

@@ -78,25 +78,32 @@ def _sse(points: np.ndarray, labels: np.ndarray) -> float:
     return total
 
 
-def elbow_k(points: np.ndarray, k_max: int, seed: int = 0) -> int:
-    """Discrete knee of the within-cluster SSE curve (max second difference)."""
+def elbow_k(
+    points: np.ndarray, k_max: int, seed: int = 0
+) -> tuple[int, np.ndarray]:
+    """Discrete knee of the within-cluster SSE curve (max second difference).
+
+    Returns the chosen k, never above k_max, and the k-means labels for it
+    from the same run that scored it."""
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n < 2:
         raise TooFewPoints("elbow needs at least 2 points")
     k_cap = min(k_max, n)
-    sse = {k: _sse(points, kmeans(points, k, seed)) for k in range(1, k_cap + 1)}
-    if sse[1] < 1e-12:
-        return 1
+    labels = {k: kmeans(points, k, seed) for k in range(1, k_cap + 1)}
+    sse = {k: _sse(points, labels[k]) for k in labels}
+    if sse[1] < 1e-12 or k_cap == 1:
+        return 1, labels[1]
     if k_cap == 2:
-        return 2 if sse[2] < sse[1] else 1
+        k = 2 if sse[2] < sse[1] else 1
+        return k, labels[k]
     sse[k_cap + 1] = sse[k_cap]  # pad so k_cap itself is a knee candidate
     best_k, best_d2 = 2, -float("inf")
     for k in range(2, k_cap + 1):
         d2 = sse[k - 1] - 2 * sse[k] + sse[k + 1]
         if d2 > best_d2 + 1e-12:
             best_k, best_d2 = k, d2
-    return best_k
+    return best_k, labels[best_k]
 
 
 def sequential_order(members, similarity) -> list:
@@ -153,8 +160,7 @@ def next_record_set(
         return sequential_order(pool, similarity)
 
     points = np.array([embeddings[rid] for rid in pool])
-    k = elbow_k(points, k_max=config.set_diversity + 2, seed=seed)
-    labels = kmeans(points, k, seed)
+    _, labels = elbow_k(points, k_max=config.set_diversity + 2, seed=seed)
     by_cluster: dict[int, list[str]] = {}
     for rid, label in zip(pool, labels):
         by_cluster.setdefault(int(label), []).append(rid)

@@ -230,5 +230,11 @@ class SimilarityIndex:
         vectors, norms = self.embeddings, self._norms
         return _cosine(vectors[a], vectors[b], norms[a], norms[b])
 
+    def cosines_to(self, record_ids, vector: np.ndarray, norm: float) -> list[float]:
+        """Cosine of each record's embedding with an outside vector of the
+        given norm, on the cached row norms; bitwise equal to cosine()."""
+        vectors, norms = self.embeddings, self._norms
+        return [_cosine(vectors[rid], vector, norms[rid], norm) for rid in record_ids]
+
     def mean_embedding(self, record_ids) -> np.ndarray:
         return np.mean([self.embeddings[rid] for rid in record_ids], axis=0)

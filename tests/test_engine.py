@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import math
+import random
 
 import pytest
 
@@ -28,6 +31,7 @@ from erset.model import (
     SetClustering,
     SetConfig,
 )
+from erset.setbuilder import neg_key
 from erset.similarity import SimilarityIndex
 from erset.synth import generate_dataset, planted_embeddings
 
@@ -536,3 +540,272 @@ class TestResolve:
         deepest = len(report.level_set_counts) - 1
         assert deepest < resolver.max_levels
 
+
+# Loop versions of merge_round and final_check, kept as references for the
+# index code in the engine: both must emit the same set ids, members and
+# member order.
+
+
+def _reference_merge_round(state, config, node_sim, set_id_prefix):
+    by_origin = {}
+    for node in state.nodes:
+        by_origin.setdefault(node.origin_set or "", []).append(node)
+    for members in by_origin.values():
+        members.sort(key=lambda n: n.representative)
+    if len(by_origin) < 2:
+        return []
+
+    memo = {}
+
+    def sim(a, b):
+        key = (a.representative, b.representative)
+        if key[0] > key[1]:
+            key = (key[1], key[0])
+        value = memo.get(key)
+        if value is None:
+            value = node_sim(a, b)
+            memo[key] = value
+        return value
+
+    unselected = {origin: list(by_origin[origin]) for origin in sorted(by_origin)}
+    n_total = len(state.nodes)
+    origins = len(by_origin)
+    max_size = min(config.set_size, origins)
+    target_sets = math.ceil(n_total / max_size)
+    if state.store.has_cannot_links(n.representative for n in state.nodes):
+        plateau = math.ceil((1.0 + math.sqrt(1.0 + 4.0 * n_total)) / 2.0)
+        target_sets = max(target_sets, min(origins - 1, plateau))
+    size_cap = min(max_size, math.ceil(n_total / target_sets))
+
+    groups = []
+    while any(unselected.values()):
+        picks = []
+        used_origins = set()
+
+        def take(node):
+            unselected[node.origin_set or ""].remove(node)
+            used_origins.add(node.origin_set)
+            picks.append(node)
+
+        while len(picks) < size_cap:
+            candidates = [
+                n
+                for origin, nodes in unselected.items()
+                if origin not in used_origins
+                for n in nodes
+            ]
+            if not candidates:
+                break
+            best_join = None
+            if picks:
+                best_join = max(
+                    (
+                        (max(sim(n, p) for p in picks), neg_key(n.representative), n)
+                        for n in candidates
+                    ),
+                    key=lambda t: t[:2],
+                )
+            best_pair = None
+            if len(picks) + 2 <= size_cap:
+                for i, p in enumerate(candidates):
+                    for q in candidates[i + 1 :]:
+                        if p.origin_set == q.origin_set:
+                            continue
+                        key = (
+                            sim(p, q),
+                            neg_key(min(p.representative, q.representative)),
+                        )
+                        if best_pair is None or key > best_pair[:2]:
+                            a, b = sorted((p, q), key=lambda n: n.representative)
+                            best_pair = (*key, a, b)
+            if best_pair is not None and (
+                best_join is None or best_pair[0] > best_join[0]
+            ):
+                take(best_pair[2])
+                take(best_pair[3])
+            elif best_join is not None:
+                take(best_join[2])
+            else:
+                take(min(candidates, key=lambda n: n.representative))
+        if not picks:
+            break
+        groups.append(picks)
+
+    groups.sort(key=len, reverse=True)
+    while len(groups) > target_sets and len(groups) >= 2:
+        if len(groups[-1]) + len(groups[-2]) > config.set_size:
+            break
+        tail = groups.pop()
+        groups[-1].extend(tail)
+        groups.sort(key=len, reverse=True)
+
+    out = []
+    for counter, picks in enumerate(groups):
+        ordered_picks = [picks.pop(0)]
+        while picks:
+            last = ordered_picks[-1]
+            nxt = max(picks, key=lambda n: (sim(last, n), neg_key(n.representative)))
+            picks.remove(nxt)
+            ordered_picks.append(nxt)
+        out.append(
+            RecordSet(
+                set_id=f"{set_id_prefix}.{counter:04d}",
+                members=tuple(ordered_picks),
+                level=state.level + 1,
+            )
+        )
+    return out
+
+
+def _reference_final_check(state, config, set_id_prefix, start=0):
+    store = state.store
+    nodes = sorted(state.nodes, key=lambda n: n.representative)
+    uncovered = set()
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            a, b = nodes[i].representative, nodes[j].representative
+            if not store.same_entity(a, b) and not store.cannot_link(a, b):
+                uncovered.add(frozenset((i, j)))
+
+    out = []
+    counter = start
+    while uncovered:
+        degree = {
+            i: sum(1 for pair in uncovered if i in pair) for i in range(len(nodes))
+        }
+        seed = max(
+            range(len(nodes)),
+            key=lambda i: (degree[i], neg_key(nodes[i].representative)),
+        )
+        if degree[seed] == 0:
+            break
+        chosen = [seed]
+        while len(chosen) < config.set_size:
+            best, best_gain = None, 0
+            for i in range(len(nodes)):
+                if i in chosen:
+                    continue
+                gain = sum(1 for c in chosen if frozenset((i, c)) in uncovered)
+                if gain > best_gain:
+                    best, best_gain = i, gain
+            if best is None or best_gain == 0:
+                break
+            chosen.append(best)
+        if len(chosen) < 2:
+            break
+        for x in range(len(chosen)):
+            for y in range(x + 1, len(chosen)):
+                uncovered.discard(frozenset((chosen[x], chosen[y])))
+        out.append(
+            RecordSet(
+                set_id=f"{set_id_prefix}.{counter:04d}",
+                members=tuple(nodes[i] for i in chosen),
+                level=state.level + 1,
+            )
+        )
+        counter += 1
+    return out
+
+
+def _random_ids(rng, n):
+    # shuffled names, so representative order differs from origin order
+    ids = [f"r{k:03d}" for k in range(n)]
+    rng.shuffle(ids)
+    return ids
+
+
+def _quantised_sim(rng, ids):
+    """Pair similarities in 0.1 steps, so exact ties are common."""
+    table = {
+        pair: rng.randint(-2, 10) / 10
+        for pair in itertools.combinations(sorted(ids), 2)
+    }
+    return _table_sim(table)
+
+
+def _cannot_link_some(rng, store, ids, share):
+    for a, b in itertools.combinations(ids, 2):
+        if rng.random() < share and not store.same_entity(a, b):
+            store.add_cannot_link(a, b)
+
+
+def _merge_state(seed, cannot_links):
+    rng = random.Random(seed)
+    origins = rng.randint(3, 12)
+    sizes = [rng.randint(1, 6) for _ in range(origins)]
+    ids = _random_ids(rng, sum(sizes))
+    names = [f"s{o:02d}" for o in range(origins)]
+    rng.shuffle(names)
+    nodes, k = [], 0
+    for name, size in zip(names, sizes):
+        nodes.extend(ClusterNode.singleton(rid, name) for rid in ids[k : k + size])
+        k += size
+    rng.shuffle(nodes)
+    store = ConstraintStore(ids)
+    if cannot_links:
+        _cannot_link_some(rng, store, ids, 0.1)
+    return LevelState(rng.randint(0, 3), nodes, store), _quantised_sim(rng, ids)
+
+
+def _sweep_state(seed):
+    """Nodes, one per entity, over a store with merges and cannot-links."""
+    rng = random.Random(seed)
+    ids = _random_ids(rng, rng.randint(2, 30))
+    store = ConstraintStore(ids)
+    for _ in range(len(ids) // 4):
+        store.merge(*rng.sample(ids, 2))
+    _cannot_link_some(rng, store, ids, rng.choice([0.0, 0.05, 0.3]))
+    nodes = []
+    for members in store.components().values():
+        nodes.append(ClusterNode(frozenset(members), rng.choice(members)))
+    rng.shuffle(nodes)
+    return LevelState(rng.randint(0, 3), nodes, store)
+
+
+_CONFIGS = [
+    SetConfig(set_size=1, set_diversity=1),
+    SetConfig(set_size=2, set_diversity=1),
+    SetConfig(),
+]
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("cannot_links", [False, True])
+    @pytest.mark.parametrize("config", _CONFIGS, ids=["size1", "size2", "size9"])
+    def test_merge_round(self, config, cannot_links):
+        for seed in range(40):
+            state, sim = _merge_state(seed, cannot_links)
+            expected = _reference_merge_round(state, config, sim, "b.L1")
+            assert merge_round(state, config, sim, "b.L1") == expected, seed
+
+    @pytest.mark.parametrize("config", _CONFIGS, ids=["size1", "size2", "size9"])
+    def test_final_check(self, config):
+        for seed in range(40):
+            state = _sweep_state(seed)
+            for start in (0, 7):
+                expected = _reference_final_check(state, config, "b.F", start)
+                assert final_check(state, config, "b.F", start) == expected, seed
+
+
+def _partition_digest(partition):
+    clusters = sorted(",".join(sorted(n.members)) for n in partition.clusters)
+    return hashlib.sha256("\n".join(clusters).encode()).hexdigest()
+
+
+def test_planted_block_resolves_as_pinned():
+    """One 150-record planted block under an exact oracle. Refactors of the
+    engine keep this run byte-identical: partition, level widths, sweep sets
+    and calls."""
+    records, truth = generate_dataset(30, 5, seed=1)
+    emb = planted_embeddings(truth, noise=0.05, seed=1)
+    block = Block("b0", tuple(sorted(records)))
+    backend = SimulatedOracle(OracleConfig(truth, 0.0, 1))
+    partition, ledger, report = resolve(
+        records, [block], backend, config=SetConfig(seed=1), embeddings=emb
+    )
+    assert _partition_digest(partition) == (
+        "b45e679493627fce12a992bf5d5ba1544accd1390caad9cea6f66b31d4a68e5a"
+    )
+    assert report.level_set_counts == [17, 11, 7, 7, 6]
+    assert report.final_check_sets == 12
+    assert ledger.api_calls == 60

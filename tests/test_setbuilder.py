@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erset import setbuilder
 from erset.model import SetConfig
 from erset.setbuilder import (
     BadK,
@@ -70,13 +71,13 @@ class TestElbow:
             elbow_k(np.zeros((1, 2)), 3)
 
     def test_identical_points_give_one(self):
-        assert elbow_k(np.zeros((10, 2)), 5) == 1
+        assert elbow_k(np.zeros((10, 2)), 5)[0] == 1
 
     def test_finds_planted_k(self):
         truth = {f"r{i:02d}": f"e{i % 4}" for i in range(40)}
         emb = planted_embeddings(truth, noise=0.05, seed=7)
         pts = np.array([emb[r] for r in sorted(emb)])
-        assert elbow_k(pts, 6, seed=0) == 4
+        assert elbow_k(pts, 6, seed=0)[0] == 4
 
     def test_two_blobs(self):
         rng = np.random.default_rng(7)
@@ -86,7 +87,15 @@ class TestElbow:
                 [20.0, 0.0] + 0.3 * rng.standard_normal((10, 2)),
             ]
         )
-        assert elbow_k(pts, 4, seed=0) == 2
+        assert elbow_k(pts, 4, seed=0)[0] == 2
+
+    @pytest.mark.parametrize("k_max", [1, 2, 6])
+    def test_labels_are_the_chosen_k_run(self, k_max):
+        truth = {f"r{i:02d}": f"e{i % 4}" for i in range(40)}
+        emb = planted_embeddings(truth, noise=0.05, seed=7)
+        pts = np.array([emb[r] for r in sorted(emb)])
+        k, labels = elbow_k(pts, k_max, seed=3)
+        assert np.array_equal(labels, kmeans(pts, k, seed=3))
 
 
 class TestSequentialOrder:
@@ -144,6 +153,21 @@ class TestNextRecordSet:
         distinct = len({truth[r] for r in ids})
         achievable = len(ids) - distinct
         assert adjacent_same >= 0.9 * achievable
+
+    def test_kmeans_runs_once_per_k(self, monkeypatch):
+        """The elbow's run for the chosen k supplies the labels: one k-means
+        run per k up to set_diversity + 2, none after."""
+        truth, emb, sim = self._planted(4, 10)
+        ks = []
+
+        def counting(points, k, seed=0):
+            ks.append(k)
+            return kmeans(points, k, seed)
+
+        monkeypatch.setattr(setbuilder, "kmeans", counting)
+        config = SetConfig(seed=0)
+        next_record_set(sorted(truth), config, sim, emb, seed=0)
+        assert ks == list(range(1, config.set_diversity + 3))
 
     def test_deterministic(self):
         truth, emb, sim = self._planted(4, 10)

@@ -152,6 +152,10 @@ def test_index_sim_equals_cosine_exactly(planted):
             assert cosine(u, v) == float(
                 np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
             )
+    mean = idx.mean_embedding(ids[:5])
+    norm = float(np.linalg.norm(mean))
+    expected = [cosine(idx.embeddings[rid], mean) for rid in ids]
+    assert idx.cosines_to(ids, mean, norm) == expected
 
 
 def test_index_sim_raises_zero_vector_at_call():
