@@ -63,7 +63,6 @@ def _add_set_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set-size", type=int, default=9)
     p.add_argument("--set-diversity", type=int, default=4)
     p.add_argument("--max-regen", type=int, default=2)
-    p.add_argument("--batch-size", type=int, default=1)
 
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
@@ -141,20 +140,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser, argv):
     """Read --config (flat key=value, keys named like flags) and re-parse with
-    its values as defaults, so explicit flags always win."""
+    its values as defaults, so explicit flags always win. A key that names
+    no flag of any command is a ConfigError."""
     args, _ = parser.parse_known_args(argv)
     if not getattr(args, "config", None):
         return parser.parse_args(argv)
-    overrides = {
-        key.replace("-", "_"): value
-        for key, value in dataio.load_config(args.config).items()
-    }
+    values = dataio.load_config(args.config)
+    overrides = {key.replace("-", "_"): value for key, value in values.items()}
     subparsers = [
         sub
         for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
         for sub in action.choices.values()
     ]
+    flags = {
+        action.dest
+        for p in [parser] + subparsers
+        for action in p._actions
+        if action.option_strings and action.dest != "help"
+    }
+    unknown = [key for key in values if key.replace("-", "_") not in flags]
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown key {unknown[0]!r}")
     for p in [parser] + subparsers:
         p.set_defaults(**overrides)
     parsed = parser.parse_args(argv)
@@ -259,12 +266,11 @@ def _backend(args, dataset):
     raise ConfigError("no backend configured: pass --backend oracle|http")
 
 
-def _run_resolve(args, dataset, index, backend, seed, error_rate=None):
+def _run_resolve(args, dataset, index, backend, seed):
     config = SetConfig(
         set_size=args.set_size,
         set_diversity=args.set_diversity,
         max_regen=args.max_regen,
-        batch_size=args.batch_size,
         seed=seed,
     )
     blocks = _make_blocks(args, dataset, index)
@@ -373,7 +379,7 @@ def cmd_simulate(args) -> int:
                 OracleConfig(dataset.ground_truth, rate, seed)
             )
             partition, ledger, report = _run_resolve(
-                args, dataset, index, backend, seed, rate
+                args, dataset, index, backend, seed
             )
             row = {
                 "error_rate": rate,

@@ -7,7 +7,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blocking import Block
 from .model import Attribute, ERError, Record
@@ -31,7 +31,6 @@ class EmptyFile(ERError):
 class Dataset:
     records: dict[str, Record]
     ground_truth: dict[str, str] | None = None
-    provenance: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.ground_truth is not None:
@@ -109,7 +108,7 @@ def ingest(
         )
         if truth_idx is not None:
             truth[rid] = row[truth_idx]
-    return Dataset(records, truth or None, provenance=[path])
+    return Dataset(records, truth or None)
 
 
 def atomic_write(path: str, content: str) -> None:
@@ -174,21 +173,6 @@ def save_blocks(path: str, blocks: list[Block]) -> None:
     for block in blocks:
         lines.extend(f"{block.block_id},{rid}" for rid in block.members)
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_blocks(path: str) -> list[Block]:
-    members: dict[str, list[str]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0] != "block_id":
-            raise MissingHeader(f"{path}: expected a block_id column first")
-        for row in reader:
-            if row:
-                members.setdefault(row[0], []).append(row[1])
-    return [
-        Block(block_id, tuple(ids)) for block_id, ids in sorted(members.items())
-    ]
 
 
 def save_report(path: str, report: dict) -> None:

@@ -68,19 +68,6 @@ def node_similarities(nodes, pair_sim) -> np.ndarray:
     return sims
 
 
-def set_similarities(record_set: RecordSet, pair_sim) -> np.ndarray:
-    """Symmetric (n, n) matrix of pair_sim over the set's members, in set
-    order; the diagonal is unused."""
-    return node_similarities(record_set.members, pair_sim)
-
-
-def _as_matrix(record_set: RecordSet, sims) -> np.ndarray:
-    """Accept either a set-local similarity matrix or a pair_sim callable."""
-    if isinstance(sims, np.ndarray):
-        return sims
-    return set_similarities(record_set, sims)
-
-
 def _labels(clustering: SetClustering, n: int) -> np.ndarray:
     labels = np.empty(n, dtype=int)
     for gi, group in enumerate(clustering.groups):
@@ -107,11 +94,11 @@ def _misclustered(clustering: SetClustering, sims: np.ndarray) -> list[int]:
     return [int(pos) for pos in np.flatnonzero(mask)]
 
 
-def mdg_check(clustering: SetClustering, record_set: RecordSet, sims) -> bool:
+def mdg_check(clustering: SetClustering, sims: np.ndarray) -> bool:
     """Misclustering detection guardrail: passes unless some record's minimum
     within-group similarity is below its maximum cross-group similarity.
-    ``sims`` is a pair_sim callable or a matrix from set_similarities."""
-    return not _misclustered(clustering, _as_matrix(record_set, sims))
+    ``sims`` is the set-local matrix from node_similarities, in set order."""
+    return not _misclustered(clustering, sims)
 
 
 def repair_clustering(
@@ -151,12 +138,13 @@ def repair_clustering(
     return SetClustering(clustering.source, tuple(tuple(g) for g in members.values()))
 
 
-def regenerate_set(record_set: RecordSet, clustering: SetClustering, sims) -> RecordSet:
+def regenerate_set(
+    record_set: RecordSet, clustering: SetClustering, sims: np.ndarray
+) -> RecordSet:
     """Reorder a rejected set: each misclustered record (original order) is
     moved to sit immediately after the last member of the group it is most
-    similar to. The member multiset is unchanged. ``sims`` is a pair_sim
-    callable or a matrix from set_similarities."""
-    sims = _as_matrix(record_set, sims)
+    similar to. The member multiset is unchanged. ``sims`` is the set-local
+    matrix from node_similarities, in set order."""
     members = record_set.members
     group_of = {pos: gi for gi, g in enumerate(clustering.groups) for pos in g}
     order = list(range(len(members)))
@@ -205,12 +193,10 @@ def guarded_cluster(
     stats = GuardrailStats()
     if len(record_set) == 1:
         return record_set, SetClustering(record_set.set_id, ((0,),)), stats
-    sims = set_similarities(record_set, pair_sim)
+    sims = node_similarities(record_set.members, pair_sim)
     clustering = gateway.cluster_records(record_set)
     attempts = 0
-    while not _is_fallback(clustering) and not mdg_check(
-        clustering, record_set, sims
-    ):
+    while not _is_fallback(clustering) and not mdg_check(clustering, sims):
         stats.checks_failed += 1
         repaired = repair_clustering(clustering, sims) if max_regen else None
         if repaired is not None:
@@ -222,7 +208,7 @@ def guarded_cluster(
             clustering = clustering.with_flag("guardrail-exhausted")
             break
         record_set = regenerate_set(record_set, clustering, sims)
-        sims = set_similarities(record_set, pair_sim)
+        sims = node_similarities(record_set.members, pair_sim)
         clustering = gateway.cluster_records(record_set)
         stats.regenerations += 1
         attempts += 1
@@ -541,9 +527,7 @@ class Resolver:
         self.config = config or SetConfig()
         self.index = SimilarityIndex(records, sim_config, embeddings)
         self.ledger = ledger if ledger is not None else CostLedger()
-        self.gateway = LlmGateway(
-            backend, records, config=self.config, ledger=self.ledger
-        )
+        self.gateway = LlmGateway(backend, records, ledger=self.ledger)
         self.parallelism = max(1, parallelism)
         self.max_levels = max_levels
         self.store = ConstraintStore(sorted(records))

@@ -19,7 +19,6 @@ from .model import (
     Record,
     RecordSet,
     SetClustering,
-    SetConfig,
     estimate_tokens,
 )
 
@@ -39,7 +38,6 @@ _INSTRUCTION = (
 )
 
 _LABEL_RE = re.compile(r"^R(\d+)$", re.IGNORECASE)
-_SET_HEADER_RE = re.compile(r"^SET\s+(\d+)\s*:?\s*$", re.IGNORECASE)
 
 
 class MalformedResponse(ERError):
@@ -70,8 +68,6 @@ class UncoveredRecord(ERError):
 class Prompt:
     system_text: str
     user_text: str
-    # per set: tuple mapping position -> record id (the node representative)
-    orders: tuple[tuple[str, ...], ...]
 
 
 @dataclass
@@ -109,44 +105,21 @@ def _member_line(label: str, record: Record) -> str:
     return " | ".join(parts)
 
 
-def build_prompt(
-    record_sets: list[RecordSet], records: dict[str, Record]
-) -> Prompt:
-    """Render one or more record sets as a zero-shot clustering prompt.
-
-    Each member gets a positional label R1..Rn (restarting per set); batches
-    of more than one set are delimited by "SET j" headers, a single set is
-    rendered without a header.
-    """
-    if not record_sets:
-        raise ValueError("build_prompt needs at least one record set")
-    sections: list[str] = []
-    orders: list[tuple[str, ...]] = []
-    for j, record_set in enumerate(record_sets, 1):
-        lines: list[str] = []
-        if len(record_sets) > 1:
-            lines.append(f"SET {j}")
-        order: list[str] = []
-        for pos, node in enumerate(record_set.members, 1):
-            rid = node.representative
-            order.append(rid)
-            lines.append(_member_line(f"R{pos}", records[rid]))
-        sections.append("\n".join(lines))
-        orders.append(tuple(order))
-    if len(record_sets) > 1:
-        closing = (
-            "Cluster each SET independently; repeat its header line before "
-            "that set's answer lines."
-        )
-    else:
-        closing = ""
-    user_text = _INSTRUCTION + "\n\n" + "\n\n".join(sections)
-    if closing:
-        user_text += "\n\n" + closing
-    return Prompt(_SYSTEM_TEXT, user_text, tuple(orders))
+def build_prompt(record_set: RecordSet, records: dict[str, Record]) -> Prompt:
+    """Render one record set as a zero-shot clustering prompt; each member
+    (its representative record) gets the positional label R1..Rn."""
+    lines = [
+        _member_line(f"R{pos}", records[node.representative])
+        for pos, node in enumerate(record_set.members, 1)
+    ]
+    return Prompt(_SYSTEM_TEXT, _INSTRUCTION + "\n\n" + "\n".join(lines))
 
 
-def _parse_section(lines: list[str], record_set: RecordSet) -> SetClustering:
+def parse_clustering(response_text: str, record_set: RecordSet) -> SetClustering:
+    """Parse lines of comma-separated R-labels into an exact-cover clustering."""
+    lines = [ln.strip() for ln in response_text.splitlines() if ln.strip()]
+    if not lines:
+        raise MalformedResponse("empty response")
     n = len(record_set)
     groups: list[tuple[int, ...]] = []
     seen: set[int] = set()
@@ -171,40 +144,14 @@ def _parse_section(lines: list[str], record_set: RecordSet) -> SetClustering:
     return SetClustering(source=record_set.set_id, groups=tuple(groups))
 
 
-def parse_clustering(response_text: str, record_set: RecordSet) -> SetClustering:
-    """Parse lines of comma-separated R-labels into an exact-cover clustering."""
-    lines = [ln.strip() for ln in response_text.splitlines() if ln.strip()]
-    if not lines:
-        raise MalformedResponse("empty response")
-    return _parse_section(lines, record_set)
-
-
 def parse_batch(
     response_text: str, record_sets: list[RecordSet]
 ) -> list[SetClustering]:
-    """Parse a batched response; sections are delimited by "SET j" headers."""
-    if len(record_sets) == 1:
-        return [parse_clustering(response_text, record_sets[0])]
-    sections: dict[int, list[str]] = {}
-    current: int | None = None
-    for raw in response_text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        header = _SET_HEADER_RE.match(line)
-        if header:
-            current = int(header.group(1))
-            sections.setdefault(current, [])
-            continue
-        if current is None:
-            raise MalformedResponse(f"line before any SET header: {line!r}")
-        sections[current].append(line)
-    out: list[SetClustering] = []
-    for j, record_set in enumerate(record_sets, 1):
-        if j not in sections or not sections[j]:
-            raise MalformedResponse(f"missing section for SET {j}")
-        out.append(_parse_section(sections[j], record_set))
-    return out
+    """parse_clustering over the one-element set list that the gateway hands
+    its backend. The gateway parses through this name because the benchmark
+    tracer (bench/instrument.py) counts parse failures on it."""
+    (record_set,) = record_sets
+    return [parse_clustering(response_text, record_set)]
 
 
 def _render_groups(groups) -> str:
@@ -271,16 +218,11 @@ class SimulatedOracle:
         return groups
 
     def complete(self, prompt: Prompt, record_sets: list[RecordSet]):
-        """Render the (possibly perturbed) truth as response text, so oracle
-        output flows through the same parser as live-provider output."""
-        sections: list[str] = []
-        for j, record_set in enumerate(record_sets, 1):
-            body = _render_groups(self.clustering_for(record_set))
-            if len(record_sets) > 1:
-                sections.append(f"SET {j}\n{body}")
-            else:
-                sections.append(body)
-        return "\n".join(sections), None
+        """Render the (possibly perturbed) truth of the one set as response
+        text, so oracle output flows through the same parser as
+        live-provider output."""
+        (record_set,) = record_sets
+        return _render_groups(self.clustering_for(record_set)), None
 
 
 class _TokenBucket:
@@ -377,14 +319,15 @@ class HttpProvider:
 class LlmGateway:
     """Builds prompts, calls a backend, parses and validates, accounts cost.
 
-    Parse failures are retried (with a format reminder appended) up to
-    max_retries; after exhaustion the clustering falls back to all singletons
-    and is flagged "fallback-singletons". Every backend attempt is ledgered.
+    One call clusters one record set; a backend's complete(prompt,
+    record_sets) receives it as a one-element list. Parse failures are
+    retried (with a format reminder appended) up to max_retries; after
+    exhaustion the clustering falls back to all singletons and is flagged
+    "fallback-singletons". Every backend attempt is ledgered.
     """
 
     backend: object
     records: dict[str, Record]
-    config: SetConfig = field(default_factory=SetConfig)
     ledger: CostLedger = field(default_factory=CostLedger)
     max_retries: int = 3
 
@@ -405,15 +348,13 @@ class LlmGateway:
             self.ledger.add_wall_time(elapsed)
         return text
 
-    def cluster_batch(
-        self, record_sets: list[RecordSet]
-    ) -> list[SetClustering]:
-        if not 1 <= len(record_sets) <= self.config.batch_size:
-            raise ValueError(
-                f"batch of {len(record_sets)} exceeds batch_size "
-                f"{self.config.batch_size}"
-            )
-        prompt = build_prompt(record_sets, self.records)
+    def cluster_batch(self, record_sets: list[RecordSet]) -> list[SetClustering]:
+        """Cluster the one record set of a one-element list: build its
+        prompt, call, parse, retry, fall back. cluster_records goes through
+        this name because the benchmark tracer (bench/instrument.py) counts
+        fallbacks and gateway self time on it."""
+        (record_set,) = record_sets
+        prompt = build_prompt(record_set, self.records)
         for attempt in range(self.max_retries + 1):
             text = self._call(prompt, record_sets)
             try:
@@ -421,21 +362,14 @@ class LlmGateway:
             except ERError:
                 if attempt == 0:
                     prompt = Prompt(
-                        prompt.system_text,
-                        prompt.user_text + "\n\n" + RETRY_REMINDER,
-                        prompt.orders,
+                        prompt.system_text, prompt.user_text + "\n\n" + RETRY_REMINDER
                     )
                 continue
-            for clustering, record_set in zip(clusterings, record_sets):
-                clustering.validate(record_set)
+            clusterings[0].validate(record_set)
             return clusterings
+        singletons = tuple((i,) for i in range(len(record_set)))
         return [
-            SetClustering(
-                source=rs.set_id,
-                groups=tuple((i,) for i in range(len(rs))),
-                flags=("fallback-singletons",),
-            )
-            for rs in record_sets
+            SetClustering(record_set.set_id, singletons, ("fallback-singletons",))
         ]
 
     def cluster_records(self, record_set: RecordSet) -> SetClustering:

@@ -7,7 +7,6 @@ labels are opaque and every metric is invariant under relabeling.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -80,6 +79,17 @@ def nmi(pred: dict, truth: dict) -> float:
     return 2.0 * mi / (ha + hb)
 
 
+def _pair_counts(table: np.ndarray) -> tuple[int, int, int]:
+    """(pairs together in both, pairs together in pred, pairs together in
+    truth) of a contingency table: the sums of C(t, 2) over its cells, its
+    row sums and its column sums, in exact integers."""
+
+    def pairs(counts: np.ndarray) -> int:
+        return int((counts * (counts - 1) // 2).sum())
+
+    return pairs(table), pairs(table.sum(axis=1)), pairs(table.sum(axis=0))
+
+
 def ari(pred: dict, truth: dict) -> float:
     """Adjusted Rand index over the pair-counting contingency table.
 
@@ -90,14 +100,8 @@ def ari(pred: dict, truth: dict) -> float:
     n = int(table.sum())
     if n < 2:
         raise TooFewRecords("ARI needs at least 2 records")
-
-    def comb2(x) -> float:
-        return x * (x - 1) / 2.0
-
-    sum_ij = sum(comb2(int(t)) for t in table.flat)
-    sum_a = sum(comb2(int(a)) for a in table.sum(axis=1))
-    sum_b = sum(comb2(int(b)) for b in table.sum(axis=0))
-    expected = sum_a * sum_b / comb2(n)
+    sum_ij, sum_a, sum_b = (float(x) for x in _pair_counts(table))
+    expected = sum_a * sum_b / (n * (n - 1) / 2.0)
     max_index = (sum_a + sum_b) / 2.0
     if max_index == expected:
         return 1.0
@@ -106,18 +110,9 @@ def ari(pred: dict, truth: dict) -> float:
 
 def pairwise_f1(pred: dict, truth: dict) -> tuple[float, float, float]:
     """(precision, recall, f1) over unordered record pairs; 0 on empty denominators."""
-    _check_universe(pred, truth)
-    tp = fp = fn = 0
-    for a, b in combinations(sorted(pred), 2):
-        same_pred = pred[a] == pred[b]
-        same_truth = truth[a] == truth[b]
-        if same_pred and same_truth:
-            tp += 1
-        elif same_pred:
-            fp += 1
-        elif same_truth:
-            fn += 1
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
+    table, _, _ = contingency(pred, truth)
+    tp, together_pred, together_truth = _pair_counts(table)
+    precision = tp / together_pred if together_pred else 0.0
+    recall = tp / together_truth if together_truth else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1

@@ -103,9 +103,6 @@ class SetClustering:
                 f"clustering of {self.source} is not an exact cover of the set"
             )
 
-    def is_all_singletons(self) -> bool:
-        return all(len(g) == 1 for g in self.groups)
-
     def with_flag(self, flag: str) -> "SetClustering":
         return SetClustering(self.source, self.groups, self.flags + (flag,))
 
@@ -134,12 +131,10 @@ class Partition:
 
 @dataclass
 class SetConfig:
-    """Tunables for record-set construction and the clustering backend."""
+    """Tunables for record-set construction and the guardrail."""
 
     set_size: int = 9
     set_diversity: int = 4
-    temperature: float = 0.0
-    batch_size: int = 1
     max_regen: int = 2
     seed: int = 0
 
@@ -148,8 +143,6 @@ class SetConfig:
             raise ValueError("set_size must be positive")
         if not 1 <= self.set_diversity <= self.set_size:
             raise ValueError("set_diversity must be in [1, set_size]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.max_regen < 0:
             raise ValueError("max_regen must be >= 0")
 
@@ -221,9 +214,6 @@ class ConstraintStore:
         self._ids.append(record_id)
         self._parent.append(len(self._parent))
         self._size.append(1)
-
-    def known(self, record_id: str) -> bool:
-        return record_id in self._index
 
     def _find(self, i: int) -> int:
         parent = self._parent

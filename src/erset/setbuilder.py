@@ -115,25 +115,11 @@ def sequential_order(members, similarity) -> list:
     order = [remaining.pop(0)]
     while remaining:
         last = order[-1]
-        best = max(remaining, key=lambda m: (similarity(last, m), neg_key(m)))
+        # remaining is in id order and max() keeps the first maximum
+        best = max(remaining, key=lambda m: similarity(last, m))
         remaining.remove(best)
         order.append(best)
     return order
-
-
-class neg_key:
-    """Inverts string ordering so max() breaks similarity ties toward lower ids."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return self.value > other.value
-
-    def __eq__(self, other):
-        return self.value == other.value
 
 
 def next_record_set(
@@ -183,12 +169,10 @@ def next_record_set(
             key=lambda m: (float(np.linalg.norm(embeddings[m] - centroid)), m),
         )
         take = [seed_rid]
+        # in id order, so max() breaks similarity ties toward the lowest id
         candidates = [m for m in members if m != seed_rid]
         while len(take) < min(target_size, room) and candidates:
-            nxt = max(
-                candidates,
-                key=lambda m: (max(similarity(m, t) for t in take), neg_key(m)),
-            )
+            nxt = max(candidates, key=lambda m: max(similarity(m, t) for t in take))
             candidates.remove(nxt)
             take.append(nxt)
         selected.extend(take)

@@ -52,23 +52,9 @@ def serialize(record: Record) -> str:
     return " ".join(f"{a.name}: {a.value}" for a in record.attributes if a.value)
 
 
-def tokenize(record: Record, scheme: str = "word", n: int = 3) -> list[str]:
-    """Tokenize a record; scheme is "word" or "char_ngram" (n-grams within words).
-
-    Words shorter than n are kept whole under the char_ngram scheme.
-    """
-    words = _WORD_RE.findall(serialize(record).lower())
-    if scheme == "word":
-        return words
-    if scheme == "char_ngram":
-        out: list[str] = []
-        for w in words:
-            if len(w) < n:
-                out.append(w)
-            else:
-                out.extend(w[i : i + n] for i in range(len(w) - n + 1))
-        return out
-    raise ValueError(f"unknown tokenization scheme: {scheme!r}")
+def tokenize(record: Record) -> list[str]:
+    """Lower-cased words of the serialized record."""
+    return _WORD_RE.findall(serialize(record).lower())
 
 
 def jaccard(a, b) -> float:

@@ -70,7 +70,7 @@ class TestDataio:
         path = tmp_path / "blocks.csv"
         blocks = [Block("b0", ("r1", "r2")), Block("b1", ("r3",))]
         dataio.save_blocks(path, blocks)
-        assert dataio.load_blocks(path) == blocks
+        assert path.read_text() == "block_id,record_id\nb0,r1\nb0,r2\nb1,r3\n"
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -184,6 +184,15 @@ class TestCli:
         assert main(["--config", str(cfg), "simulate", "--seeds", "1"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["runs"] == 1
+
+    @pytest.mark.parametrize("line", ["set-sise = 3", "batch-size = 2"])
+    def test_config_file_unknown_key_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"backend = oracle\n{line}\n")
+        rc = main(["--config", str(cfg), "resolve", "--input", "x.csv"])
+        assert rc == 1
+        key = line.split()[0]
+        assert f"config error: {cfg}: unknown key {key!r}" in capsys.readouterr().err
 
     def test_determinism_of_partition_file(self, dataset_csv, tmp_path):
         parts = []

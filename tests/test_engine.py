@@ -15,10 +15,10 @@ from erset.engine import (
     guarded_cluster,
     mdg_check,
     merge_round,
+    node_similarities,
     regenerate_set,
     repair_clustering,
     resolve,
-    set_similarities,
 )
 from erset.gateway import LlmGateway, OracleConfig, SimulatedOracle
 from erset.model import (
@@ -31,7 +31,6 @@ from erset.model import (
     SetClustering,
     SetConfig,
 )
-from erset.setbuilder import neg_key
 from erset.similarity import SimilarityIndex
 from erset.synth import generate_dataset, planted_embeddings
 
@@ -41,6 +40,10 @@ def _table_sim(table):
         return table[tuple(sorted((a.representative, b.representative)))]
 
     return sim
+
+
+def _sims(rs, table):
+    return node_similarities(rs.members, _table_sim(table))
 
 
 def _set_of(ids, set_id="s0", origin=None):
@@ -56,30 +59,30 @@ class TestMdgCheck:
     def test_all_singletons_pass(self):
         rs = _set_of("abc")
         c = SetClustering("s0", ((0,), (1,), (2,)))
-        assert mdg_check(c, rs, _table_sim(ABC_SIMS))
+        assert mdg_check(c, _sims(rs, ABC_SIMS))
 
     def test_single_group_passes(self):
         rs = _set_of("abc")
         c = SetClustering("s0", ((0, 1, 2),))
-        assert mdg_check(c, rs, _table_sim(ABC_SIMS))
+        assert mdg_check(c, _sims(rs, ABC_SIMS))
 
     def test_misclustered_detected(self):
         rs = _set_of("abc")
         c = SetClustering("s0", ((0, 1), (2,)))
         # intra(a) = sim(a,b) = 0.2 < inter(a) = sim(a,c) = 0.5
-        assert not mdg_check(c, rs, _table_sim(ABC_SIMS))
+        assert not mdg_check(c, _sims(rs, ABC_SIMS))
 
 
 class TestRegenerateSet:
     def test_fixpoint_when_clean(self):
         rs = _set_of("abc")
         c = SetClustering("s0", ((0,), (1,), (2,)))
-        assert regenerate_set(rs, c, _table_sim(ABC_SIMS)).members == rs.members
+        assert regenerate_set(rs, c, _sims(rs, ABC_SIMS)).members == rs.members
 
     def test_relocates_after_target_group(self):
         rs = _set_of("abc")
         c = SetClustering("s0", ((0, 1), (2,)))
-        out = regenerate_set(rs, c, _table_sim(ABC_SIMS))
+        out = regenerate_set(rs, c, _sims(rs, ABC_SIMS))
         assert [n.representative for n in out.members] == ["b", "c", "a"]
 
     def test_two_misclustered_sequential(self):
@@ -94,7 +97,7 @@ class TestRegenerateSet:
         }
         rs = _set_of("abcd")
         c = SetClustering("s0", ((0, 2), (1, 3)))
-        out = regenerate_set(rs, c, _table_sim(sims))
+        out = regenerate_set(rs, c, _sims(rs, sims))
         # a moves after its most similar group {b,d} -> after d, giving
         # [b,c,d,a]; then b moves after {a,c}'s last member a -> [c,d,a,b]
         assert [n.representative for n in out.members] == ["c", "d", "a", "b"]
@@ -102,7 +105,7 @@ class TestRegenerateSet:
     def test_preserves_multiset(self):
         rs = _set_of("abc")
         c = SetClustering("s0", ((0, 1), (2,)))
-        out = regenerate_set(rs, c, _table_sim(ABC_SIMS))
+        out = regenerate_set(rs, c, _sims(rs, ABC_SIMS))
         assert sorted(n.representative for n in out.members) == ["a", "b", "c"]
 
 
@@ -137,24 +140,16 @@ STUCK_SIMS = {
 class TestRepairClustering:
     def test_moves_misclustered_record(self):
         rs = _set_of("abc")
-        sims = set_similarities(rs, _table_sim(ABC_SIMS))
+        sims = _sims(rs, ABC_SIMS)
         out = repair_clustering(SetClustering("s0", ((0, 1), (2,))), sims)
         assert out.groups == ((0, 2), (1,))
         out.validate(rs)
-        assert mdg_check(out, rs, sims)
+        assert mdg_check(out, sims)
 
     def test_none_when_no_move_improves(self):
         rs = _set_of("abcd")
-        sims = set_similarities(rs, _table_sim(STUCK_SIMS))
+        sims = _sims(rs, STUCK_SIMS)
         assert repair_clustering(SetClustering("s0", ((0, 1, 3), (2,))), sims) is None
-
-    def test_matrix_and_callable_agree(self):
-        rs = _set_of("abcd")
-        sim = _table_sim(STUCK_SIMS)
-        sims = set_similarities(rs, sim)
-        for groups in (((0, 1, 3), (2,)), ((0, 2), (1, 3)), ((0,), (1,), (2, 3))):
-            c = SetClustering("s0", groups)
-            assert mdg_check(c, rs, sims) == mdg_check(c, rs, sim)
 
 
 class TestGuardedCluster:
@@ -543,7 +538,23 @@ class TestResolve:
 
 # Loop versions of merge_round and final_check, kept as references for the
 # index code in the engine: both must emit the same set ids, members and
-# member order.
+# member order. They break ties with their own copy of neg_key, so they stay
+# frozen whatever the program's tie-breaking code becomes.
+
+
+class neg_key:
+    """Inverts string ordering so max() breaks similarity ties toward lower ids."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __lt__(self, other):
+        return self.value > other.value
+
+    def __eq__(self, other):
+        return self.value == other.value
 
 
 def _reference_merge_round(state, config, node_sim, set_id_prefix):

@@ -16,10 +16,9 @@ from erset.gateway import (
     UncoveredRecord,
     UnknownLabel,
     build_prompt,
-    parse_batch,
     parse_clustering,
 )
-from erset.model import Attribute, ClusterNode, CostLedger, Record, RecordSet, SetConfig
+from erset.model import Attribute, ClusterNode, CostLedger, Record, RecordSet
 
 
 def _records(n, prefix="r"):
@@ -41,27 +40,42 @@ def _record_set(records, set_id="s0"):
 class TestBuildPrompt:
     def test_nine_labels(self):
         records = _records(9)
-        prompt = build_prompt([_record_set(records)], records)
+        prompt = build_prompt(_record_set(records), records)
         for i in range(1, 10):
             assert f"R{i} |" in prompt.user_text
         assert "R10" not in prompt.user_text
         assert "SET" not in prompt.user_text
-        assert prompt.orders == (tuple(sorted(records)),)
 
-    def test_batch_sections_restart_labels(self):
-        records = _records(4)
-        s1 = RecordSet("s1", tuple(ClusterNode.singleton(r) for r in ["r0", "r1"]))
-        s2 = RecordSet("s2", tuple(ClusterNode.singleton(r) for r in ["r2", "r3"]))
-        prompt = build_prompt([s1, s2], records)
-        assert "SET 1" in prompt.user_text and "SET 2" in prompt.user_text
-        assert prompt.user_text.count("R1 |") == 2
-        assert prompt.user_text.count("R2 |") == 2
+    def test_prompt_text_is_pinned(self):
+        # tokens_in is estimated from this text: any change to it changes
+        # the ledger of every run without a provider-reported usage
+        def rec(rid, name, city, phone):
+            values = {"name": name, "city": city, "phone": phone}
+            return Record(rid, tuple(Attribute(k, v) for k, v in values.items()))
+
+        records = {
+            "a7": rec("a7", "Ada Lovelace", "London", ""),
+            "b2": rec("b2", "ada  lovelace", "", "555-0100"),
+            "c9": rec("c9", "Charles Babbage", "London", "555 0199"),
+        }
+        rs = RecordSet("s0", tuple(ClusterNode.singleton(r) for r in ("b2", "c9", "a7")))
+        assert build_prompt(rs, records).user_text == (
+            "Group the following records by the real-world entity they refer to. "
+            "Records of the same entity may differ in spelling, formatting or "
+            "missing values. Answer with one line per cluster, listing the labels "
+            "of the records in that cluster separated by commas. Every label must "
+            "appear in exactly one line.\n"
+            "\n"
+            "R1 | name: ada  lovelace | phone: 555-0100\n"
+            "R2 | name: Charles Babbage | city: London | phone: 555 0199\n"
+            "R3 | name: Ada Lovelace | city: London"
+        )
 
     def test_missing_value_omitted(self):
         records = {
             "r0": Record("r0", (Attribute("name", "ada"), Attribute("city", "")))
         }
-        prompt = build_prompt([_record_set(records)], records)
+        prompt = build_prompt(_record_set(records), records)
         assert "city" not in prompt.user_text
         assert "R1 | name: ada" in prompt.user_text
 
@@ -95,16 +109,6 @@ class TestParseClustering:
             parse_clustering("sure! here are the clusters", _record_set(_records(2)))
         with pytest.raises(MalformedResponse):
             parse_clustering("", _record_set(_records(2)))
-
-    def test_parse_batch_sections(self):
-        records = _records(4)
-        s1 = RecordSet("s1", tuple(ClusterNode.singleton(r) for r in ["r0", "r1"]))
-        s2 = RecordSet("s2", tuple(ClusterNode.singleton(r) for r in ["r2", "r3"]))
-        out = parse_batch("SET 1\nR1,R2\nSET 2\nR1\nR2", [s1, s2])
-        assert out[0].groups == ((0, 1),)
-        assert out[1].groups == ((0,), (1,))
-        with pytest.raises(MalformedResponse):
-            parse_batch("SET 1\nR1,R2", [s1, s2])
 
 
 class TestSimulatedOracle:
@@ -220,23 +224,6 @@ class TestGateway:
         assert clustering.flags == ()
         assert gateway.ledger.api_calls == 2
 
-    def test_batch_size_enforced(self):
-        records = _records(4)
-        gateway = LlmGateway(
-            _GarbageBackend([]), records, config=SetConfig(batch_size=1)
-        )
-        s1 = RecordSet("s1", (ClusterNode.singleton("r0"),))
-        s2 = RecordSet("s2", (ClusterNode.singleton("r1"),))
-        with pytest.raises(ValueError):
-            gateway.cluster_batch([s1, s2])
-
-    def test_singleton_batch_prompt_identical_to_plain(self):
-        records = _records(3)
-        rs = _record_set(records)
-        assert build_prompt([rs], records) == build_prompt([rs], records)
-        prompt = build_prompt([rs], records)
-        assert "SET" not in prompt.user_text
-
 
 class TestHttpProvider:
     def test_provider_unavailable_after_retries(self, monkeypatch):
@@ -259,7 +246,7 @@ class TestHttpProvider:
             )
         )
         records = _records(2)
-        prompt = build_prompt([_record_set(records)], records)
+        prompt = build_prompt(_record_set(records), records)
         with pytest.raises(ProviderUnavailable):
             provider.complete(prompt, [_record_set(records)])
         assert calls["n"] == 3
@@ -287,7 +274,7 @@ class TestHttpProvider:
         )
         records = _records(2)
         rs = _record_set(records)
-        text, usage = provider.complete(build_prompt([rs], records), [rs])
+        text, usage = provider.complete(build_prompt(rs, records), [rs])
         assert text == "R1,R2"
         assert usage == (11, 3)
 

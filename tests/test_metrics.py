@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -116,9 +117,28 @@ def _random_pair(rng, n):
     return pred, truth
 
 
+def _pairwise_f1_loop(pred, truth):
+    """Reference: walk every unordered pair of records."""
+    tp = fp = fn = 0
+    for a, b in combinations(sorted(pred), 2):
+        same_pred = pred[a] == pred[b]
+        same_truth = truth[a] == truth[b]
+        if same_pred and same_truth:
+            tp += 1
+        elif same_pred:
+            fp += 1
+        elif same_truth:
+            fn += 1
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
 def test_matches_reference_implementations():
     """1,000 random partition pairs: optimal-assignment ACC vs exhaustive
-    enumeration, and FP/NMI/ARI vs naive formula implementations."""
+    enumeration, FP/NMI/ARI vs naive formula implementations, and pairwise
+    F1 exactly equal to a loop over every pair."""
     rng = random.Random(1234)
     for _ in range(1000):
         n = rng.randint(2, 10)
@@ -127,6 +147,7 @@ def test_matches_reference_implementations():
         assert fp_measure(pred, truth) == pytest.approx(fp_naive(pred, truth), abs=1e-9)
         assert nmi(pred, truth) == pytest.approx(nmi_naive(pred, truth), abs=1e-9)
         assert ari(pred, truth) == pytest.approx(ari_naive(pred, truth), abs=1e-9)
+        assert pairwise_f1(pred, truth) == _pairwise_f1_loop(pred, truth)
 
 
 @st.composite

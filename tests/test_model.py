@@ -64,8 +64,6 @@ def test_set_clustering_validate():
 
 def test_set_clustering_flags_and_singletons():
     c = SetClustering("s", ((0,), (1,)))
-    assert c.is_all_singletons()
-    assert not SetClustering("s", ((0, 1),)).is_all_singletons()
     flagged = c.with_flag("fallback-singletons")
     assert flagged.flags == ("fallback-singletons",)
     assert c.flags == ()

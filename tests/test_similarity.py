@@ -36,16 +36,11 @@ def test_serialize_empty_record_raises():
 
 
 def test_tokenize_word_and_ngram():
+    # one scheme, words: there is no n-gram option
     r = _record(name="Ada Lovelace")
     assert tokenize(r) == ["name", "ada", "lovelace"]
-    grams = tokenize(r, scheme="char_ngram", n=3)
-    assert "ada" in grams and "lov" in grams and "ace" in grams
-    with pytest.raises(ValueError):
-        tokenize(r, scheme="bytes")
-
-
-def test_tokenize_keeps_short_words_whole():
-    assert "by" in tokenize(_record(a="by"), scheme="char_ngram", n=3)
+    with pytest.raises(TypeError):
+        tokenize(r, scheme="char_ngram")
 
 
 def test_jaccard():
