@@ -9,7 +9,7 @@ import numpy as np
 
 from .metrics import pairwise_f1
 from .model import ConstraintStore, ERError
-from .similarity import cosine, jaccard, pair_cosines
+from .similarity import jaccard, pair_cosines, row_norms
 
 
 class BadThresholds(ERError):
@@ -108,13 +108,10 @@ def filter_block(token_sets: dict[str, set], params: BlockingParams) -> list[Blo
     return _components(ids, kept)
 
 
-# Candidate pairs verified per einsum: bounds the gathered (2, chunk, dim)
-# rows, so peak memory does not grow with the number of candidates.
+# Candidate pairs verified per kernel call: bounds the gathered
+# (2, chunk, dim) rows, so peak memory does not grow with the number of
+# candidates.
 _VERIFY_CHUNK = 1024
-# Einsum dots and axis norms may differ from cosine()'s in the last bits;
-# pairs this close to b_t are decided by cosine() itself, so the kept pairs
-# match it exactly.
-_TIE_MARGIN = 1e-9
 
 
 def _band_pairs(band: np.ndarray) -> np.ndarray:
@@ -165,14 +162,11 @@ def lsh_block(
         )
     )
 
-    norms = np.linalg.norm(matrix, axis=1)
+    norms = row_norms(matrix)
     kept = []
     for chunk in range(0, len(codes), _VERIFY_CHUNK):
         ia, ib = np.divmod(codes[chunk : chunk + _VERIFY_CHUNK], n)
-        sims = pair_cosines(matrix, norms, ia, ib)
-        for k in np.flatnonzero(np.abs(sims - params.b_t) <= _TIE_MARGIN):
-            sims[k] = cosine(matrix[ia[k]], matrix[ib[k]])
-        keep = sims >= params.b_t
+        keep = pair_cosines(matrix, norms, ia, ib) >= params.b_t
         kept.extend(zip((ids[i] for i in ia[keep]), (ids[i] for i in ib[keep])))
     return _components(ids, kept)
 
@@ -242,14 +236,10 @@ def canopy_block(
 THRESHOLD_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
 
-def tune_threshold(
-    ids,
-    pair_sim,
-    truth: dict[str, str],
-) -> float:
-    """Sweep thresholds 0.05..0.95 (step 0.05), maximizing pairwise F1 of the
-    induced blocking; ties break toward the smaller threshold. Returns 0.95
-    when F1 is zero everywhere."""
+def tune_threshold(ids, index, truth: dict[str, str]) -> float:
+    """Sweep thresholds 0.05..0.95 (step 0.05) over the index's similarities,
+    maximizing pairwise F1 of the induced blocking; ties break toward the
+    smaller threshold. Returns 0.95 when F1 is zero everywhere."""
     ids = sorted(ids)
     if not ids or not truth:
         raise NoValidationData("threshold tuning needs labeled records")
@@ -257,15 +247,13 @@ def tune_threshold(
     if missing:
         raise NoValidationData(f"no label for record id {missing[0]!r}")
 
-    sims = {
-        (a, b): pair_sim(a, b)
-        for i, a in enumerate(ids)
-        for b in ids[i + 1 :]
-    }
+    lo, hi = np.triu_indices(len(ids), 1)
+    sims = index.sims(ids)[lo, hi]
     truth_sub = {rid: truth[rid] for rid in ids}
     best_t, best_f1 = None, 0.0
     for t in THRESHOLD_GRID:
-        pairs = [pair for pair, sim in sims.items() if sim >= t]
+        keep = sims >= t
+        pairs = zip((ids[i] for i in lo[keep]), (ids[i] for i in hi[keep]))
         blocks = _components(ids, pairs)
         pred = {rid: block.block_id for block in blocks for rid in block.members}
         _, _, f1 = pairwise_f1(pred, truth_sub)

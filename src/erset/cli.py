@@ -335,7 +335,7 @@ def cmd_tune(args) -> int:
     dataset = _load_dataset(args)
     index = _index(args, dataset)
     best = blocking_mod.tune_threshold(
-        sorted(dataset.records), index.sim, dataset.ground_truth
+        sorted(dataset.records), index, dataset.ground_truth
     )
     _emit({"measure": args.measure, "best_threshold": best}, None)
     return 0

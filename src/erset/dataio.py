@@ -160,6 +160,8 @@ def load_labels(path: str) -> dict[str, str]:
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise ERError(f"{path}: line {reader.line_num}: no cluster id")
             if row[0] in out:
                 raise DuplicateId(f"{path}: duplicate record id {row[0]!r}")
             out[row[0]] = row[1]

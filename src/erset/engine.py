@@ -57,17 +57,6 @@ class LevelState:
     store: ConstraintStore
 
 
-def node_similarities(nodes, pair_sim) -> np.ndarray:
-    """Symmetric (n, n) matrix of pair_sim over a sequence of nodes, one call
-    per unordered pair; the diagonal is unused."""
-    n = len(nodes)
-    sims = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            sims[i, j] = sims[j, i] = pair_sim(nodes[i], nodes[j])
-    return sims
-
-
 def _labels(clustering: SetClustering, n: int) -> np.ndarray:
     labels = np.empty(n, dtype=int)
     for gi, group in enumerate(clustering.groups):
@@ -97,7 +86,8 @@ def _misclustered(clustering: SetClustering, sims: np.ndarray) -> list[int]:
 def mdg_check(clustering: SetClustering, sims: np.ndarray) -> bool:
     """Misclustering detection guardrail: passes unless some record's minimum
     within-group similarity is below its maximum cross-group similarity.
-    ``sims`` is the set-local matrix from node_similarities, in set order."""
+    ``sims`` is the similarity matrix of the set's representatives, in set
+    order."""
     return not _misclustered(clustering, sims)
 
 
@@ -143,8 +133,8 @@ def regenerate_set(
 ) -> RecordSet:
     """Reorder a rejected set: each misclustered record (original order) is
     moved to sit immediately after the last member of the group it is most
-    similar to. The member multiset is unchanged. ``sims`` is the set-local
-    matrix from node_similarities, in set order."""
+    similar to. The member multiset is unchanged. ``sims`` is the similarity
+    matrix of the set's representatives, in set order."""
     members = record_set.members
     group_of = {pos: gi for gi, g in enumerate(clustering.groups) for pos in g}
     order = list(range(len(members)))
@@ -163,28 +153,24 @@ def regenerate_set(
             order.index(q) for q in clustering.groups[best_group] if q != pos
         )
         order.insert(anchor + 1, pos)
-    return RecordSet(
-        set_id=record_set.set_id,
-        members=tuple(members[i] for i in order),
-        level=record_set.level,
-    )
+    return RecordSet(record_set.set_id, tuple(members[i] for i in order))
 
 
 def guarded_cluster(
     record_set: RecordSet,
     gateway: LlmGateway,
-    pair_sim,
+    index: SimilarityIndex,
     max_regen: int,
 ) -> tuple[RecordSet, SetClustering, GuardrailStats]:
     """Cluster with the guardrail.
 
-    The check and every remedy read one set-local similarity matrix. When
-    the check fails, the clustering is first repaired without a call
-    (repair_clustering); a repaired clustering is accepted, flagged
-    "guardrail-repaired". Only when no move improves it is the set reordered
-    (regenerate_set) and clustered again, up to max_regen times; the last
-    clustering is then returned either way, flagged "guardrail-exhausted" if
-    it still fails. max_regen=0 turns off both remedies.
+    The check and every remedy read the similarity matrix of the set's
+    representatives. When the check fails, the clustering is first repaired
+    without a call (repair_clustering); a repaired clustering is accepted,
+    flagged "guardrail-repaired". Only when no move improves it is the set
+    reordered (regenerate_set) and clustered again, up to max_regen times;
+    the last clustering is then returned either way, flagged
+    "guardrail-exhausted" if it still fails. max_regen=0 turns off both remedies.
 
     A one-member set has one valid clustering and costs no call. A
     "fallback-singletons" clustering is no answer, so it is not checked;
@@ -193,7 +179,7 @@ def guarded_cluster(
     stats = GuardrailStats()
     if len(record_set) == 1:
         return record_set, SetClustering(record_set.set_id, ((0,),)), stats
-    sims = node_similarities(record_set.members, pair_sim)
+    sims = index.sims(n.representative for n in record_set.members)
     clustering = gateway.cluster_records(record_set)
     attempts = 0
     while not _is_fallback(clustering) and not mdg_check(clustering, sims):
@@ -208,7 +194,7 @@ def guarded_cluster(
             clustering = clustering.with_flag("guardrail-exhausted")
             break
         record_set = regenerate_set(record_set, clustering, sims)
-        sims = node_similarities(record_set.members, pair_sim)
+        sims = index.sims(n.representative for n in record_set.members)
         clustering = gateway.cluster_records(record_set)
         stats.regenerations += 1
         attempts += 1
@@ -219,18 +205,6 @@ def guarded_cluster(
 
 def _is_fallback(clustering: SetClustering) -> bool:
     return "fallback-singletons" in clustering.flags
-
-
-def _representative(members: frozenset[str], index: SimilarityIndex) -> str:
-    ids = sorted(members)
-    if len(ids) == 1:
-        return ids[0]
-    mean = index.mean_embedding(ids)
-    norm = float(np.linalg.norm(mean))
-    if norm == 0.0:
-        return ids[0]
-    sims = index.cosines_to(ids, mean, norm)
-    return min(zip(ids, sims), key=lambda t: (1.0 - t[1], t[0]))[0]
 
 
 def apply_clustering(
@@ -289,7 +263,7 @@ def apply_clustering(
     for sub in merged:
         members = frozenset().union(*(n.members for n in sub))
         new_nodes.append(
-            ClusterNode(members, _representative(members, index), record_set.set_id)
+            ClusterNode(members, index.representative(members), record_set.set_id)
         )
     return new_nodes, warnings
 
@@ -297,7 +271,7 @@ def apply_clustering(
 def merge_round(
     state: LevelState,
     config: SetConfig,
-    node_sim,
+    index: SimilarityIndex,
     set_id_prefix: str,
 ) -> list[RecordSet]:
     """One CMR round: pack the level's clusters into next-level record sets.
@@ -312,8 +286,8 @@ def merge_round(
     adjacent (greedy sequential order).
 
     The round works on node indices in candidate order (origin sets sorted,
-    then representative) over one similarity matrix, with one node_sim call
-    per pair. Nodes without an origin set share the origin "".
+    then representative) over one similarity matrix of their representatives.
+    Nodes without an origin set share the origin "".
     """
     by_origin: dict[str, list[ClusterNode]] = {}
     for node in state.nodes:
@@ -329,14 +303,14 @@ def merge_round(
     c = len(nodes)
     rank = np.empty(c, dtype=int)  # representative order
     rank[sorted(range(c), key=lambda i: nodes[i].representative)] = np.arange(c)
-    sims = node_similarities(nodes, node_sim)
+    sims = index.sims(n.representative for n in nodes)
     # Pairs a wave may seed with: cross-origin, upper triangle, i.e. each
     # origin's rows against the later origins' columns. Index order is
     # candidate order, so the first of several maxima in row-major order is
     # the first pair a scan over the candidates would meet.
-    pair_sims = np.full((c, c), -np.inf)
+    seed_sims = np.full((c, c), -np.inf)
     for lo, hi in spans:
-        pair_sims[lo:hi, hi:] = sims[lo:hi, hi:]
+        seed_sims[lo:hi, hi:] = sims[lo:hi, hi:]
 
     # Stage the descent of the hierarchy. Packing every wave to S_s members
     # narrows the level width so fast that a later round cannot fit the
@@ -376,7 +350,7 @@ def merge_round(
             joins = join[idx]
             take: list[int] = []
             if len(picks) + 2 <= size_cap:
-                block = pair_sims[idx[:, None], idx]
+                block = seed_sims[idx[:, None], idx]
                 best = block.max()
                 if best > -np.inf and (not picks or best > joins.max()):
                     rows, cols = (block == best).nonzero()  # row-major
@@ -419,9 +393,7 @@ def merge_round(
             ordered.append(nxt)
         out.append(
             RecordSet(
-                set_id=f"{set_id_prefix}.{counter:04d}",
-                members=tuple(nodes[i] for i in ordered),
-                level=state.level + 1,
+                f"{set_id_prefix}.{counter:04d}", tuple(nodes[i] for i in ordered)
             )
         )
     return out
@@ -473,11 +445,7 @@ def final_check(
         rows = np.array(chosen)
         uncovered[rows[:, None], rows] = False
         out.append(
-            RecordSet(
-                set_id=f"{set_id_prefix}.{counter:04d}",
-                members=tuple(nodes[i] for i in chosen),
-                level=state.level + 1,
-            )
+            RecordSet(f"{set_id_prefix}.{counter:04d}", tuple(nodes[i] for i in chosen))
         )
         counter += 1
     return out
@@ -533,17 +501,12 @@ class Resolver:
         self.store = ConstraintStore(sorted(records))
         self.report = ResolveReport()
 
-    def _pair_sim(self, a: ClusterNode, b: ClusterNode) -> float:
-        return self.index.sim(a.representative, b.representative)
-
     def _cluster_all(self, record_sets: list[RecordSet]):
         """Guarded-cluster each set (concurrently) and return results sorted
         by set_id so application order is deterministic."""
 
         def work(rs: RecordSet):
-            return guarded_cluster(
-                rs, self.gateway, self._pair_sim, self.config.max_regen
-            )
+            return guarded_cluster(rs, self.gateway, self.index, self.config.max_regen)
 
         if self.parallelism == 1 or len(record_sets) <= 1:
             results = [work(rs) for rs in record_sets]
@@ -573,18 +536,13 @@ class Resolver:
         i = 0
         while remaining:
             ids = next_record_set(
-                remaining,
-                self.config,
-                self.index.sim,
-                self.index.embeddings,
-                seed=self.config.seed,
+                remaining, self.config, self.index, seed=self.config.seed
             )
             remaining.difference_update(ids)
             sets.append(
                 RecordSet(
-                    set_id=f"{block.block_id}.L0.{i:04d}",
-                    members=tuple(ClusterNode.singleton(rid) for rid in ids),
-                    level=0,
+                    f"{block.block_id}.L0.{i:04d}",
+                    tuple(ClusterNode.singleton(rid) for rid in ids),
                 )
             )
             i += 1
@@ -597,8 +555,7 @@ class Resolver:
             groups.setdefault(self.store.root(rid), []).append(rid)
         nodes = []
         for ids in groups.values():
-            members = frozenset(ids)
-            nodes.append(ClusterNode(members, _representative(members, self.index)))
+            nodes.append(ClusterNode(frozenset(ids), self.index.representative(ids)))
         return nodes
 
     def _resolve_block(self, block: Block) -> None:
@@ -619,7 +576,7 @@ class Resolver:
         while merged and state.level < self.max_levels:
             next_level = state.level + 1
             prefix = f"{block.block_id}.L{next_level}"
-            candidate_sets = merge_round(state, self.config, self._pair_sim, prefix)
+            candidate_sets = merge_round(state, self.config, self.index, prefix)
             callable_sets = [rs for rs in candidate_sets if len(rs) >= 2]
             if not callable_sets:
                 break
@@ -654,7 +611,6 @@ class Resolver:
             self.report.final_check_rounds = max(self.report.final_check_rounds, wave)
             results = self._cluster_all(sets)
             self._apply_all(state, results)
-            state.level += 1
             state.nodes = self._nodes_by_root(block)
             if wave >= self.max_levels or all(_is_fallback(c) for _, c, _ in results):
                 break
@@ -665,9 +621,8 @@ class Resolver:
             self._resolve_block(block)
         clusters = []
         for _, members in sorted(self.store.components().items()):
-            member_set = frozenset(members)
             clusters.append(
-                ClusterNode(member_set, _representative(member_set, self.index))
+                ClusterNode(frozenset(members), self.index.representative(members))
             )
         partition = Partition(clusters)
         partition.validate(self.records)

@@ -248,8 +248,22 @@ class _TokenBucket:
             time.sleep(wait)
 
 
+def _reply_text(data) -> str:
+    """``choices[0].message.content`` of a chat-completion reply; ValueError
+    when it is missing or not a string."""
+    try:
+        text = data["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed reply: {exc!r}") from exc
+    if not isinstance(text, str):
+        raise ValueError(f"reply content is {type(text).__name__}")
+    return text
+
+
 class HttpProvider:
-    """Chat-completion HTTP backend with retries, backoff and rate limiting."""
+    """Chat-completion HTTP backend with retries, backoff and rate limiting.
+    A reply without a string ``choices[0].message.content`` is a failed
+    attempt, retried like a transport error."""
 
     def __init__(self, config: ProviderConfig):
         self.config = config
@@ -297,7 +311,7 @@ class HttpProvider:
                 resp.raise_for_status()
                 data = resp.json()
                 self._log(payload, data)
-                text = data["choices"][0]["message"]["content"]
+                text = _reply_text(data)
                 usage = data.get("usage")
                 if usage:
                     return text, (
@@ -305,7 +319,7 @@ class HttpProvider:
                         int(usage.get("completion_tokens", 0)),
                     )
                 return text, None
-            except (requests.RequestException, KeyError, ValueError) as exc:
+            except (requests.RequestException, ValueError) as exc:
                 last_error = exc
                 if attempt < self.config.max_retries:
                     time.sleep(min(2.0**attempt, 30.0))

@@ -75,7 +75,6 @@ class RecordSet:
 
     set_id: str
     members: tuple[ClusterNode, ...]
-    level: int = 0
 
     def __post_init__(self):
         seen: set[str] = set()

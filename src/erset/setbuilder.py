@@ -106,36 +106,37 @@ def elbow_k(
     return best_k, labels[best_k]
 
 
-def sequential_order(members, similarity) -> list:
+def sequential_order(members, index) -> list:
     """Greedy similarity chain: start at the lowest id, append the most
     similar remaining member to the last appended (ties to the lowest id)."""
-    remaining = sorted(members)
-    if not remaining:
+    ids = sorted(members)
+    if not ids:
         return []
-    order = [remaining.pop(0)]
+    sims = index.sims(ids)
+    order = [0]
+    # remaining is in id order and max() keeps the first maximum
+    remaining = list(range(1, len(ids)))
     while remaining:
-        last = order[-1]
-        # remaining is in id order and max() keeps the first maximum
-        best = max(remaining, key=lambda m: similarity(last, m))
+        best = max(remaining, key=sims[order[-1]].__getitem__)
         remaining.remove(best)
         order.append(best)
-    return order
+    return [ids[i] for i in order]
 
 
 def next_record_set(
     b_remain,
     config: SetConfig,
-    similarity,
-    embeddings: dict[str, np.ndarray],
+    index,
     seed: int | None = None,
 ) -> list:
     """Select and order the members of the next record set from a block.
 
     Returns an ordered id list of size min(|b_remain|, set_size); the caller
     removes them from the block. For oversized blocks, a cheap k-means
-    pre-clustering drives diversity: floor(S_s/S_d) records per sufficiently
-    large pre-cluster, then fillers chosen to least increase the coefficient
-    of variation of the selected pre-cluster-size profile.
+    pre-clustering of the index's embeddings drives diversity:
+    floor(S_s/S_d) records per sufficiently large pre-cluster, then fillers
+    chosen to least increase the coefficient of variation of the selected
+    pre-cluster-size profile.
     """
     pool = sorted(b_remain)
     if not pool:
@@ -143,13 +144,13 @@ def next_record_set(
     if seed is None:
         seed = config.seed
     if len(pool) <= config.set_size:
-        return sequential_order(pool, similarity)
+        return sequential_order(pool, index)
 
-    points = np.array([embeddings[rid] for rid in pool])
+    points = index.rows(pool)
     _, labels = elbow_k(points, k_max=config.set_diversity + 2, seed=seed)
-    by_cluster: dict[int, list[str]] = {}
-    for rid, label in zip(pool, labels):
-        by_cluster.setdefault(int(label), []).append(rid)
+    by_cluster: dict[int, list[int]] = {}
+    for pos, label in enumerate(labels):
+        by_cluster.setdefault(int(label), []).append(pos)
 
     target_size = config.set_size // config.set_diversity
     selected: list[str] = []
@@ -159,25 +160,27 @@ def next_record_set(
         room = config.set_size - len(selected)
         if room <= 0 or len(members) < target_size:
             continue
-        centroid = points[[pool.index(m) for m in members]].mean(axis=0)
+        centroid = points[members].mean(axis=0)
         # seed on the centroid-nearest record, then grow by nearest neighbour
         # within the pre-cluster: a coherent draw keeps likely duplicates in
         # the same record set, where a spread of centroid-nearest records
         # from a mixed pre-cluster would rarely contain any duplicate pair
-        seed_rid = min(
+        seed_pos = min(
             members,
-            key=lambda m: (float(np.linalg.norm(embeddings[m] - centroid)), m),
+            key=lambda p: (float(np.linalg.norm(points[p] - centroid)), pool[p]),
         )
-        take = [seed_rid]
-        # in id order, so max() breaks similarity ties toward the lowest id
-        candidates = [m for m in members if m != seed_rid]
+        take = [pool[seed_pos]]
+        # in id order, so argmax breaks similarity ties toward the lowest id;
+        # nearest[k] is candidate k's best similarity to the records taken,
+        # one kernel column per pick
+        candidates = [pool[p] for p in members if p != seed_pos]
+        nearest = np.full(len(candidates), -np.inf)
         while len(take) < min(target_size, room) and candidates:
-            nxt = max(candidates, key=lambda m: max(similarity(m, t) for t in take))
-            candidates.remove(nxt)
-            take.append(nxt)
+            np.maximum(nearest, index.sims(candidates, take[-1:])[:, 0], out=nearest)
+            k = int(nearest.argmax())
+            take.append(candidates.pop(k))
+            nearest = np.delete(nearest, k)
         selected.extend(take)
-        for m in take:
-            members.remove(m)
 
     remaining = [rid for rid in pool if rid not in set(selected)]
     while len(selected) < config.set_size and remaining:
@@ -194,4 +197,4 @@ def next_record_set(
         remaining.remove(best)
         selected.append(best)
 
-    return sequential_order(selected, similarity)
+    return sequential_order(selected, index)

@@ -7,6 +7,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -65,34 +66,42 @@ def jaccard(a, b) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def _cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
-    """Cosine of float vectors u and v with norms nu and nv."""
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine of two vectors: their dot over the product of their norms."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise DimMismatch(f"dims differ: {u.shape} vs {v.shape}")
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ZeroVector("cosine undefined for zero vectors")
     return float(np.dot(u, v) / (nu * nv))
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return _cosine(u, v, float(np.linalg.norm(u)), float(np.linalg.norm(v)))
+# The similarity kernel. np.vecdot runs the same BLAS dot per pair of rows as
+# np.dot, and sqrt(vecdot(v, v)) is np.linalg.norm(v), so every value below is
+# bitwise equal to cosine() of the same two vectors; a BLAS matrix product or
+# a summed elementwise product would differ in the last bits.
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (of a single vector: its norm)."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _over_norms(dots: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    if not (na.all() and nb.all()):
+        raise ZeroVector("cosine undefined for zero vectors")
+    return dots / (na * nb)
 
 
 def pair_cosines(
     matrix: np.ndarray, norms: np.ndarray, ia: np.ndarray, ib: np.ndarray
 ) -> np.ndarray:
-    """Cosine of rows ia[k] and ib[k] of matrix, given its row norms.
-
-    One row-wise einsum over the gathered pairs; callers bound memory by
-    passing pairs in chunks. The dot may differ from np.dot in the last
-    bits. Raises ZeroVector if any pair holds a zero row.
-    """
-    na, nb = norms[ia], norms[ib]
-    if not (np.all(na) and np.all(nb)):
-        raise ZeroVector("cosine undefined for zero vectors")
-    return np.einsum("ij,ij->i", matrix[ia], matrix[ib]) / (na * nb)
+    """Cosine of rows ia[k] and ib[k] of matrix, given its row_norms.
+    Callers bound memory by passing pairs in chunks. Raises ZeroVector if
+    any pair holds a zero row."""
+    return _over_norms(np.vecdot(matrix[ia], matrix[ib]), norms[ia], norms[ib])
 
 
 def _signed_hash(token: str, seed: int) -> int:
@@ -187,7 +196,7 @@ def save_embeddings(path, embeddings: dict[str, np.ndarray]) -> None:
 
 
 class SimilarityIndex:
-    """Per-record token sets and embeddings with a uniform pair-similarity API."""
+    """Per-record token sets and embeddings behind one similarity kernel."""
 
     def __init__(
         self,
@@ -202,25 +211,55 @@ class SimilarityIndex:
             self.embeddings = {
                 rid: np.asarray(v, dtype=float) for rid, v in embeddings.items()
             }
+            if len({v.shape for v in self.embeddings.values()}) > 1:
+                raise DimMismatch("embeddings differ in dimension")
         else:
             embedder = HashedTfidfEmbedder(self.config.dim, self.config.seed)
             embedder.fit(records.values())
             self.embeddings = {rid: embedder.embed(r) for rid, r in records.items()}
-        self._norms = {
-            rid: float(np.linalg.norm(v)) for rid, v in self.embeddings.items()
-        }
+
+    def rows(self, ids) -> np.ndarray:
+        """The embeddings of ids, stacked in order."""
+        return np.array([self.embeddings[rid] for rid in ids])
+
+    def sims(self, ids, others=None) -> np.ndarray:
+        """(len(ids), len(others)) similarities of ids with others (with ids
+        themselves by default) under the configured measure. Cosines raise
+        ZeroVector if any pair holds a zero embedding."""
+        ids = list(ids)
+        others = ids if others is None else list(others)
+        if not ids or not others:
+            return np.zeros((len(ids), len(others)))
+        if self.config.measure == "jaccard":
+            sets = self.token_sets
+            if others is not ids:
+                rows = [[jaccard(sets[a], sets[b]) for b in others] for a in ids]
+                return np.array(rows)
+            # symmetric, and 1.0 on the diagonal: one jaccard() per pair
+            out = np.ones((len(ids), len(ids)))
+            for i, j in combinations(range(len(ids)), 2):
+                out[i, j] = out[j, i] = jaccard(sets[ids[i]], sets[ids[j]])
+            return out
+        a = self.rows(ids)
+        b = a if others is ids else self.rows(others)
+        na = row_norms(a)
+        nb = na if b is a else row_norms(b)
+        return _over_norms(np.vecdot(a[:, None, :], b[None, :, :]), na[:, None], nb)
 
     def sim(self, a: str, b: str) -> float:
-        if self.config.measure == "jaccard":
-            return jaccard(self.token_sets[a], self.token_sets[b])
-        vectors, norms = self.embeddings, self._norms
-        return _cosine(vectors[a], vectors[b], norms[a], norms[b])
+        return float(self.sims([a], [b])[0, 0])
 
-    def cosines_to(self, record_ids, vector: np.ndarray, norm: float) -> list[float]:
-        """Cosine of each record's embedding with an outside vector of the
-        given norm, on the cached row norms; bitwise equal to cosine()."""
-        vectors, norms = self.embeddings, self._norms
-        return [_cosine(vectors[rid], vector, norms[rid], norm) for rid in record_ids]
-
-    def mean_embedding(self, record_ids) -> np.ndarray:
-        return np.mean([self.embeddings[rid] for rid in record_ids], axis=0)
+    def representative(self, members) -> str:
+        """The member whose embedding has the highest cosine with the
+        members' mean embedding, ties to the lowest id; the lowest id when
+        the mean is zero."""
+        ids = sorted(members)
+        if len(ids) == 1:
+            return ids[0]
+        rows = self.rows(ids)
+        mean = rows.mean(axis=0)
+        norm = row_norms(mean)
+        if norm == 0.0:
+            return ids[0]
+        sims = _over_norms(np.vecdot(rows, mean), row_norms(rows), norm).tolist()
+        return min(zip(ids, sims), key=lambda t: (1.0 - t[1], t[0]))[0]

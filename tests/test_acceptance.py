@@ -23,6 +23,7 @@ from erset.setbuilder import next_record_set, variation
 from erset.similarity import cosine
 from erset.synth import generate_dataset, planted_embeddings
 
+from .fakes import embedding_index
 from .oracles import acc_bruteforce, ari_naive, fp_naive, nmi_naive
 
 
@@ -158,11 +159,8 @@ def test_criterion_06_variation_conformance():
 def test_criterion_07_nrs_conformance():
     truth = {f"r{i:03d}": f"e{i % 4}" for i in range(40)}
     emb = planted_embeddings(truth, noise=0.05, seed=5)
-
-    def sim(a, b):
-        return cosine(emb[a], emb[b])
-
-    ids = next_record_set(sorted(truth), SetConfig(seed=0), sim, emb, seed=0)
+    index = embedding_index(emb)
+    ids = next_record_set(sorted(truth), SetConfig(seed=0), index, seed=0)
     assert len(ids) == 9
     counts = {}
     for rid in ids:

@@ -22,6 +22,8 @@ from erset.model import Attribute, Record
 from erset.similarity import SimilarityIndex, ZeroVector, cosine, jaccard
 from erset.synth import generate_dataset, planted_embeddings
 
+from .fakes import TableIndex
+
 
 def _assert_disjoint_cover(blocks, ids):
     seen = [rid for b in blocks for rid in b.members]
@@ -225,10 +227,12 @@ class TestCanopyBlock:
 
 class TestTuneThreshold:
     def _sim_table(self, truth, hi, lo):
-        def sim(a, b):
-            return hi if truth[a] == truth[b] else lo
-
-        return sim
+        return TableIndex(
+            {
+                (a, b): hi if truth[a] == truth[b] else lo
+                for a, b in itertools.combinations(sorted(truth), 2)
+            }
+        )
 
     def test_picks_separating_threshold(self):
         truth = {"a": "x", "b": "x", "c": "y", "d": "y"}
@@ -238,14 +242,14 @@ class TestTuneThreshold:
 
     def test_all_zero_f1_returns_max(self):
         truth = {"a": "x", "b": "y"}  # no positive pair anywhere
-        best = tune_threshold(sorted(truth), lambda a, b: 0.0, truth)
+        best = tune_threshold(sorted(truth), TableIndex(default=0.0), truth)
         assert best == pytest.approx(0.95)
 
     def test_missing_labels_raise(self):
         with pytest.raises(NoValidationData):
-            tune_threshold(["a", "b"], lambda a, b: 0.5, {"a": "x"})
+            tune_threshold(["a", "b"], TableIndex(default=0.5), {"a": "x"})
         with pytest.raises(NoValidationData):
-            tune_threshold([], lambda a, b: 0.5, {})
+            tune_threshold([], TableIndex(default=0.5), {})
 
 
 def test_make_blocks_none_and_unknown():

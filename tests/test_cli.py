@@ -175,6 +175,14 @@ class TestCli:
         )
         assert rc == 2
 
+    def test_label_row_without_cluster_id_is_data_error(self, tmp_path, capsys):
+        labels = tmp_path / "l.csv"
+        labels.write_text("record_id,cluster_id\nr0,x\nr1\n")
+        rc = main(["evaluate", "--partition", str(labels), "--truth", str(labels)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"data error: {labels}: line 3: no cluster id" in err
+
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         main(["synth", "--entities", "4", "--dupes", "2", "--out", str(data)])

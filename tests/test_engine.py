@@ -15,7 +15,6 @@ from erset.engine import (
     guarded_cluster,
     mdg_check,
     merge_round,
-    node_similarities,
     regenerate_set,
     repair_clustering,
     resolve,
@@ -34,16 +33,11 @@ from erset.model import (
 from erset.similarity import SimilarityIndex
 from erset.synth import generate_dataset, planted_embeddings
 
-
-def _table_sim(table):
-    def sim(a, b):
-        return table[tuple(sorted((a.representative, b.representative)))]
-
-    return sim
+from .fakes import TableIndex
 
 
 def _sims(rs, table):
-    return node_similarities(rs.members, _table_sim(table))
+    return TableIndex(table).sims(n.representative for n in rs.members)
 
 
 def _set_of(ids, set_id="s0", origin=None):
@@ -157,7 +151,7 @@ class TestGuardedCluster:
         gateway = _gateway(["R1\nR2\nR3"])
         rs = _set_of("abc")
         out_rs, clustering, stats = guarded_cluster(
-            rs, gateway, _table_sim(ABC_SIMS), max_regen=2
+            rs, gateway, TableIndex(ABC_SIMS), max_regen=2
         )
         assert gateway.ledger.api_calls == 1
         assert stats.checks_failed == 0
@@ -169,7 +163,7 @@ class TestGuardedCluster:
         gateway = _gateway(["R1,R2,R4\nR3", "R1\nR2,R3\nR4"], "abcd")
         rs = _set_of("abcd")
         out_rs, clustering, stats = guarded_cluster(
-            rs, gateway, _table_sim(STUCK_SIMS), max_regen=2
+            rs, gateway, TableIndex(STUCK_SIMS), max_regen=2
         )
         assert gateway.ledger.api_calls == 2
         assert stats.regenerations == 1
@@ -184,7 +178,7 @@ class TestGuardedCluster:
         gateway = _gateway(bad, "abcd")
         rs = _set_of("abcd")
         _, clustering, stats = guarded_cluster(
-            rs, gateway, _table_sim(STUCK_SIMS), max_regen=2
+            rs, gateway, TableIndex(STUCK_SIMS), max_regen=2
         )
         assert gateway.ledger.api_calls == 3
         assert stats.exhausted == 1
@@ -195,7 +189,7 @@ class TestGuardedCluster:
         gateway = _gateway(["R1,R2\nR3"])
         rs = _set_of("abc")
         out_rs, clustering, stats = guarded_cluster(
-            rs, gateway, _table_sim(ABC_SIMS), max_regen=2
+            rs, gateway, TableIndex(ABC_SIMS), max_regen=2
         )
         assert gateway.ledger.api_calls == 1
         assert stats.regenerations == 0
@@ -208,7 +202,7 @@ class TestGuardedCluster:
         gateway = _gateway([])
         rs = _set_of("a")
         out_rs, clustering, stats = guarded_cluster(
-            rs, gateway, _table_sim(ABC_SIMS), max_regen=2
+            rs, gateway, TableIndex(ABC_SIMS), max_regen=2
         )
         assert gateway.ledger.api_calls == 0
         assert out_rs is rs
@@ -222,7 +216,7 @@ class TestGuardedCluster:
         rs = _set_of("abc")
         sims = {("a", "b"): 1.5, ("a", "c"): 0.5, ("b", "c"): 0.1}
         _, clustering, stats = guarded_cluster(
-            rs, gateway, _table_sim(sims), max_regen=2
+            rs, gateway, TableIndex(sims), max_regen=2
         )
         assert gateway.ledger.api_calls == 4
         assert clustering.flags == ("fallback-singletons",)
@@ -233,7 +227,7 @@ class TestGuardedCluster:
         gateway = _gateway(["R1,R2\nR3"])
         rs = _set_of("abc")
         _, clustering, stats = guarded_cluster(
-            rs, gateway, _table_sim(ABC_SIMS), max_regen=0
+            rs, gateway, TableIndex(ABC_SIMS), max_regen=0
         )
         assert gateway.ledger.api_calls == 1
         assert stats.repaired == 0
@@ -319,11 +313,12 @@ class TestMergeRound:
                 entity[rid] = e
                 nodes.append(ClusterNode.singleton(rid, origin_set=f"s{s}"))
 
-        def sim(a, b):
-            return 0.9 if entity[a.representative] == entity[b.representative] else 0.1
-
+        sims = {
+            (a, b): 0.9 if entity[a] == entity[b] else 0.1
+            for a, b in itertools.combinations(sorted(ids), 2)
+        }
         state = self._state(nodes, ids)
-        out = merge_round(state, SetConfig(set_diversity=1), sim, "L1")
+        out = merge_round(state, SetConfig(set_diversity=1), TableIndex(sims), "L1")
         assert len(out) == 3
         for rs in out:
             assert len(rs) == 4
@@ -346,7 +341,7 @@ class TestMergeRound:
             ClusterNode.singleton("b2", origin_set="sb"),
         ]
         state = self._state(nodes, ["a1", "a2", "b1", "b2"])
-        out = merge_round(state, SetConfig(set_diversity=1), _table_sim(sims), "L1")
+        out = merge_round(state, SetConfig(set_diversity=1), TableIndex(sims), "L1")
         packs = sorted(
             tuple(sorted(n.representative for n in rs.members)) for rs in out
         )
@@ -355,7 +350,7 @@ class TestMergeRound:
     def test_single_origin_yields_no_multinode_sets(self):
         nodes = [ClusterNode.singleton(i, origin_set="s0") for i in "abc"]
         state = self._state(nodes, list("abc"))
-        out = merge_round(state, SetConfig(), lambda a, b: 0.5, "L1")
+        out = merge_round(state, SetConfig(), TableIndex(default=0.5), "L1")
         assert all(len(rs) == 1 for rs in out)
 
     def test_every_node_selected_exactly_once(self):
@@ -367,7 +362,7 @@ class TestMergeRound:
                 ids.append(rid)
                 nodes.append(ClusterNode.singleton(rid, origin_set=f"s{s}"))
         state = self._state(nodes, ids)
-        out = merge_round(state, SetConfig(), lambda a, b: 0.5, "L1")
+        out = merge_round(state, SetConfig(), TableIndex(default=0.5), "L1")
         seen = [n.representative for rs in out for n in rs.members]
         assert sorted(seen) == sorted(ids)
 
@@ -382,7 +377,7 @@ class TestMergeRound:
             ClusterNode.singleton("b1", origin_set="sb"),
         ]
         state = LevelState(0, nodes, store)
-        out = merge_round(state, SetConfig(), lambda a, b: 0.9, "L1")
+        out = merge_round(state, SetConfig(), TableIndex(default=0.9), "L1")
         assert len(out) == 1
         assert sorted(n.representative for n in out[0].members) == ["a1", "b1"]
 
@@ -557,7 +552,7 @@ class neg_key:
         return self.value == other.value
 
 
-def _reference_merge_round(state, config, node_sim, set_id_prefix):
+def _reference_merge_round(state, config, table, set_id_prefix):
     by_origin = {}
     for node in state.nodes:
         by_origin.setdefault(node.origin_set or "", []).append(node)
@@ -566,17 +561,8 @@ def _reference_merge_round(state, config, node_sim, set_id_prefix):
     if len(by_origin) < 2:
         return []
 
-    memo = {}
-
     def sim(a, b):
-        key = (a.representative, b.representative)
-        if key[0] > key[1]:
-            key = (key[1], key[0])
-        value = memo.get(key)
-        if value is None:
-            value = node_sim(a, b)
-            memo[key] = value
-        return value
+        return table[tuple(sorted((a.representative, b.representative)))]
 
     unselected = {origin: list(by_origin[origin]) for origin in sorted(by_origin)}
     n_total = len(state.nodes)
@@ -662,7 +648,6 @@ def _reference_merge_round(state, config, node_sim, set_id_prefix):
             RecordSet(
                 set_id=f"{set_id_prefix}.{counter:04d}",
                 members=tuple(ordered_picks),
-                level=state.level + 1,
             )
         )
     return out
@@ -711,7 +696,6 @@ def _reference_final_check(state, config, set_id_prefix, start=0):
             RecordSet(
                 set_id=f"{set_id_prefix}.{counter:04d}",
                 members=tuple(nodes[i] for i in chosen),
-                level=state.level + 1,
             )
         )
         counter += 1
@@ -725,13 +709,12 @@ def _random_ids(rng, n):
     return ids
 
 
-def _quantised_sim(rng, ids):
+def _quantised_table(rng, ids):
     """Pair similarities in 0.1 steps, so exact ties are common."""
-    table = {
+    return {
         pair: rng.randint(-2, 10) / 10
         for pair in itertools.combinations(sorted(ids), 2)
     }
-    return _table_sim(table)
 
 
 def _cannot_link_some(rng, store, ids, share):
@@ -755,7 +738,7 @@ def _merge_state(seed, cannot_links):
     store = ConstraintStore(ids)
     if cannot_links:
         _cannot_link_some(rng, store, ids, 0.1)
-    return LevelState(rng.randint(0, 3), nodes, store), _quantised_sim(rng, ids)
+    return LevelState(rng.randint(0, 3), nodes, store), _quantised_table(rng, ids)
 
 
 def _sweep_state(seed):
@@ -785,9 +768,10 @@ class TestMatchesReference:
     @pytest.mark.parametrize("config", _CONFIGS, ids=["size1", "size2", "size9"])
     def test_merge_round(self, config, cannot_links):
         for seed in range(40):
-            state, sim = _merge_state(seed, cannot_links)
-            expected = _reference_merge_round(state, config, sim, "b.L1")
-            assert merge_round(state, config, sim, "b.L1") == expected, seed
+            state, table = _merge_state(seed, cannot_links)
+            expected = _reference_merge_round(state, config, table, "b.L1")
+            got = merge_round(state, config, TableIndex(table), "b.L1")
+            assert got == expected, seed
 
     @pytest.mark.parametrize("config", _CONFIGS, ids=["size1", "size2", "size9"])
     def test_final_check(self, config):

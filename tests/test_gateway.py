@@ -278,6 +278,45 @@ class TestHttpProvider:
         assert text == "R1,R2"
         assert usage == (11, 3)
 
+    @pytest.mark.parametrize(
+        "body",
+        [{"choices": []}, {"choices": [{"message": {"content": None}}]}],
+        ids=["no-choices", "null-content"],
+    )
+    def test_malformed_reply_is_retried_then_unavailable(self, monkeypatch, body):
+        import requests as requests_mod
+
+        calls = {"n": 0}
+
+        class FakeResponse:
+            status_code = 200
+
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return body
+
+        def post(*args, **kwargs):
+            calls["n"] += 1
+            return FakeResponse()
+
+        monkeypatch.setattr(requests_mod, "post", post)
+        monkeypatch.setattr("erset.gateway.time.sleep", lambda s: None)
+        provider = HttpProvider(
+            ProviderConfig(
+                endpoint="http://x",
+                model="m",
+                max_retries=2,
+                requests_per_minute=100000,
+            )
+        )
+        records = _records(2)
+        rs = _record_set(records)
+        with pytest.raises(ProviderUnavailable):
+            provider.complete(build_prompt(rs, records), [rs])
+        assert calls["n"] == 3
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ProviderConfig(endpoint="http://x", model="m", temperature=-1)

@@ -15,8 +15,9 @@ from erset.setbuilder import (
     sequential_order,
     variation,
 )
-from erset.similarity import cosine
 from erset.synth import planted_embeddings
+
+from .fakes import TableIndex, embedding_index
 
 
 class TestVariation:
@@ -100,18 +101,15 @@ class TestElbow:
 
 class TestSequentialOrder:
     def test_chains_by_similarity(self):
-        sims = {("a", "b"): 0.1, ("a", "c"): 0.9, ("b", "c"): 0.2}
-
-        def sim(x, y):
-            return sims[tuple(sorted((x, y)))]
-
-        assert sequential_order(["a", "b", "c"], sim) == ["a", "c", "b"]
+        sims = TableIndex({("a", "b"): 0.1, ("a", "c"): 0.9, ("b", "c"): 0.2})
+        assert sequential_order(["a", "b", "c"], sims) == ["a", "c", "b"]
 
     def test_ties_break_to_lower_id(self):
-        assert sequential_order(["c", "a", "b"], lambda x, y: 0.5) == ["a", "b", "c"]
+        sims = TableIndex(default=0.5)
+        assert sequential_order(["c", "a", "b"], sims) == ["a", "b", "c"]
 
     def test_empty(self):
-        assert sequential_order([], lambda x, y: 0.0) == []
+        assert sequential_order([], TableIndex(default=0.0)) == []
 
 
 class TestNextRecordSet:
@@ -121,23 +119,22 @@ class TestNextRecordSet:
             for i in range(n_clusters * per_cluster)
         }
         emb = planted_embeddings(truth, noise=noise, seed=seed)
-        sim = lambda a, b: cosine(emb[a], emb[b])
-        return truth, emb, sim
+        return truth, embedding_index(emb)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            next_record_set([], SetConfig(), lambda a, b: 0.0, {})
+            next_record_set([], SetConfig(), TableIndex(default=0.0))
 
     def test_small_block_returned_whole(self):
-        truth, emb, sim = self._planted(2, 3)
-        ids = next_record_set(sorted(truth), SetConfig(), sim, emb)
+        truth, index = self._planted(2, 3)
+        ids = next_record_set(sorted(truth), SetConfig(), index)
         assert sorted(ids) == sorted(truth)
 
     def test_target_size_per_precluster(self):
         """On a 40-record block with 4 planted pre-clusters the set has 9
         members with floor(9/4)=2 drawn from each pre-cluster before filling."""
-        truth, emb, sim = self._planted(4, 10)
-        ids = next_record_set(sorted(truth), SetConfig(seed=0), sim, emb, seed=0)
+        truth, index = self._planted(4, 10)
+        ids = next_record_set(sorted(truth), SetConfig(seed=0), index, seed=0)
         assert len(ids) == 9
         counts = {}
         for rid in ids:
@@ -145,8 +142,8 @@ class TestNextRecordSet:
         assert sorted(counts.values()) == [2, 2, 2, 3]
 
     def test_sequential_adjacency(self):
-        truth, emb, sim = self._planted(4, 10)
-        ids = next_record_set(sorted(truth), SetConfig(seed=0), sim, emb, seed=0)
+        truth, index = self._planted(4, 10)
+        ids = next_record_set(sorted(truth), SetConfig(seed=0), index, seed=0)
         adjacent_same = sum(
             1 for a, b in zip(ids, ids[1:]) if truth[a] == truth[b]
         )
@@ -157,7 +154,7 @@ class TestNextRecordSet:
     def test_kmeans_runs_once_per_k(self, monkeypatch):
         """The elbow's run for the chosen k supplies the labels: one k-means
         run per k up to set_diversity + 2, none after."""
-        truth, emb, sim = self._planted(4, 10)
+        truth, index = self._planted(4, 10)
         ks = []
 
         def counting(points, k, seed=0):
@@ -166,21 +163,21 @@ class TestNextRecordSet:
 
         monkeypatch.setattr(setbuilder, "kmeans", counting)
         config = SetConfig(seed=0)
-        next_record_set(sorted(truth), config, sim, emb, seed=0)
+        next_record_set(sorted(truth), config, index, seed=0)
         assert ks == list(range(1, config.set_diversity + 3))
 
     def test_deterministic(self):
-        truth, emb, sim = self._planted(4, 10)
-        a = next_record_set(sorted(truth), SetConfig(seed=2), sim, emb, seed=2)
-        b = next_record_set(sorted(truth), SetConfig(seed=2), sim, emb, seed=2)
+        truth, index = self._planted(4, 10)
+        a = next_record_set(sorted(truth), SetConfig(seed=2), index, seed=2)
+        b = next_record_set(sorted(truth), SetConfig(seed=2), index, seed=2)
         assert a == b
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 5))
     def test_returns_subset_of_requested_size(self, n_clusters, per_cluster, seed):
-        truth, emb, sim = self._planted(n_clusters, per_cluster, seed=seed)
+        truth, index = self._planted(n_clusters, per_cluster, seed=seed)
         pool = sorted(truth)
-        ids = next_record_set(pool, SetConfig(seed=seed), sim, emb, seed=seed)
+        ids = next_record_set(pool, SetConfig(seed=seed), index, seed=seed)
         assert len(ids) == min(len(pool), 9)
         assert len(set(ids)) == len(ids)
         assert set(ids) <= set(pool)

@@ -15,6 +15,8 @@ from erset.similarity import (
     cosine,
     jaccard,
     load_embeddings,
+    pair_cosines,
+    row_norms,
     save_embeddings,
     serialize,
     tokenize,
@@ -123,8 +125,8 @@ def test_similarity_index_measures():
     assert idx.sim("r1", "r3") < 1.0
     idx2 = SimilarityIndex(records, SimilarityConfig(measure="cosine"))
     assert idx2.sim("r1", "r2") == pytest.approx(1.0)
-    mean = idx2.mean_embedding(["r1", "r2"])
-    assert np.allclose(mean, idx2.embeddings["r1"])
+    # r1 and r2 embed alike, so the tie goes to the lowest id
+    assert idx2.representative({"r2", "r1"}) == "r1"
 
 
 @given(st.sets(st.text("ab", max_size=3)), st.sets(st.text("ab", max_size=3)))
@@ -147,10 +149,18 @@ def test_index_sim_equals_cosine_exactly(planted):
             assert cosine(u, v) == float(
                 np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
             )
-    mean = idx.mean_embedding(ids[:5])
-    norm = float(np.linalg.norm(mean))
-    expected = [cosine(idx.embeddings[rid], mean) for rid in ids]
-    assert idx.cosines_to(ids, mean, norm) == expected
+    for members in (ids[:2], ids[:5], ids):
+        mean = np.mean([idx.embeddings[rid] for rid in members], axis=0)
+        expected = min(
+            members, key=lambda rid: (1.0 - cosine(idx.embeddings[rid], mean), rid)
+        )
+        assert idx.representative(reversed(members)) == expected
+
+
+def test_index_rejects_embeddings_of_mixed_dimension():
+    records = {rid: _record(rid, name=rid) for rid in ("a", "b")}
+    with pytest.raises(DimMismatch):
+        SimilarityIndex(records, embeddings={"a": np.ones(3), "b": np.ones(4)})
 
 
 def test_index_sim_raises_zero_vector_at_call():
@@ -162,3 +172,77 @@ def test_index_sim_raises_zero_vector_at_call():
         idx.sim("a", "b")
     with pytest.raises(ZeroVector):
         idx.sim("c", "a")
+
+
+def _kernel_index(planted):
+    """40 hashed TF-IDF (or planted) records; r_dup0 and r_dup1 repeat the
+    text of the first record exactly."""
+    records, truth = generate_dataset(12, 3, seed=4)
+    first = records[min(records)]
+    for rid in ("r_dup0", "r_dup1"):
+        records[rid] = Record(rid, first.attributes)
+        truth[rid] = truth[first.id]
+    emb = planted_embeddings(truth, noise=0.1, seed=4) if planted else None
+    return SimilarityIndex(records, embeddings=emb)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_sims_bitwise_equal_sim_and_cosine(planted):
+    idx = _kernel_index(planted)
+    ids = sorted(idx.records)
+    full = idx.sims(ids)
+    assert full.shape == (len(ids), len(ids))
+    for i, a in enumerate(ids):
+        for j, b in enumerate(ids):
+            value = cosine(idx.embeddings[a], idx.embeddings[b])
+            assert full[i, j] == idx.sim(a, b) == value, (a, b)
+    # the LSH verifier runs the same arithmetic on gathered row pairs
+    matrix = idx.rows(ids)
+    ia, ib = np.divmod(np.arange(len(ids) ** 2), len(ids))
+    pairs = pair_cosines(matrix, row_norms(matrix), ia, ib)
+    assert np.array_equal(pairs, full.ravel())
+
+
+@pytest.mark.parametrize("measure", ["cosine", "jaccard"])
+def test_sims_rectangular_and_empty_shapes(measure):
+    records, _ = generate_dataset(4, 2, seed=2)
+    idx = SimilarityIndex(records, SimilarityConfig(measure=measure))
+    ids = sorted(records)
+    full = idx.sims(ids)
+    assert np.array_equal(idx.sims(ids[:3], ids[3:7]), full[:3, 3:7])
+    assert np.array_equal(idx.sims(ids[5:], ids), full[5:])
+    assert idx.sims([], ids).shape == (0, len(ids))
+    assert idx.sims(ids, []).shape == (len(ids), 0)
+    assert idx.sims([]).shape == (0, 0)
+
+
+def test_sims_of_permuted_ids_are_the_permuted_matrix():
+    idx = _kernel_index(planted=False)
+    ids = sorted(idx.records)
+    perm = np.random.default_rng(0).permutation(len(ids))
+    permuted = idx.sims(ids[k] for k in perm)
+    assert np.array_equal(permuted, idx.sims(ids)[np.ix_(perm, perm)])
+
+
+def test_sims_raise_zero_vector_iff_a_pair_holds_a_zero_row():
+    records = {rid: _record(rid, name=rid) for rid in ("a", "b", "c")}
+    emb = {"a": np.zeros(3), "b": np.ones(3), "c": np.arange(3.0)}
+    idx = SimilarityIndex(records, embeddings=emb)
+    lists = [[], ["a"], ["b"], ["a", "b"], ["b", "c"], ["c", "a"]]
+    for ids in lists:
+        for others in lists:
+            if ids and others and "a" in ids + others:
+                with pytest.raises(ZeroVector):
+                    idx.sims(ids, others)
+            else:
+                idx.sims(ids, others)
+
+
+def test_jaccard_sims_equal_jaccard():
+    records, _ = generate_dataset(8, 3, seed=6)
+    idx = SimilarityIndex(records, SimilarityConfig(measure="jaccard"))
+    ids = sorted(records)
+    full = idx.sims(ids)
+    for i, a in enumerate(ids):
+        for j, b in enumerate(ids):
+            assert full[i, j] == jaccard(idx.token_sets[a], idx.token_sets[b])
