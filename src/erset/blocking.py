@@ -45,6 +45,8 @@ class BlockingParams:
             raise ValueError(f"unknown blocking method: {self.method!r}")
         if not 0.0 < self.b_t < 1.0:
             raise ValueError("b_t must be in (0, 1)")
+        if self.lsh_planes < 1 or self.lsh_bands < 1:
+            raise ValueError("lsh_planes and lsh_bands must be positive")
         if self.b_s < self.m_s:
             raise BadThresholds("canopy requires b_s >= m_s")
 

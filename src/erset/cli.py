@@ -140,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser, argv):
     """Read --config (flat key=value, keys named like flags) and re-parse with
-    its values as defaults, so explicit flags always win. A key that names
-    no flag of any command is a ConfigError."""
+    its values as the subcommands' defaults, so explicit flags always win and
+    argparse converts each value with its flag's type. A key that names no
+    flag of any command is a ConfigError."""
     args, _ = parser.parse_known_args(argv)
     if not getattr(args, "config", None):
         return parser.parse_args(argv)
@@ -155,23 +156,16 @@ def _apply_config_file(parser, argv):
     ]
     flags = {
         action.dest
-        for p in [parser] + subparsers
+        for p in subparsers
         for action in p._actions
         if action.option_strings and action.dest != "help"
     }
     unknown = [key for key in values if key.replace("-", "_") not in flags]
     if unknown:
         raise ConfigError(f"{args.config}: unknown key {unknown[0]!r}")
-    for p in [parser] + subparsers:
+    for p in subparsers:
         p.set_defaults(**overrides)
-    parsed = parser.parse_args(argv)
-    # re-coerce string defaults that came from the file
-    for p in [parser] + subparsers:
-        for action in p._actions:
-            value = getattr(parsed, action.dest, None)
-            if action.type and isinstance(value, str):
-                setattr(parsed, action.dest, action.type(value))
-    return parsed
+    return parser.parse_args(argv)
 
 
 def _require_dataset_args(args) -> None:
@@ -391,9 +385,7 @@ def cmd_simulate(args) -> int:
             rows.append(row)
     if args.out:
         header = list(rows[0])
-        lines = [",".join(header)]
-        lines.extend(",".join(str(row[k]) for k in header) for row in rows)
-        dataio.atomic_write(args.out, "\n".join(lines) + "\n")
+        dataio.save_rows(args.out, [header] + [[row[k] for k in header] for row in rows])
     summary = {
         "runs": len(rows),
         "mean_acc": sum(r["acc"] for r in rows) / len(rows),

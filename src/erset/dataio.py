@@ -4,6 +4,7 @@ truth / blocks / report artifacts, and flat key=value config files."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -125,6 +126,13 @@ def atomic_write(path: str, content: str) -> None:
         raise
 
 
+def save_rows(path: str, rows) -> None:
+    """Write rows as CSV, quoting fields as ``csv.reader`` reads them back."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    atomic_write(path, buf.getvalue())
+
+
 def save_dataset(path: str, records: dict[str, Record], truth=None) -> None:
     attr_names = list(
         dict.fromkeys(
@@ -138,14 +146,13 @@ def save_dataset(path: str, records: dict[str, Record], truth=None) -> None:
         if truth:
             row.append(truth[rid])
         rows.append(row)
-    out = "\n".join(",".join(row) for row in rows) + "\n"
-    atomic_write(path, out)
+    save_rows(path, rows)
 
 
 def save_labels(path: str, labels: dict[str, str], value_name: str) -> None:
-    lines = [f"record_id,{value_name}"]
-    lines.extend(f"{rid},{labels[rid]}" for rid in sorted(labels))
-    atomic_write(path, "\n".join(lines) + "\n")
+    rows = [["record_id", value_name]]
+    rows.extend([rid, labels[rid]] for rid in sorted(labels))
+    save_rows(path, rows)
 
 
 def load_labels(path: str) -> dict[str, str]:
@@ -171,10 +178,10 @@ def load_labels(path: str) -> dict[str, str]:
 
 
 def save_blocks(path: str, blocks: list[Block]) -> None:
-    lines = ["block_id,record_id"]
+    rows = [["block_id", "record_id"]]
     for block in blocks:
-        lines.extend(f"{block.block_id},{rid}" for rid in block.members)
-    atomic_write(path, "\n".join(lines) + "\n")
+        rows.extend([block.block_id, rid] for rid in block.members)
+    save_rows(path, rows)
 
 
 def save_report(path: str, report: dict) -> None:

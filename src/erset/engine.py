@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .model import (
     SetClustering,
     SetConfig,
 )
-from .setbuilder import next_record_set
+from .setbuilder import next_record_set, similarity_chain
 from .similarity import SimilarityConfig, SimilarityIndex
 
 
@@ -39,22 +39,8 @@ class GuardrailStats:
     conflict_warnings: int = 0
 
     def add(self, other: "GuardrailStats") -> None:
-        self.checks_failed += other.checks_failed
-        self.repaired += other.repaired
-        self.regenerations += other.regenerations
-        self.exhausted += other.exhausted
-        self.fallbacks += other.fallbacks
-        self.conflict_warnings += other.conflict_warnings
-
-
-@dataclass
-class LevelState:
-    """Active cluster nodes of one hierarchy level, sharing the global
-    constraint store; node member sets are pairwise disjoint."""
-
-    level: int
-    nodes: list[ClusterNode]
-    store: ConstraintStore
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _labels(clustering: SetClustering, n: int) -> np.ndarray:
@@ -181,7 +167,6 @@ def guarded_cluster(
         return record_set, SetClustering(record_set.set_id, ((0,),)), stats
     sims = index.sims(n.representative for n in record_set.members)
     clustering = gateway.cluster_records(record_set)
-    attempts = 0
     while not _is_fallback(clustering) and not mdg_check(clustering, sims):
         stats.checks_failed += 1
         repaired = repair_clustering(clustering, sims) if max_regen else None
@@ -189,7 +174,7 @@ def guarded_cluster(
             stats.repaired += 1
             clustering = repaired.with_flag("guardrail-repaired")
             break
-        if attempts >= max_regen:
+        if stats.regenerations >= max_regen:
             stats.exhausted += 1
             clustering = clustering.with_flag("guardrail-exhausted")
             break
@@ -197,7 +182,6 @@ def guarded_cluster(
         sims = index.sims(n.representative for n in record_set.members)
         clustering = gateway.cluster_records(record_set)
         stats.regenerations += 1
-        attempts += 1
     if _is_fallback(clustering):
         stats.fallbacks += 1
     return record_set, clustering, stats
@@ -208,7 +192,7 @@ def _is_fallback(clustering: SetClustering) -> bool:
 
 
 def apply_clustering(
-    state: LevelState,
+    store: ConstraintStore,
     record_set: RecordSet,
     clustering: SetClustering,
     index: SimilarityIndex,
@@ -223,7 +207,6 @@ def apply_clustering(
     Returns the new cluster nodes and the warning count.
     """
     clustering.validate(record_set)
-    store = state.store
     warnings = 0
     merged: list[list[ClusterNode]] = []
     for group in clustering.groups:
@@ -255,8 +238,7 @@ def apply_clustering(
                 b = merged[j][0].representative
                 if store.same_entity(a, b):
                     warnings += 1
-                    continue
-                if not store.cannot_link(a, b):
+                else:
                     store.add_cannot_link(a, b)
 
     new_nodes = []
@@ -269,7 +251,8 @@ def apply_clustering(
 
 
 def merge_round(
-    state: LevelState,
+    nodes: list[ClusterNode],
+    store: ConstraintStore,
     config: SetConfig,
     index: SimilarityIndex,
     set_id_prefix: str,
@@ -290,20 +273,20 @@ def merge_round(
     Nodes without an origin set share the origin "".
     """
     by_origin: dict[str, list[ClusterNode]] = {}
-    for node in state.nodes:
+    for node in nodes:
         by_origin.setdefault(node.origin_set or "", []).append(node)
     if len(by_origin) < 2:
         return []
-    nodes: list[ClusterNode] = []
+    candidates: list[ClusterNode] = []
     spans: list[tuple[int, int]] = []  # each origin's index range
     for key in sorted(by_origin):
-        spans.append((len(nodes), len(nodes) + len(by_origin[key])))
-        nodes.extend(sorted(by_origin[key], key=lambda n: n.representative))
+        spans.append((len(candidates), len(candidates) + len(by_origin[key])))
+        candidates.extend(sorted(by_origin[key], key=lambda n: n.representative))
     span_of = [span for span in spans for _ in range(*span)]
-    c = len(nodes)
+    c = len(candidates)
     rank = np.empty(c, dtype=int)  # representative order
-    rank[sorted(range(c), key=lambda i: nodes[i].representative)] = np.arange(c)
-    sims = index.sims(n.representative for n in nodes)
+    rank[sorted(range(c), key=lambda i: candidates[i].representative)] = np.arange(c)
+    sims = index.sims(n.representative for n in candidates)
     # Pairs a wave may seed with: cross-origin, upper triangle, i.e. each
     # origin's rows against the later origins' columns. Index order is
     # candidate order, so the first of several maxima in row-major order is
@@ -320,11 +303,11 @@ def merge_round(
     # size so the width shrinks but stays above that bound. The cap only
     # matters once cannot-links exist: without them everything may still
     # collapse into one cluster and maximal packing is optimal.
-    n_total = len(state.nodes)
+    n_total = len(nodes)
     origins = len(by_origin)
     max_size = min(config.set_size, origins)
     target_sets = math.ceil(n_total / max_size)
-    if state.store.has_cannot_links(n.representative for n in state.nodes):
+    if store.has_cannot_links(n.representative for n in nodes):
         plateau = math.ceil((1.0 + math.sqrt(1.0 + 4.0 * n_total)) / 2.0)
         target_sets = max(target_sets, min(origins - 1, plateau))
     size_cap = min(max_size, math.ceil(n_total / target_sets))
@@ -384,23 +367,24 @@ def merge_round(
 
     out: list[RecordSet] = []
     for counter, picks in enumerate(groups):
-        # keep similar clusters adjacent in the emitted set
-        ordered = [picks.pop(0)]
-        while picks:
-            row = sims[ordered[-1]]
-            nxt = max(picks, key=lambda i: (row[i], -rank[i]))
-            picks.remove(nxt)
-            ordered.append(nxt)
+        # keep similar clusters adjacent in the emitted set: chain them in
+        # representative order, so ties go to the lowest representative
+        members = sorted(picks, key=rank.__getitem__)
+        chain = similarity_chain(
+            sims[np.ix_(members, members)], members.index(picks[0])
+        )
         out.append(
             RecordSet(
-                f"{set_id_prefix}.{counter:04d}", tuple(nodes[i] for i in ordered)
+                f"{set_id_prefix}.{counter:04d}",
+                tuple(candidates[members[k]] for k in chain),
             )
         )
     return out
 
 
 def final_check(
-    state: LevelState,
+    nodes: list[ClusterNode],
+    store: ConstraintStore,
     config: SetConfig,
     set_id_prefix: str,
     start: int = 0,
@@ -413,8 +397,7 @@ def final_check(
 
     Unresolved pairs are a symmetric boolean matrix over the nodes in
     representative order, so argmax ties go to the lowest id."""
-    store = state.store
-    nodes = sorted(state.nodes, key=lambda n: n.representative)
+    nodes = sorted(nodes, key=lambda n: n.representative)
     n = len(nodes)
     uncovered = np.zeros((n, n), dtype=bool)
     for i in range(n):
@@ -461,19 +444,9 @@ class ResolveReport:
     ledger: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "blocks": self.blocks,
-            "level_set_counts": list(self.level_set_counts),
-            "final_check_sets": self.final_check_sets,
-            "final_check_rounds": self.final_check_rounds,
-            "checks_failed": self.guardrail.checks_failed,
-            "repaired": self.guardrail.repaired,
-            "regenerations": self.guardrail.regenerations,
-            "exhausted": self.guardrail.exhausted,
-            "fallbacks": self.guardrail.fallbacks,
-            "conflict_warnings": self.guardrail.conflict_warnings,
-            "ledger": dict(self.ledger),
-        }
+        out = asdict(self)
+        guardrail, ledger = out.pop("guardrail"), out.pop("ledger")
+        return {**out, **guardrail, "ledger": ledger}
 
 
 class Resolver:
@@ -501,9 +474,12 @@ class Resolver:
         self.store = ConstraintStore(sorted(records))
         self.report = ResolveReport()
 
-    def _cluster_all(self, record_sets: list[RecordSet]):
-        """Guarded-cluster each set (concurrently) and return results sorted
-        by set_id so application order is deterministic."""
+    def _round(
+        self, record_sets: list[RecordSet]
+    ) -> tuple[list[ClusterNode], list[SetClustering]]:
+        """Guarded-cluster each set (concurrently), then fold the results
+        into the store in the order the sets were built. Returns the new
+        nodes and the clusterings."""
 
         def work(rs: RecordSet):
             return guarded_cluster(rs, self.gateway, self.index, self.config.max_regen)
@@ -513,50 +489,45 @@ class Resolver:
         else:
             with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
                 results = list(pool.map(work, record_sets))
-        return sorted(results, key=lambda r: r[0].set_id)
-
-    def _apply_all(self, state: LevelState, results) -> list[ClusterNode]:
-        new_nodes: list[ClusterNode] = []
+        nodes: list[ClusterNode] = []
         for record_set, clustering, stats in results:
             self.report.guardrail.add(stats)
-            nodes, warnings = apply_clustering(state, record_set, clustering, self.index)
+            new, warnings = apply_clustering(
+                self.store, record_set, clustering, self.index
+            )
             self.report.guardrail.conflict_warnings += warnings
-            new_nodes.extend(nodes)
-        return new_nodes
+            nodes.extend(new)
+        return nodes, [clustering for _, clustering, _ in results]
+
+    def _nodes(self, ids) -> list[ClusterNode]:
+        """One node per entity among ``ids``, as the constraint store knows
+        it, in order of first appearance."""
+        groups: dict[str, list[str]] = {}
+        for rid in ids:
+            groups.setdefault(self.store.root(rid), []).append(rid)
+        return [
+            ClusterNode(frozenset(g), self.index.representative(g))
+            for g in groups.values()
+        ]
 
     def _count_level(self, level: int, n_sets: int) -> None:
         counts = self.report.level_set_counts
-        while len(counts) <= level:
-            counts.append(0)
+        counts.extend([0] * (level + 1 - len(counts)))
         counts[level] += n_sets
 
     def _level0_sets(self, block: Block) -> list[RecordSet]:
         remaining = set(block.members)
         sets: list[RecordSet] = []
-        i = 0
         while remaining:
-            ids = next_record_set(
-                remaining, self.config, self.index, seed=self.config.seed
-            )
+            ids = next_record_set(remaining, self.config, self.index)
             remaining.difference_update(ids)
             sets.append(
                 RecordSet(
-                    f"{block.block_id}.L0.{i:04d}",
+                    f"{block.block_id}.L0.{len(sets):04d}",
                     tuple(ClusterNode.singleton(rid) for rid in ids),
                 )
             )
-            i += 1
         return sets
-
-    def _nodes_by_root(self, block: Block) -> list[ClusterNode]:
-        """One node per entity of the block, as the constraint store knows it."""
-        groups: dict[str, list[str]] = {}
-        for rid in block.members:
-            groups.setdefault(self.store.root(rid), []).append(rid)
-        nodes = []
-        for ids in groups.values():
-            nodes.append(ClusterNode(frozenset(ids), self.index.representative(ids)))
-        return nodes
 
     def _resolve_block(self, block: Block) -> None:
         """Level 0, then merge rounds while they make progress, then the
@@ -567,31 +538,25 @@ class Resolver:
         replies are all singleton groups; under a noisy one it also ends
         rounds whose only groups are split apart along known cannot-links.
         """
-        state = LevelState(level=0, nodes=[], store=self.store)
         sets = self._level0_sets(block)
         self._count_level(0, len(sets))
-        state.nodes = self._apply_all(state, self._cluster_all(sets))
-        merged = len(state.nodes) < len(block.members)
+        nodes, _ = self._round(sets)
+        merged = len(nodes) < len(block.members)
 
-        while merged and state.level < self.max_levels:
-            next_level = state.level + 1
-            prefix = f"{block.block_id}.L{next_level}"
-            candidate_sets = merge_round(state, self.config, self.index, prefix)
+        level = 0
+        while merged and level < self.max_levels:
+            level += 1
+            candidate_sets = merge_round(
+                nodes, self.store, self.config, self.index, f"{block.block_id}.L{level}"
+            )
             callable_sets = [rs for rs in candidate_sets if len(rs) >= 2]
             if not callable_sets:
                 break
-            self._count_level(next_level, len(callable_sets))
-            carried = [
-                node
-                for rs in candidate_sets
-                if len(rs) == 1
-                for node in rs.members
-            ]
-            results = self._cluster_all(callable_sets)
-            before = len(state.nodes)
-            state.level = next_level
-            state.nodes = self._apply_all(state, results) + carried
-            merged = len(state.nodes) < before
+            self._count_level(level, len(callable_sets))
+            carried = [rs.members[0] for rs in candidate_sets if len(rs) == 1]
+            new_nodes, _ = self._round(callable_sets)
+            merged = len(new_nodes) + len(carried) < len(nodes)
+            nodes = new_nodes + carried
 
         # Exit condition: sweep remaining unresolved pairs until none are left.
         # A sweep set may reuse a node, so each wave ends by rebuilding one
@@ -601,7 +566,7 @@ class Resolver:
         counter = 0
         while True:
             sets = final_check(
-                state, self.config, f"{block.block_id}.F", start=counter
+                nodes, self.store, self.config, f"{block.block_id}.F", start=counter
             )
             if not sets:
                 break
@@ -609,22 +574,16 @@ class Resolver:
             counter += len(sets)
             self.report.final_check_sets += len(sets)
             self.report.final_check_rounds = max(self.report.final_check_rounds, wave)
-            results = self._cluster_all(sets)
-            self._apply_all(state, results)
-            state.nodes = self._nodes_by_root(block)
-            if wave >= self.max_levels or all(_is_fallback(c) for _, c, _ in results):
+            _, clusterings = self._round(sets)
+            nodes = self._nodes(block.members)
+            if wave >= self.max_levels or all(map(_is_fallback, clusterings)):
                 break
 
     def resolve(self, blocks: list[Block]) -> tuple[Partition, CostLedger, ResolveReport]:
         self.report.blocks = len(blocks)
         for block in sorted(blocks, key=lambda b: b.block_id):
             self._resolve_block(block)
-        clusters = []
-        for _, members in sorted(self.store.components().items()):
-            clusters.append(
-                ClusterNode(frozenset(members), self.index.representative(members))
-            )
-        partition = Partition(clusters)
+        partition = Partition(self._nodes(sorted(self.records)))
         partition.validate(self.records)
         self.report.ledger = self.ledger.snapshot()
         return partition, self.ledger, self.report

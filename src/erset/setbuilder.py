@@ -106,29 +106,29 @@ def elbow_k(
     return best_k, labels[best_k]
 
 
-def sequential_order(members, index) -> list:
-    """Greedy similarity chain: start at the lowest id, append the most
-    similar remaining member to the last appended (ties to the lowest id)."""
-    ids = sorted(members)
-    if not ids:
-        return []
-    sims = index.sims(ids)
-    order = [0]
-    # remaining is in id order and max() keeps the first maximum
-    remaining = list(range(1, len(ids)))
+def similarity_chain(sims: np.ndarray, first: int) -> list[int]:
+    """Greedy similarity chain over the indices of a square similarity
+    matrix: start at ``first``, then append the remaining index most similar
+    to the last appended (ties to the lowest index)."""
+    order = [first]
+    # remaining is in index order and max() keeps the first maximum
+    remaining = [i for i in range(len(sims)) if i != first]
     while remaining:
         best = max(remaining, key=sims[order[-1]].__getitem__)
         remaining.remove(best)
         order.append(best)
-    return [ids[i] for i in order]
+    return order
 
 
-def next_record_set(
-    b_remain,
-    config: SetConfig,
-    index,
-    seed: int | None = None,
-) -> list:
+def sequential_order(members, index) -> list:
+    """Greedy similarity chain from the lowest id (ties to the lowest id)."""
+    ids = sorted(members)
+    if not ids:
+        return []
+    return [ids[i] for i in similarity_chain(index.sims(ids), 0)]
+
+
+def next_record_set(b_remain, config: SetConfig, index) -> list:
     """Select and order the members of the next record set from a block.
 
     Returns an ordered id list of size min(|b_remain|, set_size); the caller
@@ -141,13 +141,11 @@ def next_record_set(
     pool = sorted(b_remain)
     if not pool:
         raise EmptyInput("next_record_set on an empty block")
-    if seed is None:
-        seed = config.seed
     if len(pool) <= config.set_size:
         return sequential_order(pool, index)
 
     points = index.rows(pool)
-    _, labels = elbow_k(points, k_max=config.set_diversity + 2, seed=seed)
+    _, labels = elbow_k(points, k_max=config.set_diversity + 2, seed=config.seed)
     by_cluster: dict[int, list[int]] = {}
     for pos, label in enumerate(labels):
         by_cluster.setdefault(int(label), []).append(pos)

@@ -44,6 +44,8 @@ class SimilarityConfig:
             raise ValueError(f"unknown measure: {self.measure!r}")
         if self.embedder not in ("hashed_tfidf", "external_file"):
             raise ValueError(f"unknown embedder: {self.embedder!r}")
+        if self.dim < 1:
+            raise ValueError("dim must be positive")
 
 
 def serialize(record: Record) -> str:

@@ -1,9 +1,10 @@
+import csv
 import json
 
 import pytest
 
 from erset import dataio
-from erset.cli import main
+from erset.cli import _apply_config_file, build_parser, main
 from erset.synth import generate_dataset
 
 
@@ -71,6 +72,39 @@ class TestDataio:
         blocks = [Block("b0", ("r1", "r2")), Block("b1", ("r3",))]
         dataio.save_blocks(path, blocks)
         assert path.read_text() == "block_id,record_id\nb0,r1\nb0,r2\nb1,r3\n"
+
+    def test_writers_quote_what_the_readers_split(self, tmp_path):
+        from erset.blocking import Block
+        from erset.model import Attribute, Record
+
+        odd_id = "r,1"
+        records = {
+            odd_id: Record(
+                odd_id,
+                (
+                    Attribute("name", "Smith, John"),
+                    Attribute("city", 'the "old" town'),
+                ),
+            ),
+            "r2": Record("r2", (Attribute("name", "Ann"), Attribute("city", "Springfield"))),
+        }
+        truth = {odd_id: "e,1", "r2": "e2"}
+        data = tmp_path / "d.csv"
+        dataio.save_dataset(data, records, truth)
+        ds = dataio.ingest(data, truth_column="entity_id")
+        values = {a.name: a.value for a in ds.records[odd_id].attributes}
+        assert values == {"name": "Smith, John", "city": 'the "old" town'}
+        assert ds.ground_truth == truth
+
+        labels = tmp_path / "l.csv"
+        dataio.save_labels(labels, truth, "cluster_id")
+        assert dataio.load_labels(labels) == truth
+
+        blocks = tmp_path / "b.csv"
+        dataio.save_blocks(blocks, [Block("b,0", (odd_id, "r2"))])
+        with open(blocks, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["block_id", "record_id"], ["b,0", odd_id], ["b,0", "r2"]]
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -169,6 +203,20 @@ class TestCli:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--blocking", "lsh", "--lsh-bands", "0"],
+            ["--blocking", "lsh", "--lsh-planes", "0"],
+            ["--dim", "0"],
+        ],
+        ids=["lsh-bands", "lsh-planes", "dim"],
+    )
+    def test_zero_sized_setting_is_config_error(self, dataset_csv, capsys, flags):
+        rc = main(["block", "--input", str(dataset_csv)] + flags)
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         rc = main(
             ["block", "--input", str(tmp_path / "nope.csv"), "--measure", "jaccard"]
@@ -187,11 +235,18 @@ class TestCli:
         data = tmp_path / "d.csv"
         main(["synth", "--entities", "4", "--dupes", "2", "--out", str(data)])
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"input = {data}\ntruth-column = entity_id\nbackend = oracle\nseeds = 1\n")
+        cfg.write_text(
+            f"input = {data}\ntruth-column = entity_id\nbackend = oracle\nseeds = 1\n"
+            "set-size = 5\nb-t = 0.4\n"
+        )
         capsys.readouterr()
-        assert main(["--config", str(cfg), "simulate", "--seeds", "1"]) == 0
+        argv = ["--config", str(cfg), "simulate", "--seeds", "1"]
+        assert main(argv) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["runs"] == 1
+        args = _apply_config_file(build_parser(), argv)
+        assert type(args.set_size) is int and args.set_size == 5
+        assert type(args.b_t) is float and args.b_t == 0.4
 
     @pytest.mark.parametrize("line", ["set-sise = 3", "batch-size = 2"])
     def test_config_file_unknown_key_is_config_error(self, tmp_path, capsys, line):

@@ -134,7 +134,7 @@ class TestNextRecordSet:
         """On a 40-record block with 4 planted pre-clusters the set has 9
         members with floor(9/4)=2 drawn from each pre-cluster before filling."""
         truth, index = self._planted(4, 10)
-        ids = next_record_set(sorted(truth), SetConfig(seed=0), index, seed=0)
+        ids = next_record_set(sorted(truth), SetConfig(seed=0), index)
         assert len(ids) == 9
         counts = {}
         for rid in ids:
@@ -143,7 +143,7 @@ class TestNextRecordSet:
 
     def test_sequential_adjacency(self):
         truth, index = self._planted(4, 10)
-        ids = next_record_set(sorted(truth), SetConfig(seed=0), index, seed=0)
+        ids = next_record_set(sorted(truth), SetConfig(seed=0), index)
         adjacent_same = sum(
             1 for a, b in zip(ids, ids[1:]) if truth[a] == truth[b]
         )
@@ -163,13 +163,13 @@ class TestNextRecordSet:
 
         monkeypatch.setattr(setbuilder, "kmeans", counting)
         config = SetConfig(seed=0)
-        next_record_set(sorted(truth), config, index, seed=0)
+        next_record_set(sorted(truth), config, index)
         assert ks == list(range(1, config.set_diversity + 3))
 
     def test_deterministic(self):
         truth, index = self._planted(4, 10)
-        a = next_record_set(sorted(truth), SetConfig(seed=2), index, seed=2)
-        b = next_record_set(sorted(truth), SetConfig(seed=2), index, seed=2)
+        a = next_record_set(sorted(truth), SetConfig(seed=2), index)
+        b = next_record_set(sorted(truth), SetConfig(seed=2), index)
         assert a == b
 
     @settings(max_examples=30, deadline=None)
@@ -177,7 +177,7 @@ class TestNextRecordSet:
     def test_returns_subset_of_requested_size(self, n_clusters, per_cluster, seed):
         truth, index = self._planted(n_clusters, per_cluster, seed=seed)
         pool = sorted(truth)
-        ids = next_record_set(pool, SetConfig(seed=seed), index, seed=seed)
+        ids = next_record_set(pool, SetConfig(seed=seed), index)
         assert len(ids) == min(len(pool), 9)
         assert len(set(ids)) == len(ids)
         assert set(ids) <= set(pool)
