@@ -23,7 +23,7 @@ from .model import (
     SetClustering,
     SetConfig,
 )
-from .setbuilder import elbow_k, kmeans, next_record_set, variation
+from .setbuilder import elbow_k, kmeans, next_record_set, pre_clusters, variation
 from .similarity import HashedTfidfEmbedder, SimilarityConfig, SimilarityIndex
 from .synth import generate_dataset, planted_embeddings
 
@@ -64,6 +64,7 @@ __all__ = [
     "nmi",
     "pairwise_f1",
     "planted_embeddings",
+    "pre_clusters",
     "resolve",
     "tune_threshold",
     "variation",

@@ -142,7 +142,8 @@ def _apply_config_file(parser, argv):
     """Read --config (flat key=value, keys named like flags) and re-parse with
     its values as the subcommands' defaults, so explicit flags always win and
     argparse converts each value with its flag's type. A key that names no
-    flag of any command is a ConfigError."""
+    flag of any command, or a value its flag's type cannot parse, is a
+    ConfigError."""
     args, _ = parser.parse_known_args(argv)
     if not getattr(args, "config", None):
         return parser.parse_args(argv)
@@ -154,15 +155,29 @@ def _apply_config_file(parser, argv):
         if isinstance(action, argparse._SubParsersAction)
         for sub in action.choices.values()
     ]
-    flags = {
-        action.dest
+    flags = [
+        action
         for p in subparsers
         for action in p._actions
         if action.option_strings and action.dest != "help"
-    }
-    unknown = [key for key in values if key.replace("-", "_") not in flags]
+    ]
+    dests = {action.dest for action in flags}
+    unknown = [key for key in values if key.replace("-", "_") not in dests]
     if unknown:
         raise ConfigError(f"{args.config}: unknown key {unknown[0]!r}")
+    # argparse would convert these at parse time and exit with its usage
+    # text (code 2, which erset uses for data errors) on a bad one
+    for action in flags:
+        value = overrides.get(action.dest)
+        if value is None or action.type is None:
+            continue
+        try:
+            action.type(value)
+        except ValueError:
+            raise ConfigError(
+                f"{args.config}: {action.option_strings[0][2:]} = {value!r} "
+                f"is not a valid {action.type.__name__}"
+            ) from None
     for p in subparsers:
         p.set_defaults(**overrides)
     return parser.parse_args(argv)

@@ -21,7 +21,7 @@ from .model import (
     SetClustering,
     SetConfig,
 )
-from .setbuilder import next_record_set, similarity_chain
+from .setbuilder import next_record_set, pre_clusters, similarity_chain
 from .similarity import SimilarityConfig, SimilarityIndex
 
 
@@ -516,10 +516,19 @@ class Resolver:
         counts[level] += n_sets
 
     def _level0_sets(self, block: Block) -> list[RecordSet]:
+        """Draw the block's level-0 sets from one pre-clustering of the
+        whole block; a block that fits one set needs none."""
         remaining = set(block.members)
+        cluster_of = (
+            pre_clusters(remaining, self.config, self.index)
+            if len(remaining) > self.config.set_size
+            else None
+        )
         sets: list[RecordSet] = []
         while remaining:
-            ids = next_record_set(remaining, self.config, self.index)
+            ids = next_record_set(
+                remaining, self.config, self.index, cluster_of, turn=len(sets)
+            )
             remaining.difference_update(ids)
             sets.append(
                 RecordSet(

@@ -128,14 +128,28 @@ def sequential_order(members, index) -> list:
     return [ids[i] for i in similarity_chain(index.sims(ids), 0)]
 
 
-def next_record_set(b_remain, config: SetConfig, index) -> list:
+def pre_clusters(ids, config: SetConfig, index) -> dict:
+    """The block-level k-means pre-clustering: id -> label over ``ids``, with
+    k chosen by the elbow over k = 1..set_diversity + 2."""
+    ids = sorted(ids)
+    _, labels = elbow_k(
+        index.rows(ids), k_max=config.set_diversity + 2, seed=config.seed
+    )
+    return {rid: int(label) for rid, label in zip(ids, labels)}
+
+
+def next_record_set(
+    b_remain, config: SetConfig, index, cluster_of=None, turn: int = 0
+) -> list:
     """Select and order the members of the next record set from a block.
 
     Returns an ordered id list of size min(|b_remain|, set_size); the caller
-    removes them from the block. For oversized blocks, a cheap k-means
-    pre-clustering of the index's embeddings drives diversity:
-    floor(S_s/S_d) records per sufficiently large pre-cluster, then fillers
-    chosen to least increase the coefficient of variation of the selected
+    removes them from the block. For oversized blocks, the block's k-means
+    pre-clusters (``cluster_of``, from ``pre_clusters``; computed over
+    ``b_remain`` when not given) drive diversity: floor(S_s/S_d) records per
+    sufficiently large pre-cluster, largest remaining pre-cluster first (ties
+    by label rotated by the draw number ``turn``), then fillers chosen to
+    least increase the coefficient of variation of the selected
     pre-cluster-size profile.
     """
     pool = sorted(b_remain)
@@ -143,35 +157,39 @@ def next_record_set(b_remain, config: SetConfig, index) -> list:
         raise EmptyInput("next_record_set on an empty block")
     if len(pool) <= config.set_size:
         return sequential_order(pool, index)
+    if cluster_of is None:
+        cluster_of = pre_clusters(pool, config, index)
 
-    points = index.rows(pool)
-    _, labels = elbow_k(points, k_max=config.set_diversity + 2, seed=config.seed)
-    by_cluster: dict[int, list[int]] = {}
-    for pos, label in enumerate(labels):
-        by_cluster.setdefault(int(label), []).append(pos)
+    by_cluster: dict[int, list[str]] = {}
+    for rid in pool:
+        by_cluster.setdefault(cluster_of[rid], []).append(rid)
+    # rotating the tie-break spreads successive draws over equal-sized
+    # pre-clusters instead of always starting from the same one
+    n_labels = max(cluster_of.values()) + 1
+    order = sorted(
+        by_cluster, key=lambda c: (-len(by_cluster[c]), (c - turn) % n_labels)
+    )
 
     target_size = config.set_size // config.set_diversity
     selected: list[str] = []
-    cluster_of = {rid: int(label) for rid, label in zip(pool, labels)}
-    for c in sorted(by_cluster):
+    for c in order:
         members = by_cluster[c]
         room = config.set_size - len(selected)
+        # order is largest first, so no later pre-cluster qualifies either
         if room <= 0 or len(members) < target_size:
-            continue
-        centroid = points[members].mean(axis=0)
-        # seed on the centroid-nearest record, then grow by nearest neighbour
-        # within the pre-cluster: a coherent draw keeps likely duplicates in
-        # the same record set, where a spread of centroid-nearest records
-        # from a mixed pre-cluster would rarely contain any duplicate pair
-        seed_pos = min(
-            members,
-            key=lambda p: (float(np.linalg.norm(points[p] - centroid)), pool[p]),
-        )
-        take = [pool[seed_pos]]
+            break
+        points = index.rows(members)
+        # seed on the centroid-nearest record (ties to the lowest id), then
+        # grow by nearest neighbour within the pre-cluster: a coherent draw
+        # keeps likely duplicates in the same record set, where a spread of
+        # centroid-nearest records from a mixed pre-cluster would rarely
+        # contain any duplicate pair
+        seed_pos = int(np.argmin(np.linalg.norm(points - points.mean(axis=0), axis=1)))
+        take = [members[seed_pos]]
         # in id order, so argmax breaks similarity ties toward the lowest id;
         # nearest[k] is candidate k's best similarity to the records taken,
         # one kernel column per pick
-        candidates = [pool[p] for p in members if p != seed_pos]
+        candidates = members[:seed_pos] + members[seed_pos + 1 :]
         nearest = np.full(len(candidates), -np.inf)
         while len(take) < min(target_size, room) and candidates:
             np.maximum(nearest, index.sims(candidates, take[-1:])[:, 0], out=nearest)
@@ -180,7 +198,8 @@ def next_record_set(b_remain, config: SetConfig, index) -> list:
             nearest = np.delete(nearest, k)
         selected.extend(take)
 
-    remaining = [rid for rid in pool if rid not in set(selected)]
+    taken = set(selected)
+    remaining = [rid for rid in pool if rid not in taken]
     while len(selected) < config.set_size and remaining:
         profile_base: dict[int, int] = {}
         for rid in selected:

@@ -257,6 +257,24 @@ class TestCli:
         key = line.split()[0]
         assert f"config error: {cfg}: unknown key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, shown",
+        [
+            ("set-size = abc", "set-size = 'abc' is not a valid int"),
+            ("b-t = high", "b-t = 'high' is not a valid float"),
+            ("seed = 1.5", "seed = '1.5' is not a valid int"),
+        ],
+        ids=["set-size", "b-t", "seed"],
+    )
+    def test_config_file_unparseable_value_is_config_error(
+        self, tmp_path, capsys, line, shown
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"backend = oracle\n{line}\n")
+        rc = main(["--config", str(cfg), "resolve", "--input", "x.csv"])
+        assert rc == 1
+        assert f"config error: {cfg}: {shown}" in capsys.readouterr().err
+
     def test_determinism_of_partition_file(self, dataset_csv, tmp_path):
         parts = []
         for run in range(2):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from erset import engine
+from erset import engine, setbuilder
 from erset.blocking import Block, BlockingParams, make_blocks
 from erset.engine import (
     Resolver,
@@ -776,6 +776,52 @@ def _partition_digest(partition):
     return hashlib.sha256("\n".join(clusters).encode()).hexdigest()
 
 
+def test_level0_pre_clusters_each_block_once(monkeypatch):
+    """A block larger than one set runs the elbow once, k = 1..set_diversity
+    + 2, and every level-0 set is drawn from that one pre-clustering; a block
+    that fits one set runs no k-means. Each block's level-0 sets partition
+    it."""
+    ks = []
+    kmeans = setbuilder.kmeans
+
+    def counting(points, k, seed=0):
+        ks.append(k)
+        return kmeans(points, k, seed)
+
+    records, truth = generate_dataset(12, 5, seed=2)
+    emb = planted_embeddings(truth, noise=0.05, seed=2)
+    ids = sorted(records)
+    config = SetConfig(seed=2)
+    big, small = Block("big", tuple(ids[:51])), Block("small", tuple(ids[51:]))
+    assert len(big) > config.set_size >= len(small)
+
+    resolver = Resolver(
+        records, SimulatedOracle(OracleConfig(truth, 0.0, 2)), config=config,
+        embeddings=emb,
+    )
+    drawn = {}
+    level0_sets = resolver._level0_sets
+
+    def recording(block):
+        before = len(ks)
+        sets = level0_sets(block)
+        drawn[block.block_id] = (len(ks) - before, sets)
+        return sets
+
+    monkeypatch.setattr(setbuilder, "kmeans", counting)
+    monkeypatch.setattr(resolver, "_level0_sets", recording)
+    resolver.resolve([big, small])
+
+    assert drawn["big"][0] == config.set_diversity + 2
+    assert drawn["small"][0] == 0
+    for block in (big, small):
+        members = [
+            rid for rs in drawn[block.block_id][1] for node in rs.members
+            for rid in node.members
+        ]
+        assert sorted(members) == sorted(block.members)
+
+
 def test_planted_block_resolves_as_pinned():
     """One 150-record planted block under an exact oracle. Refactors of the
     engine keep this run byte-identical: partition, level widths, sweep sets
@@ -790,16 +836,16 @@ def test_planted_block_resolves_as_pinned():
     assert _partition_digest(partition) == (
         "b45e679493627fce12a992bf5d5ba1544accd1390caad9cea6f66b31d4a68e5a"
     )
-    assert report.level_set_counts == [17, 11, 7, 7, 6]
-    assert report.final_check_sets == 12
-    assert ledger.api_calls == 60
+    assert report.level_set_counts == [17, 11, 8, 7, 6, 5]
+    assert report.final_check_sets == 10
+    assert ledger.api_calls == 64
 
 
 def test_noisy_lsh_blocks_resolve_as_pinned():
     """33 LSH blocks (the largest 40 records) over hashed TF-IDF under an
-    oracle that errs 30% of the time, two workers: repairs, a regeneration
-    and conflict warnings all happen. Refactors of the engine keep this run
-    byte-identical, whatever the worker count."""
+    oracle that errs 30% of the time, two workers: repairs and conflict
+    warnings happen. Refactors of the engine keep this run byte-identical,
+    whatever the worker count."""
     records, truth = generate_dataset(40, 5, seed=1)
     index = SimilarityIndex(records)
     blocks = make_blocks(
@@ -817,11 +863,11 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
     )
     partition, ledger, report = resolver.resolve(blocks)
     assert _partition_digest(partition) == (
-        "429833155f8374146351f821b9d3c28c98431b07b78c9b1ee5fec4e7b37b9e35"
+        "4127bac333fb38b61beb17f6ee016e18848912d6dca3e96ab48db6d786664b5f"
     )
-    assert ledger.api_calls == 78
-    assert report.level_set_counts == [43, 19, 15, 4, 4]
-    assert report.final_check_sets == 4
-    assert report.guardrail.repaired == 25
-    assert report.guardrail.regenerations == 1
-    assert report.guardrail.conflict_warnings == 18
+    assert ledger.api_calls == 76
+    assert report.level_set_counts == [43, 19, 13, 7, 3]
+    assert report.final_check_sets == 3
+    assert report.guardrail.repaired == 27
+    assert report.guardrail.regenerations == 0
+    assert report.guardrail.conflict_warnings == 15

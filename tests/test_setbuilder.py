@@ -166,6 +166,22 @@ class TestNextRecordSet:
         next_record_set(sorted(truth), config, index)
         assert ks == list(range(1, config.set_diversity + 3))
 
+    @pytest.mark.parametrize("turn, second", [(0, 1), (1, 1), (2, 2), (3, 1)])
+    def test_largest_pre_cluster_first_ties_rotated_by_turn(self, turn, second):
+        """Pre-clusters of 5, 3 and 3 records and room for two pre-clusters of
+        two records each: the largest is visited first, and the tie between
+        the other two goes to the first label at or after ``turn`` (mod 3)."""
+        sizes = {0: 5, 1: 3, 2: 3}
+        truth = {
+            f"r{c}{i}": f"e{c}" for c, size in sizes.items() for i in range(size)
+        }
+        index = embedding_index(planted_embeddings(truth, noise=0.05, seed=1))
+        cluster_of = {rid: int(rid[1]) for rid in truth}
+        config = SetConfig(set_size=4, set_diversity=2)
+        ids = next_record_set(sorted(truth), config, index, cluster_of, turn=turn)
+        drawn = sorted(cluster_of[rid] for rid in ids)
+        assert drawn == sorted([0, 0, second, second])
+
     def test_deterministic(self):
         truth, index = self._planted(4, 10)
         a = next_record_set(sorted(truth), SetConfig(seed=2), index)
