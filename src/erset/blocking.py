@@ -47,6 +47,8 @@ class BlockingParams:
             raise ValueError("b_t must be in (0, 1)")
         if self.lsh_planes < 1 or self.lsh_bands < 1:
             raise ValueError("lsh_planes and lsh_bands must be positive")
+        if self.lsh_bands > self.lsh_planes:
+            raise ValueError("lsh_bands must not exceed lsh_planes")
         if self.b_s < self.m_s:
             raise BadThresholds("canopy requires b_s >= m_s")
 
@@ -154,7 +156,7 @@ def lsh_block(
     matrix = np.array([embeddings[rid] for rid in ids], dtype=float)
     bits = (matrix @ planes.T) > 0  # n x planes
 
-    rows_per_band = max(1, params.lsh_planes // params.lsh_bands)
+    rows_per_band = params.lsh_planes // params.lsh_bands
     codes = np.unique(
         np.concatenate(
             [

@@ -45,7 +45,13 @@ def _add_blocking_args(p: argparse.ArgumentParser) -> None:
         default="none",
         choices=["filter", "lsh", "canopy", "none"],
     )
-    p.add_argument("--b-t", type=float, default=0.5)
+    p.add_argument(
+        "--b-t",
+        type=float,
+        default=0.5,
+        help="similarity below which records are presumed distinct: the "
+        "blocking threshold, and in resolve the final sweep's bound",
+    )
     p.add_argument("--lsh-planes", type=int, default=64)
     p.add_argument("--lsh-bands", type=int, default=8)
     p.add_argument("--b-s", type=float, default=0.8)
@@ -281,6 +287,7 @@ def _run_resolve(args, dataset, index, backend, seed):
         set_diversity=args.set_diversity,
         max_regen=args.max_regen,
         seed=seed,
+        b_t=args.b_t,
     )
     blocks = _make_blocks(args, dataset, index)
     resolver = Resolver(

@@ -243,10 +243,12 @@ def apply_clustering(
 
     new_nodes = []
     for sub in merged:
-        members = frozenset().union(*(n.members for n in sub))
-        new_nodes.append(
-            ClusterNode(members, index.representative(members), record_set.set_id)
-        )
+        if len(sub) == 1:  # members unchanged, so is the representative
+            members, rep = sub[0].members, sub[0].representative
+        else:
+            members = frozenset().union(*(n.members for n in sub))
+            rep = index.representative(members)
+        new_nodes.append(ClusterNode(members, rep, record_set.set_id))
     return new_nodes, warnings
 
 
@@ -386,6 +388,7 @@ def final_check(
     nodes: list[ClusterNode],
     store: ConstraintStore,
     config: SetConfig,
+    index: SimilarityIndex,
     set_id_prefix: str,
     start: int = 0,
 ) -> list[RecordSet]:
@@ -395,17 +398,22 @@ def final_check(
     information, but mixing sides is what lets one call cover up to
     floor(S_s/2) * ceil(S_s/2) unresolved pairs.
 
-    Unresolved pairs are a symmetric boolean matrix over the nodes in
-    representative order, so argmax ties go to the lowest id."""
-    nodes = sorted(nodes, key=lambda n: n.representative)
+    A pair whose representatives are less than ``config.b_t`` similar is
+    presumed distinct, as blocking presumes across blocks: it is neither
+    looked up in the store nor asked about. Unresolved pairs are a symmetric
+    boolean matrix over the nodes in representative order, so argmax ties
+    go to the lowest id."""
     n = len(nodes)
+    if n < 2:
+        return []
+    nodes = sorted(nodes, key=lambda node: node.representative)
+    reps = [node.representative for node in nodes]
+    close = np.triu(index.sims(reps) >= config.b_t, 1)
     uncovered = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        a = nodes[i].representative
-        for j in range(i + 1, n):
-            b = nodes[j].representative
-            if not store.same_entity(a, b) and not store.cannot_link(a, b):
-                uncovered[i, j] = uncovered[j, i] = True
+    for i, j in zip(*(ax.tolist() for ax in close.nonzero())):
+        a, b = reps[i], reps[j]
+        if not store.same_entity(a, b) and not store.cannot_link(a, b):
+            uncovered[i, j] = uncovered[j, i] = True
 
     out: list[RecordSet] = []
     counter = start
@@ -567,15 +575,20 @@ class Resolver:
             merged = len(new_nodes) + len(carried) < len(nodes)
             nodes = new_nodes + carried
 
-        # Exit condition: sweep remaining unresolved pairs until none are left.
-        # A sweep set may reuse a node, so each wave ends by rebuilding one
+        # Exit condition: sweep the remaining unresolved pairs at or above b_t
+        # until none are left. A sweep set may reuse a node, so each wave ends by rebuilding one
         # node per entity to keep the level's nodes disjoint. A wave whose
         # replies all fell back resolved nothing and would only repeat.
         wave = 0
         counter = 0
         while True:
             sets = final_check(
-                nodes, self.store, self.config, f"{block.block_id}.F", start=counter
+                nodes,
+                self.store,
+                self.config,
+                self.index,
+                f"{block.block_id}.F",
+                start=counter,
             )
             if not sets:
                 break

@@ -130,12 +130,15 @@ class Partition:
 
 @dataclass
 class SetConfig:
-    """Tunables for record-set construction and the guardrail."""
+    """Tunables for record-set construction, the guardrail and the final
+    sweep. The sweep presumes clusters whose representatives are less than
+    ``b_t`` similar to be distinct, as blocking does across blocks."""
 
     set_size: int = 9
     set_diversity: int = 4
     max_regen: int = 2
     seed: int = 0
+    b_t: float = 0.5
 
     def __post_init__(self):
         if self.set_size < 1:
@@ -144,6 +147,8 @@ class SetConfig:
             raise ValueError("set_diversity must be in [1, set_size]")
         if self.max_regen < 0:
             raise ValueError("max_regen must be >= 0")
+        if not 0.0 < self.b_t < 1.0:
+            raise ValueError("b_t must be in (0, 1)")
 
 
 def estimate_tokens(text: str) -> int:

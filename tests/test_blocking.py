@@ -112,7 +112,7 @@ def _reference_lsh_block(embeddings, params):
     rng = np.random.default_rng(params.seed)
     planes = rng.standard_normal((params.lsh_planes, dim))
     bits = np.array([embeddings[rid] for rid in ids]) @ planes.T > 0
-    rows_per_band = max(1, params.lsh_planes // params.lsh_bands)
+    rows_per_band = params.lsh_planes // params.lsh_bands
     candidates = set()
     for band in range(params.lsh_bands):
         lo = band * rows_per_band
@@ -147,7 +147,7 @@ class TestLshMatchesReference:
         "planes, bands",
         [
             (16, 8),  # 2-bit bands: large buckets of many sizes
-            (4, 8),  # bands past the last plane are empty: one bucket of all
+            (8, 8),  # 1-bit bands, as many bands as planes
             (130, 2),  # 65-bit bands, wider than a 64-bit word
         ],
     )
@@ -155,6 +155,12 @@ class TestLshMatchesReference:
         emb = _tfidf_embeddings(60, 3)
         params = BlockingParams(b_t=0.4, lsh_planes=planes, lsh_bands=bands, seed=3)
         assert lsh_block(emb, params) == _reference_lsh_block(emb, params)
+
+    def test_more_bands_than_planes_rejected(self):
+        # the bands past the last plane would be empty, one bucket of all
+        # records, and make every pair a candidate
+        with pytest.raises(ValueError, match="lsh_bands"):
+            BlockingParams(lsh_planes=4, lsh_bands=8)
 
     @pytest.mark.parametrize("width", [0, 1, 64, 65])
     def test_band_pairs_tell_every_bit(self, width):

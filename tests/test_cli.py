@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from erset import dataio
+from erset import cli, dataio
 from erset.cli import _apply_config_file, build_parser, main
+from erset.model import SetConfig
 from erset.synth import generate_dataset
 
 
@@ -216,6 +217,44 @@ class TestCli:
         rc = main(["block", "--input", str(dataset_csv)] + flags)
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_more_lsh_bands_than_planes_is_config_error(self, dataset_csv, capsys):
+        rc = main(
+            ["block", "--input", str(dataset_csv), "--blocking", "lsh",
+             "--lsh-planes", "4", "--lsh-bands", "8"]
+        )
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["resolve", "simulate"])
+    def test_b_t_bounds_the_sweep(self, dataset_csv, monkeypatch, command):
+        """One --b-t sets both the blocking threshold and the sweep's
+        bound."""
+        configs = []
+
+        class Recording(cli.Resolver):
+            def __init__(self, *args, config=None, **kwargs):
+                configs.append(config)
+                super().__init__(*args, config=config, **kwargs)
+
+        monkeypatch.setattr(cli, "Resolver", Recording)
+        argv = [command, "--input", str(dataset_csv), "--truth-column",
+                "entity_id", "--b-t", "0.9"]
+        if command == "resolve":
+            argv += ["--backend", "oracle"]
+        assert main(argv) == 0
+        assert [c.b_t for c in configs] == [0.9]
+
+    @pytest.mark.parametrize("b_t", ["0", "1"])
+    def test_b_t_outside_open_interval_is_config_error(
+        self, dataset_csv, capsys, b_t
+    ):
+        with pytest.raises(ValueError, match="b_t"):
+            SetConfig(b_t=float(b_t))
+        argv = ["resolve", "--input", str(dataset_csv), "--truth-column",
+                "entity_id", "--backend", "oracle", "--b-t", b_t]
+        assert main(argv) == 1
+        assert "config error: b_t must be in (0, 1)" in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         rc = main(

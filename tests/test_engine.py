@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from erset import engine, setbuilder
@@ -291,6 +292,41 @@ class TestApplyClustering:
         assert not store.same_entity("a", "b")
         assert len(nodes) == 2
 
+    def test_unchanged_nodes_keep_their_representative(self):
+        """An all-singletons reply over multi-record nodes changes no node's
+        members, so no representative is computed again."""
+        ids = [f"{side}{i}" for side in "abc" for i in range(3)]
+        store = ConstraintStore(ids)
+        for k in (0, 3, 6):
+            store.merge(ids[k], ids[k + 1])
+            store.merge(ids[k], ids[k + 2])
+        index = _index_for(ids)
+        rs = RecordSet(
+            "s1",
+            tuple(
+                ClusterNode(frozenset(ids[k : k + 3]), ids[k + 1], "s0")
+                for k in (0, 3, 6)
+            ),
+        )
+        asked = []
+        representative = index.representative
+
+        def counting(members):
+            asked.append(sorted(members))
+            return representative(members)
+
+        index.representative = counting
+        nodes, _ = apply_clustering(
+            store, rs, SetClustering("s1", ((0,), (1,), (2,))), index
+        )
+        assert asked == []
+        assert [(n.members, n.representative) for n in nodes] == [
+            (n.members, n.representative) for n in rs.members
+        ]
+        assert {n.origin_set for n in nodes} == {"s1"}
+        apply_clustering(store, rs, SetClustering("s1", ((0, 1), (2,))), index)
+        assert asked == []  # (0, 1) contradicts the cannot-link: split back
+
 
 class TestMergeRound:
     def _round(self, nodes, ids, config, index):
@@ -372,17 +408,20 @@ class TestMergeRound:
         assert sorted(n.representative for n in out[0].members) == ["a1", "b1"]
 
 
+ALL_CLOSE = TableIndex(default=1.0)
+
+
 class TestFinalCheck:
     def test_nothing_unresolved_no_sets(self):
         store = ConstraintStore(["a", "b"])
         store.merge("a", "b")
         nodes = [ClusterNode(frozenset("ab"), "a")]
-        assert final_check(nodes, store, SetConfig(), "F") == []
+        assert final_check(nodes, store, SetConfig(), ALL_CLOSE, "F") == []
 
     def test_three_singletons_one_set(self):
         store = ConstraintStore(["a", "b", "c"])
         nodes = [ClusterNode.singleton(i) for i in "abc"]
-        sets = final_check(nodes, store, SetConfig(), "F")
+        sets = final_check(nodes, store, SetConfig(), ALL_CLOSE, "F")
         assert len(sets) == 1
         assert sorted(n.representative for n in sets[0].members) == ["a", "b", "c"]
 
@@ -395,7 +434,7 @@ class TestFinalCheck:
             for i, j in itertools.combinations(range(9), 2):
                 store.add_cannot_link(f"{side}{i}", f"{side}{j}")
         nodes = [ClusterNode.singleton(i, origin_set=i[0]) for i in ids]
-        sets = final_check(nodes, store, SetConfig(), "F")
+        sets = final_check(nodes, store, SetConfig(), ALL_CLOSE, "F")
         assert 5 <= len(sets) <= 9
         covered = set()
         for rs in sets:
@@ -405,6 +444,43 @@ class TestFinalCheck:
                 if x[0] != y[0]:
                     covered.add(frozenset((x, y)))
         assert len(covered) == 81
+
+    def test_pair_below_b_t_is_presumed_distinct(self):
+        store = ConstraintStore(["a", "b"])
+        nodes = [ClusterNode.singleton(i) for i in "ab"]
+        below = TableIndex({("a", "b"): 0.49})
+        assert final_check(nodes, store, SetConfig(b_t=0.5), below, "F") == []
+
+    def test_pair_at_b_t_is_asked(self):
+        """Only the pair at b_t is unresolved: one set of exactly that pair."""
+        store = ConstraintStore(["a", "b", "c"])
+        nodes = [ClusterNode.singleton(i) for i in "abc"]
+        index = TableIndex({("a", "b"): 0.1, ("a", "c"): 0.6, ("b", "c"): 0.2})
+        sets = final_check(nodes, store, SetConfig(b_t=0.6), index, "F")
+        assert [[n.representative for n in rs.members] for rs in sets] == [["a", "c"]]
+
+    def test_all_distinct_planted_records_need_no_sweep(self):
+        """Distinct entities at noise 0 have near-orthogonal embeddings: the
+        sweep sends nothing, and the partition is still exact."""
+        records, truth = generate_dataset(18, 1, seed=3)
+        emb = planted_embeddings(truth, noise=0.0, seed=3)
+        block = Block("b0", tuple(sorted(records)))
+        backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
+        partition, _, report = resolve(records, [block], backend, embeddings=emb)
+        assert report.final_check_sets == 0
+        assert report.final_check_rounds == 0
+        assert len(partition.clusters) == len(records)
+
+
+def _one_direction_embeddings(ids):
+    """Each id gets a shared direction plus half of its own orthogonal axis:
+    every pair's cosine is 1 / 1.25 = 0.8."""
+    out = {}
+    for k, rid in enumerate(sorted(ids)):
+        v = np.zeros(len(ids) + 1)
+        v[0], v[k + 1] = 1.0, 0.5
+        out[rid] = v
+    return out
 
 
 class TestResolve:
@@ -451,11 +527,12 @@ class TestResolve:
                 assert labels[a] != labels[b]
 
     def test_final_sweep_keeps_nodes_disjoint(self, monkeypatch):
-        """18 distinct records in two level-0 sets: the sweep covers the 81
-        cross pairs with sets that reuse nodes, and the next wave still
-        sees one disjoint node per entity."""
+        """18 distinct records in two level-0 sets, all 0.8 similar so the
+        sweep asks about them: it covers the 81 cross pairs with sets that
+        reuse nodes, and the next wave still sees one disjoint node per
+        entity."""
         records, truth = generate_dataset(18, 1, seed=3)
-        emb = planted_embeddings(truth, noise=0.0, seed=3)
+        emb = _one_direction_embeddings(records)
         block = Block("b0", tuple(sorted(records)))
         seen = []
 
@@ -641,12 +718,14 @@ def _reference_merge_round(nodes, store, config, table, set_id_prefix):
     return out
 
 
-def _reference_final_check(nodes, store, config, set_id_prefix, start=0):
+def _reference_final_check(nodes, store, config, table, set_id_prefix, start=0):
     nodes = sorted(nodes, key=lambda n: n.representative)
     uncovered = set()
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             a, b = nodes[i].representative, nodes[j].representative
+            if table.get(tuple(sorted((a, b))), 1.0) < config.b_t:
+                continue
             if not store.same_entity(a, b) and not store.cannot_link(a, b):
                 uncovered.add(frozenset((i, j)))
 
@@ -730,7 +809,8 @@ def _merge_state(seed, cannot_links):
 
 
 def _sweep_state(seed):
-    """Nodes, one per entity, over a store with merges and cannot-links."""
+    """Nodes, one per entity, over a store with merges and cannot-links, and
+    a quantised similarity table over the ids."""
     rng = random.Random(seed)
     ids = _random_ids(rng, rng.randint(2, 30))
     store = ConstraintStore(ids)
@@ -741,7 +821,7 @@ def _sweep_state(seed):
     for members in store.components().values():
         nodes.append(ClusterNode(frozenset(members), rng.choice(members)))
     rng.shuffle(nodes)
-    return nodes, store
+    return nodes, store, _quantised_table(rng, ids)
 
 
 _CONFIGS = [
@@ -763,12 +843,18 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("config", _CONFIGS, ids=["size1", "size2", "size9"])
     def test_final_check(self, config):
+        """On an all-ones table every undetermined pair is asked; on the
+        quantised one (exact 0.5 ties included) only those at or above b_t."""
         for seed in range(40):
-            nodes, store = _sweep_state(seed)
-            for start in (0, 7):
-                expected = _reference_final_check(nodes, store, config, "b.F", start)
-                got = final_check(nodes, store, config, "b.F", start)
-                assert got == expected, seed
+            nodes, store, quantised = _sweep_state(seed)
+            for table in ({}, quantised):
+                index = TableIndex(table, default=1.0)
+                for start in (0, 7):
+                    expected = _reference_final_check(
+                        nodes, store, config, table, "b.F", start
+                    )
+                    got = final_check(nodes, store, config, index, "b.F", start)
+                    assert got == expected, seed
 
 
 def _partition_digest(partition):
@@ -837,8 +923,8 @@ def test_planted_block_resolves_as_pinned():
         "b45e679493627fce12a992bf5d5ba1544accd1390caad9cea6f66b31d4a68e5a"
     )
     assert report.level_set_counts == [17, 11, 8, 7, 6, 5]
-    assert report.final_check_sets == 10
-    assert ledger.api_calls == 64
+    assert report.final_check_sets == 0
+    assert ledger.api_calls == 54
 
 
 def test_noisy_lsh_blocks_resolve_as_pinned():
@@ -863,11 +949,11 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
     )
     partition, ledger, report = resolver.resolve(blocks)
     assert _partition_digest(partition) == (
-        "4127bac333fb38b61beb17f6ee016e18848912d6dca3e96ab48db6d786664b5f"
+        "2ccb46a5bc91b8ef4c2ce464ff5b80fc037638e263e3e594b9a93ec7b46fd877"
     )
-    assert ledger.api_calls == 76
+    assert ledger.api_calls == 74
     assert report.level_set_counts == [43, 19, 13, 7, 3]
-    assert report.final_check_sets == 3
-    assert report.guardrail.repaired == 27
+    assert report.final_check_sets == 1
+    assert report.guardrail.repaired == 26
     assert report.guardrail.regenerations == 0
-    assert report.guardrail.conflict_warnings == 15
+    assert report.guardrail.conflict_warnings == 14
