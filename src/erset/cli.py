@@ -281,7 +281,7 @@ def _backend(args, dataset):
     raise ConfigError("no backend configured: pass --backend oracle|http")
 
 
-def _run_resolve(args, dataset, index, backend, seed):
+def _run_resolve(args, dataset, index, blocks, backend, seed):
     config = SetConfig(
         set_size=args.set_size,
         set_diversity=args.set_diversity,
@@ -289,7 +289,6 @@ def _run_resolve(args, dataset, index, backend, seed):
         seed=seed,
         b_t=args.b_t,
     )
-    blocks = _make_blocks(args, dataset, index)
     resolver = Resolver(
         dataset.records,
         backend,
@@ -361,7 +360,10 @@ def cmd_resolve(args) -> int:
     dataset = _load_dataset(args)
     index = _index(args, dataset)
     backend = _backend(args, dataset)
-    partition, ledger, report = _run_resolve(args, dataset, index, backend, args.seed)
+    blocks = _make_blocks(args, dataset, index)
+    partition, ledger, report = _run_resolve(
+        args, dataset, index, blocks, backend, args.seed
+    )
     labels = partition.as_labels()
     if args.partition_out:
         dataio.save_labels(args.partition_out, labels, "cluster_id")
@@ -388,6 +390,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"bad --error-rates: {args.error_rates!r}") from exc
     if not rates or args.seeds < 1:
         raise ConfigError("simulate needs at least one error rate and seed")
+    # blocks depend on --seed and the blocking flags, not on the run
+    blocks = _make_blocks(args, dataset, index)
     rows = []
     for rate in rates:
         for seed in range(args.seeds):
@@ -395,7 +399,7 @@ def cmd_simulate(args) -> int:
                 OracleConfig(dataset.ground_truth, rate, seed)
             )
             partition, ledger, report = _run_resolve(
-                args, dataset, index, backend, seed
+                args, dataset, index, blocks, backend, seed
             )
             row = {
                 "error_rate": rate,

@@ -4,6 +4,7 @@ cluster merging, exit condition and the end-to-end driver."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -384,6 +385,28 @@ def merge_round(
     return out
 
 
+def open_pairs(
+    nodes: Sequence[ClusterNode],
+    store: ConstraintStore,
+    config: SetConfig,
+    index: SimilarityIndex,
+) -> np.ndarray:
+    """Upper-triangular boolean matrix over ``nodes`` in the given order:
+    True where a pair is open, i.e. its nodes have distinct store roots, no
+    cannot-link, and representatives at least ``config.b_t`` similar.
+
+    A pair below ``b_t`` is presumed distinct, as blocking presumes across
+    blocks: it is not looked up in the store. Every other pair is determined
+    by the store, so only an open pair can gain evidence from a call."""
+    reps = [node.representative for node in nodes]
+    close = np.triu(index.sims(reps) >= config.b_t, 1)
+    out = np.zeros_like(close)
+    for i, j in zip(*(ax.tolist() for ax in close.nonzero())):
+        a, b = reps[i], reps[j]
+        out[i, j] = not store.same_entity(a, b) and not store.cannot_link(a, b)
+    return out
+
+
 def final_check(
     nodes: list[ClusterNode],
     store: ConstraintStore,
@@ -393,27 +416,19 @@ def final_check(
     start: int = 0,
 ) -> list[RecordSet]:
     """One wave of exit-condition sets: greedily pack record sets of at most
-    S_s nodes maximizing newly covered unresolved pairs (distinct roots, no
-    cannot-link). Known-distinct nodes may share a set — their pair adds no
-    information, but mixing sides is what lets one call cover up to
-    floor(S_s/2) * ceil(S_s/2) unresolved pairs.
+    S_s nodes maximizing newly covered open pairs (see open_pairs).
+    Known-distinct nodes may share a set — their pair adds no information,
+    but mixing sides is what lets one call cover up to
+    floor(S_s/2) * ceil(S_s/2) open pairs.
 
-    A pair whose representatives are less than ``config.b_t`` similar is
-    presumed distinct, as blocking presumes across blocks: it is neither
-    looked up in the store nor asked about. Unresolved pairs are a symmetric
-    boolean matrix over the nodes in representative order, so argmax ties
-    go to the lowest id."""
+    Uncovered pairs are a symmetric boolean matrix over the nodes in
+    representative order, so argmax ties go to the lowest id."""
     n = len(nodes)
     if n < 2:
         return []
     nodes = sorted(nodes, key=lambda node: node.representative)
-    reps = [node.representative for node in nodes]
-    close = np.triu(index.sims(reps) >= config.b_t, 1)
-    uncovered = np.zeros((n, n), dtype=bool)
-    for i, j in zip(*(ax.tolist() for ax in close.nonzero())):
-        a, b = reps[i], reps[j]
-        if not store.same_entity(a, b) and not store.cannot_link(a, b):
-            uncovered[i, j] = uncovered[j, i] = True
+    uncovered = open_pairs(nodes, store, config, index)
+    uncovered |= uncovered.T
 
     out: list[RecordSet] = []
     counter = start
@@ -448,6 +463,7 @@ class ResolveReport:
     level_set_counts: list[int] = field(default_factory=list)
     final_check_sets: int = 0
     final_check_rounds: int = 0
+    max_levels_hits: int = 0
     guardrail: GuardrailStats = field(default_factory=GuardrailStats)
     ledger: dict = field(default_factory=dict)
 
@@ -547,36 +563,41 @@ class Resolver:
         return sets
 
     def _resolve_block(self, block: Block) -> None:
-        """Level 0, then merge rounds while they make progress, then the
-        final sweep.
+        """Level 0, then merge rounds while evidence can still change, then
+        the final sweep.
 
-        The hierarchy ends on the first round that merges nothing (its node
-        count does not fall). Under an exact backend that is a round whose
-        replies are all singleton groups; under a noisy one it also ends
-        rounds whose only groups are split apart along known cannot-links.
+        A merge round sends only the packed sets that hold an open pair (see
+        open_pairs); the nodes of every other set are carried to the next
+        level unchanged. A carried node keeps its own origin set, the last
+        set that answered about it: a set never asked gives no node its
+        origin. The hierarchy ends on the first round that packs no set with
+        an open pair, or whose replies all fell back (no answer, so asking
+        again would only repeat). A block whose hierarchy or sweep still had
+        an open pair to ask when it reached ``max_levels`` counts in
+        ``max_levels_hits``.
         """
         sets = self._level0_sets(block)
         self._count_level(0, len(sets))
         nodes, _ = self._round(sets)
-        merged = len(nodes) < len(block.members)
 
+        capped = False
         level = 0
-        while merged and level < self.max_levels:
-            level += 1
-            candidate_sets = merge_round(
-                nodes, self.store, self.config, self.index, f"{block.block_id}.L{level}"
-            )
-            callable_sets = [rs for rs in candidate_sets if len(rs) >= 2]
-            if not callable_sets:
+        while True:
+            asked, carried = self._pack_level(nodes, f"{block.block_id}.L{level + 1}")
+            if not asked:
                 break
-            self._count_level(level, len(callable_sets))
-            carried = [rs.members[0] for rs in candidate_sets if len(rs) == 1]
-            new_nodes, _ = self._round(callable_sets)
-            merged = len(new_nodes) + len(carried) < len(nodes)
+            if level == self.max_levels:
+                capped = True
+                break
+            level += 1
+            self._count_level(level, len(asked))
+            new_nodes, clusterings = self._round(asked)
             nodes = new_nodes + carried
+            if all(map(_is_fallback, clusterings)):
+                break
 
-        # Exit condition: sweep the remaining unresolved pairs at or above b_t
-        # until none are left. A sweep set may reuse a node, so each wave ends by rebuilding one
+        # Exit condition: sweep the remaining open pairs until none are left.
+        # A sweep set may reuse a node, so each wave ends by rebuilding one
         # node per entity to keep the level's nodes disjoint. A wave whose
         # replies all fell back resolved nothing and would only repeat.
         wave = 0
@@ -592,14 +613,34 @@ class Resolver:
             )
             if not sets:
                 break
+            if wave == self.max_levels:
+                capped = True
+                break
             wave += 1
             counter += len(sets)
             self.report.final_check_sets += len(sets)
             self.report.final_check_rounds = max(self.report.final_check_rounds, wave)
             _, clusterings = self._round(sets)
             nodes = self._nodes(block.members)
-            if wave >= self.max_levels or all(map(_is_fallback, clusterings)):
+            if all(map(_is_fallback, clusterings)):
                 break
+        self.report.max_levels_hits += capped
+
+    def _pack_level(
+        self, nodes: list[ClusterNode], set_id_prefix: str
+    ) -> tuple[list[RecordSet], list[ClusterNode]]:
+        """Pack one merge round: the sets that hold an open pair, to ask, and
+        the nodes of every other set, carried unchanged (a one-member set
+        holds no pair)."""
+        asked: list[RecordSet] = []
+        carried: list[ClusterNode] = []
+        store, config, index = self.store, self.config, self.index
+        for rs in merge_round(nodes, store, config, index, set_id_prefix):
+            if open_pairs(rs.members, store, config, index).any():
+                asked.append(rs)
+            else:
+                carried.extend(rs.members)
+        return asked, carried
 
     def resolve(self, blocks: list[Block]) -> tuple[Partition, CostLedger, ResolveReport]:
         self.report.blocks = len(blocks)

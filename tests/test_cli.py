@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from erset import cli, dataio
+from erset import blocking, cli, dataio, metrics
 from erset.cli import _apply_config_file, build_parser, main
+from erset.gateway import OracleConfig, SimulatedOracle
 from erset.model import SetConfig
 from erset.synth import generate_dataset
 
@@ -136,6 +137,7 @@ class TestCli:
         ) == 0
         out = json.loads(report.read_text())
         assert out["metrics"]["acc"] == 1.0
+        assert out["max_levels_hits"] == 0
         ds = dataio.ingest(data, truth_column="entity_id")
         dataio.save_labels(truth_file, ds.ground_truth, "entity_id")
         capsys.readouterr()
@@ -198,6 +200,60 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["mean_acc"] == 1.0
         assert out.read_text().count("\n") == 3  # header + 2 runs
+
+    def test_simulate_builds_blocks_once(self, dataset_csv, tmp_path, monkeypatch):
+        """Blocks depend on --seed and the blocking flags only: six runs
+        share one blocking, and each row equals a run on its own blocks."""
+        make_blocks = blocking.make_blocks
+        methods = []
+
+        def counting(method, *args, **kwargs):
+            methods.append(method)
+            return make_blocks(method, *args, **kwargs)
+
+        monkeypatch.setattr(blocking, "make_blocks", counting)
+        out = tmp_path / "sim.csv"
+        argv = [
+            "simulate",
+            "--input", str(dataset_csv),
+            "--truth-column", "entity_id",
+            "--blocking", "lsh",
+            "--error-rates", "0.0,0.1",
+            "--seeds", "3",
+            "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert methods == ["lsh"]
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+
+        args = build_parser().parse_args(argv)
+        dataset = cli._load_dataset(args)
+        index = cli._index(args, dataset)
+        expected = []
+        for rate in (0.0, 0.1):
+            for seed in range(3):
+                blocks = make_blocks(
+                    "lsh", dataset.records, index.token_sets, index.embeddings,
+                    cli._blocking_params(args),
+                )
+                backend = SimulatedOracle(
+                    OracleConfig(dataset.ground_truth, rate, seed)
+                )
+                partition, ledger, report = cli._run_resolve(
+                    args, dataset, index, blocks, backend, seed
+                )
+                labels = partition.as_labels()
+                expected.append(
+                    [str(rate), str(seed), str(ledger.api_calls),
+                     str(report.guardrail.regenerations),
+                     str(metrics.acc(labels, dataset.ground_truth))]
+                )
+        got = [
+            [r["error_rate"], r["seed"], r["api_calls"], r["regenerations"], r["acc"]]
+            for r in rows
+        ]
+        assert got == expected
 
     def test_resolve_without_backend_is_config_error(self, dataset_csv, capsys):
         rc = main(["resolve", "--input", str(dataset_csv)])

@@ -15,6 +15,7 @@ from erset.engine import (
     guarded_cluster,
     mdg_check,
     merge_round,
+    open_pairs,
     regenerate_set,
     repair_clustering,
     resolve,
@@ -411,6 +412,39 @@ class TestMergeRound:
 ALL_CLOSE = TableIndex(default=1.0)
 
 
+class TestOpenPairs:
+    def _open(self, store, table, b_t=0.5):
+        """The open pairs among singletons a, b, c, as strings like "ac"."""
+        nodes = [ClusterNode.singleton(i) for i in "abc"]
+        index = TableIndex(table, default=1.0)
+        out = open_pairs(nodes, store, SetConfig(b_t=b_t), index)
+        return {"abc"[i] + "abc"[j] for i, j in zip(*out.nonzero())}
+
+    def test_upper_triangle_of_close_undetermined_pairs(self):
+        nodes = [ClusterNode.singleton(i) for i in "abc"]
+        out = open_pairs(nodes, ConstraintStore(list("abc")), SetConfig(), ALL_CLOSE)
+        assert out.tolist() == [
+            [False, True, True], [False, False, True], [False, False, False]
+        ]
+
+    def test_merged_roots_are_not_open(self):
+        store = ConstraintStore(list("abc"))
+        store.merge("a", "b")
+        assert self._open(store, {}) == {"ac", "bc"}
+
+    def test_cannot_link_is_not_open(self):
+        store = ConstraintStore(list("abc"))
+        store.add_cannot_link("a", "c")
+        assert self._open(store, {}) == {"ab", "bc"}
+
+    def test_b_t_is_the_bound(self):
+        """A pair just below b_t is presumed distinct; one exactly at b_t is
+        open."""
+        below = float(np.nextafter(0.6, 0.0))
+        table = {("a", "b"): below, ("a", "c"): 0.6, ("b", "c"): 0.1}
+        assert self._open(ConstraintStore(list("abc")), table, b_t=0.6) == {"ac"}
+
+
 class TestFinalCheck:
     def test_nothing_unresolved_no_sets(self):
         store = ConstraintStore(["a", "b"])
@@ -581,9 +615,9 @@ class TestResolve:
         assert report.final_check_rounds == 1  # an all-fallback wave ends the sweep
 
     def test_noisy_hierarchy_ends_before_max_levels(self):
-        """A round whose groups are all split along known cannot-links merges
-        nothing and ends the hierarchy, even when replies are not all
-        singletons (criterion 04's data at a 20% error rate)."""
+        """Noisy replies keep packing sets, but the hierarchy ends once no
+        packed set holds an open pair (criterion 04's data at a 20% error
+        rate)."""
         records, truth = generate_dataset(40, 5, typo_rate=0.1, drop_rate=0.05, seed=1)
         emb = planted_embeddings(truth, noise=0.1, seed=1)
         block = Block("b0", tuple(sorted(records)))
@@ -594,6 +628,88 @@ class TestResolve:
         _, _, report = resolver.resolve([block])
         deepest = len(report.level_set_counts) - 1
         assert deepest < resolver.max_levels
+        assert report.max_levels_hits == 0
+
+    def test_noisy_blocks_stop_on_evidence(self):
+        """Three 100-record blocks under an oracle that errs 30% of the time:
+        every hierarchy and sweep ends on evidence, well inside a cap of 10
+        levels."""
+        records, truth = generate_dataset(60, 5, seed=2)
+        emb = planted_embeddings(truth, noise=0.05, seed=2)
+        entities = sorted(set(truth.values()))
+        blocks = []
+        for k in range(3):
+            part = set(entities[20 * k : 20 * (k + 1)])
+            ids = sorted(r for r in records if truth[r] in part)
+            blocks.append(Block(f"b{k}", tuple(ids)))
+        resolver = Resolver(
+            records, SimulatedOracle(OracleConfig(truth, 0.3, 2)),
+            config=SetConfig(seed=2), embeddings=emb, max_levels=10,
+        )
+        _, _, report = resolver.resolve(blocks)
+        assert report.max_levels_hits == 0
+        assert len(report.level_set_counts) - 1 < resolver.max_levels
+        assert report.final_check_rounds < resolver.max_levels
+
+    def test_max_levels_cap_is_reported(self):
+        """With one level allowed, a noisy block still has open pairs when the
+        cap stops it, and the report says so."""
+        records, truth = generate_dataset(40, 5, seed=1)
+        emb = planted_embeddings(truth, noise=0.05, seed=1)
+        block = Block("b0", tuple(sorted(records)))
+        resolver = Resolver(
+            records, SimulatedOracle(OracleConfig(truth, 0.3, 1)),
+            config=SetConfig(seed=1), embeddings=emb, max_levels=1,
+        )
+        _, _, report = resolver.resolve([block])
+        assert report.max_levels_hits == 1
+        assert report.as_dict()["max_levels_hits"] == 1
+        assert len(report.level_set_counts) <= 2
+        assert report.final_check_rounds <= 1
+
+    def test_sets_without_an_open_pair_are_carried_not_sent(self, monkeypatch):
+        """Under a noisy oracle, a merge round sends exactly the packed sets
+        that hold an open pair. The nodes of every other set reach the next
+        round unchanged, origin set included, and the last round packs no
+        open pair."""
+        records, truth = generate_dataset(40, 5, seed=1)
+        emb = planted_embeddings(truth, noise=0.05, seed=1)
+        block = Block("b0", tuple(sorted(records)))
+        oracle = SimulatedOracle(OracleConfig(truth, 0.3, 1))
+        sent = set()
+
+        class Recording:
+            def complete(self, prompt, record_sets):
+                sent.update(rs.set_id for rs in record_sets)
+                return oracle.complete(prompt, record_sets)
+
+        rounds = []
+
+        def packing(nodes, store, config, index, prefix):
+            packed = merge_round(nodes, store, config, index, prefix)
+            flags = [
+                open_pairs(rs.members, store, config, index).any() for rs in packed
+            ]
+            rounds.append((list(nodes), list(zip(packed, flags))))
+            return packed
+
+        monkeypatch.setattr(engine, "merge_round", packing)
+        Resolver(
+            records, Recording(), config=SetConfig(seed=1), embeddings=emb
+        ).resolve([block])
+
+        carried = 0
+        for k, (_, packed) in enumerate(rounds):
+            for rs, is_open in packed:
+                assert (rs.set_id in sent) == is_open, rs.set_id
+                if is_open or k + 1 == len(rounds):
+                    continue
+                next_nodes = rounds[k + 1][0]
+                for node in rs.members:
+                    assert any(node is other for other in next_nodes)
+                    carried += 1
+        assert carried > 0
+        assert len(rounds) > 1 and not any(is_open for _, is_open in rounds[-1][1])
 
 
 # Loop versions of merge_round and final_check, kept as references for the
@@ -922,9 +1038,10 @@ def test_planted_block_resolves_as_pinned():
     assert _partition_digest(partition) == (
         "b45e679493627fce12a992bf5d5ba1544accd1390caad9cea6f66b31d4a68e5a"
     )
-    assert report.level_set_counts == [17, 11, 8, 7, 6, 5]
+    assert report.level_set_counts == [17, 9, 7, 1]
     assert report.final_check_sets == 0
-    assert ledger.api_calls == 54
+    assert ledger.api_calls == 34
+    assert report.max_levels_hits == 0
 
 
 def test_noisy_lsh_blocks_resolve_as_pinned():
@@ -949,11 +1066,11 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
     )
     partition, ledger, report = resolver.resolve(blocks)
     assert _partition_digest(partition) == (
-        "2ccb46a5bc91b8ef4c2ce464ff5b80fc037638e263e3e594b9a93ec7b46fd877"
+        "4f52402dd70d1f64de0d24d5415033606da575b50fdb5827b19f86f8dada9d47"
     )
-    assert ledger.api_calls == 74
-    assert report.level_set_counts == [43, 19, 13, 7, 3]
+    assert ledger.api_calls == 51
+    assert report.level_set_counts == [43, 15, 4]
     assert report.final_check_sets == 1
-    assert report.guardrail.repaired == 26
+    assert report.guardrail.repaired == 19
     assert report.guardrail.regenerations == 0
-    assert report.guardrail.conflict_warnings == 14
+    assert report.guardrail.conflict_warnings == 1
