@@ -3,6 +3,7 @@ cluster merging, exit condition and the end-to-end driver."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -257,7 +258,7 @@ def merge_round(
     nodes: list[ClusterNode],
     store: ConstraintStore,
     config: SetConfig,
-    index: SimilarityIndex,
+    sims: np.ndarray,
     set_id_prefix: str,
 ) -> list[RecordSet]:
     """One CMR round: pack the level's clusters into next-level record sets.
@@ -271,25 +272,27 @@ def merge_round(
     most one cluster per origin set. The emitted set keeps similar clusters
     adjacent (greedy sequential order).
 
-    The round works on node indices in candidate order (origin sets sorted,
-    then representative) over one similarity matrix of their representatives.
-    Nodes without an origin set share the origin "".
+    ``sims`` is the similarity matrix of the nodes' representatives, in node
+    order. The round works on node indices in candidate order (origin sets
+    sorted, then representative) over that matrix, permuted. Nodes without
+    an origin set share the origin "".
     """
-    by_origin: dict[str, list[ClusterNode]] = {}
-    for node in nodes:
-        by_origin.setdefault(node.origin_set or "", []).append(node)
+    by_origin: dict[str, list[int]] = {}
+    for i, node in enumerate(nodes):
+        by_origin.setdefault(node.origin_set or "", []).append(i)
     if len(by_origin) < 2:
         return []
-    candidates: list[ClusterNode] = []
+    order: list[int] = []  # node positions in candidate order
     spans: list[tuple[int, int]] = []  # each origin's index range
     for key in sorted(by_origin):
-        spans.append((len(candidates), len(candidates) + len(by_origin[key])))
-        candidates.extend(sorted(by_origin[key], key=lambda n: n.representative))
+        spans.append((len(order), len(order) + len(by_origin[key])))
+        order.extend(sorted(by_origin[key], key=lambda i: nodes[i].representative))
+    candidates = [nodes[i] for i in order]
     span_of = [span for span in spans for _ in range(*span)]
     c = len(candidates)
     rank = np.empty(c, dtype=int)  # representative order
     rank[sorted(range(c), key=lambda i: candidates[i].representative)] = np.arange(c)
-    sims = index.sims(n.representative for n in candidates)
+    sims = sims[np.ix_(order, order)]
     # Pairs a wave may seed with: cross-origin, upper triangle, i.e. each
     # origin's rows against the later origins' columns. Index order is
     # candidate order, so the first of several maxima in row-major order is
@@ -389,17 +392,18 @@ def open_pairs(
     nodes: Sequence[ClusterNode],
     store: ConstraintStore,
     config: SetConfig,
-    index: SimilarityIndex,
+    sims: np.ndarray,
 ) -> np.ndarray:
     """Upper-triangular boolean matrix over ``nodes`` in the given order:
     True where a pair is open, i.e. its nodes have distinct store roots, no
     cannot-link, and representatives at least ``config.b_t`` similar.
+    ``sims`` is the similarity matrix of the representatives, in node order.
 
     A pair below ``b_t`` is presumed distinct, as blocking presumes across
     blocks: it is not looked up in the store. Every other pair is determined
     by the store, so only an open pair can gain evidence from a call."""
     reps = [node.representative for node in nodes]
-    close = np.triu(index.sims(reps) >= config.b_t, 1)
+    close = np.triu(sims >= config.b_t, 1)
     out = np.zeros_like(close)
     for i, j in zip(*(ax.tolist() for ax in close.nonzero())):
         a, b = reps[i], reps[j]
@@ -427,7 +431,8 @@ def final_check(
     if n < 2:
         return []
     nodes = sorted(nodes, key=lambda node: node.representative)
-    uncovered = open_pairs(nodes, store, config, index)
+    sims = index.sims(node.representative for node in nodes)
+    uncovered = open_pairs(nodes, store, config, sims)
     uncovered |= uncovered.T
 
     out: list[RecordSet] = []
@@ -455,6 +460,52 @@ def final_check(
         )
         counter += 1
     return out
+
+
+def pack_blocks(blocks: Sequence[Block], set_size: int) -> list[Block]:
+    """Pack the blocks smaller than one record set into shared blocks, so that
+    their level-0 sets fill a prompt instead of each paying for its own.
+
+    Blocks of 2 to ``set_size - 1`` records are packed first-fit-decreasing
+    (size descending, then block id) into bins of at most ``set_size``
+    records. A bin's members are the sorted union of its blocks and its id is
+    the id of the first block placed in it. One-record blocks cost no call
+    and blocks of ``set_size`` records or more fill their own sets, so both
+    come back unchanged. Returned in block id order.
+
+    Blocking only presumes that records of different blocks are distinct;
+    a reply is a direct answer, so one that groups records of two source
+    blocks is applied like any other reply. Bins are found through buckets
+    of free room, so packing costs O(blocks * set_size).
+    """
+    out = [b for b in blocks if not 2 <= len(b) < set_size]
+    small = sorted(
+        (b for b in blocks if 2 <= len(b) < set_size),
+        key=lambda b: (-len(b), b.block_id),
+    )
+    bins: list[list[Block]] = []
+    room: list[int] = []
+    # free[r]: heap of the open bins with exactly r free places; the first
+    # fit is the lowest bin over free[size:], one heap top per room
+    free: list[list[int]] = [[] for _ in range(set_size)]
+    for block in small:
+        size = len(block)
+        fits = [free[r][0] for r in range(size, set_size) if free[r]]
+        if fits:
+            k = min(fits)
+            heapq.heappop(free[room[k]])
+            bins[k].append(block)
+        else:
+            k = len(bins)
+            bins.append([block])
+            room.append(set_size)
+        room[k] -= size
+        if room[k]:
+            heapq.heappush(free[room[k]], k)
+    for group in bins:
+        members = sorted(rid for b in group for rid in b.members)
+        out.append(Block(group[0].block_id, tuple(members)))
+    return sorted(out, key=lambda b: b.block_id)
 
 
 @dataclass
@@ -631,20 +682,34 @@ class Resolver:
     ) -> tuple[list[RecordSet], list[ClusterNode]]:
         """Pack one merge round: the sets that hold an open pair, to ask, and
         the nodes of every other set, carried unchanged (a one-member set
-        holds no pair)."""
+        holds no pair). The level's similarity matrix is read once: the
+        round packs over it, and each set is decided by its members' block
+        of the level's open pairs. A level whose nodes share one origin set
+        packs nothing: that set's answer already relates every pair."""
         asked: list[RecordSet] = []
         carried: list[ClusterNode] = []
-        store, config, index = self.store, self.config, self.index
-        for rs in merge_round(nodes, store, config, index, set_id_prefix):
-            if open_pairs(rs.members, store, config, index).any():
+        if len({node.origin_set for node in nodes}) < 2:
+            return asked, carried
+        store, config = self.store, self.config
+        sims = self.index.sims(node.representative for node in nodes)
+        sets = merge_round(nodes, store, config, sims, set_id_prefix)
+        position = {node.representative: i for i, node in enumerate(nodes)}
+        level_open = open_pairs(nodes, store, config, sims)
+        level_open |= level_open.T
+        for rs in sets:
+            rows = [position[node.representative] for node in rs.members]
+            if level_open[np.ix_(rows, rows)].any():
                 asked.append(rs)
             else:
                 carried.extend(rs.members)
         return asked, carried
 
     def resolve(self, blocks: list[Block]) -> tuple[Partition, CostLedger, ResolveReport]:
+        """Resolve every block, after packing the blocks smaller than one
+        record set into shared ones (pack_blocks); ``report.blocks`` counts
+        the blocks given."""
         self.report.blocks = len(blocks)
-        for block in sorted(blocks, key=lambda b: b.block_id):
+        for block in pack_blocks(blocks, self.config.set_size):
             self._resolve_block(block)
         partition = Partition(self._nodes(sorted(self.records)))
         partition.validate(self.records)

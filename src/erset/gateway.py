@@ -260,10 +260,15 @@ def _reply_text(data) -> str:
     return text
 
 
+_RETRIED_4XX = (408, 429)  # request timeout, too many requests
+
+
 class HttpProvider:
     """Chat-completion HTTP backend with retries, backoff and rate limiting.
     A reply without a string ``choices[0].message.content`` is a failed
-    attempt, retried like a transport error."""
+    attempt, retried like a transport error. 408, 429 and 5xx replies are
+    retried too; any other 4xx reply would only be refused again, so it
+    raises ProviderUnavailable at once."""
 
     def __init__(self, config: ProviderConfig):
         self.config = config
@@ -304,11 +309,13 @@ class HttpProvider:
                     headers=self._headers(),
                     timeout=self.config.timeout,
                 )
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    raise requests.HTTPError(
-                        f"status {resp.status_code}", response=resp
+                status = resp.status_code
+                if status in _RETRIED_4XX or status >= 500:
+                    raise requests.HTTPError(f"status {status}", response=resp)
+                if status >= 400:
+                    raise ProviderUnavailable(
+                        f"provider rejected the request with status {status}"
                     )
-                resp.raise_for_status()
                 data = resp.json()
                 self._log(payload, data)
                 text = _reply_text(data)

@@ -260,6 +260,33 @@ class TestCli:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_refused_request_is_provider_error(self, dataset_csv, capsys, monkeypatch):
+        """A 401 reply ends the run with exit 3 after one post and no sleep."""
+        import requests
+
+        posts = []
+
+        class Unauthorized:
+            status_code = 401
+
+            def raise_for_status(self):
+                raise requests.HTTPError("401 Unauthorized", response=self)
+
+        def post(*args, **kwargs):
+            posts.append(1)
+            return Unauthorized()
+
+        def sleep(seconds):
+            raise AssertionError("a refused request is not retried")
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr("erset.gateway.time.sleep", sleep)
+        rc = main(["resolve", "--input", str(dataset_csv), "--backend", "http",
+                   "--endpoint", "http://localhost:1/v1", "--model", "m"])
+        assert rc == 3
+        assert "provider error" in capsys.readouterr().err
+        assert posts == [1]
+
     @pytest.mark.parametrize(
         "flags",
         [

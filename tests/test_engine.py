@@ -16,6 +16,7 @@ from erset.engine import (
     mdg_check,
     merge_round,
     open_pairs,
+    pack_blocks,
     regenerate_set,
     repair_clustering,
     resolve,
@@ -39,6 +40,11 @@ from .fakes import TableIndex
 
 def _sims(rs, table):
     return TableIndex(table).sims(n.representative for n in rs.members)
+
+
+def _rep_sims(index, nodes):
+    """The similarity matrix of the nodes' representatives, in node order."""
+    return index.sims(n.representative for n in nodes)
 
 
 def _set_of(ids, set_id="s0", origin=None):
@@ -331,7 +337,8 @@ class TestApplyClustering:
 
 class TestMergeRound:
     def _round(self, nodes, ids, config, index):
-        return merge_round(nodes, ConstraintStore(ids), config, index, "L1")
+        sims = _rep_sims(index, nodes)
+        return merge_round(nodes, ConstraintStore(ids), config, sims, "L1")
 
     def test_figure_style_chaining(self):
         """4 origin sets x 3 entity clusters, diversity 1: three next-round
@@ -404,7 +411,8 @@ class TestMergeRound:
             ClusterNode.singleton("a1", origin_set="sa"),
             ClusterNode.singleton("b1", origin_set="sb"),
         ]
-        out = merge_round(nodes, store, SetConfig(), TableIndex(default=0.9), "L1")
+        sims = _rep_sims(TableIndex(default=0.9), nodes)
+        out = merge_round(nodes, store, SetConfig(), sims, "L1")
         assert len(out) == 1
         assert sorted(n.representative for n in out[0].members) == ["a1", "b1"]
 
@@ -417,12 +425,13 @@ class TestOpenPairs:
         """The open pairs among singletons a, b, c, as strings like "ac"."""
         nodes = [ClusterNode.singleton(i) for i in "abc"]
         index = TableIndex(table, default=1.0)
-        out = open_pairs(nodes, store, SetConfig(b_t=b_t), index)
+        out = open_pairs(nodes, store, SetConfig(b_t=b_t), _rep_sims(index, nodes))
         return {"abc"[i] + "abc"[j] for i, j in zip(*out.nonzero())}
 
     def test_upper_triangle_of_close_undetermined_pairs(self):
         nodes = [ClusterNode.singleton(i) for i in "abc"]
-        out = open_pairs(nodes, ConstraintStore(list("abc")), SetConfig(), ALL_CLOSE)
+        store = ConstraintStore(list("abc"))
+        out = open_pairs(nodes, store, SetConfig(), _rep_sims(ALL_CLOSE, nodes))
         assert out.tolist() == [
             [False, True, True], [False, False, True], [False, False, False]
         ]
@@ -517,7 +526,114 @@ def _one_direction_embeddings(ids):
     return out
 
 
+def _reference_pack(blocks, set_size):
+    """First-fit-decreasing by a scan over every open bin, kept as the
+    reference for pack_blocks."""
+    small = sorted(
+        (b for b in blocks if 2 <= len(b) < set_size),
+        key=lambda b: (-len(b), b.block_id),
+    )
+    bins = []
+    for block in small:
+        for group in bins:
+            if sum(map(len, group)) + len(block) <= set_size:
+                group.append(block)
+                break
+        else:
+            bins.append([block])
+    out = [b for b in blocks if not 2 <= len(b) < set_size]
+    for group in bins:
+        members = sorted(rid for b in group for rid in b.members)
+        out.append(Block(group[0].block_id, tuple(members)))
+    return sorted(out, key=lambda b: b.block_id)
+
+
+def _random_blocks(rng, set_size):
+    """Blocks of 1 to set_size + 2 records over disjoint sorted ids, in
+    shuffled order."""
+    sizes = [rng.randint(1, set_size + 2) for _ in range(rng.randint(0, 60))]
+    ids = [f"r{k:04d}" for k in range(sum(sizes))]
+    rng.shuffle(ids)
+    blocks, k = [], 0
+    for i, size in enumerate(sizes):
+        blocks.append(Block(f"b{i:05d}", tuple(sorted(ids[k : k + size]))))
+        k += size
+    rng.shuffle(blocks)
+    return blocks
+
+
+class TestPackBlocks:
+    @pytest.mark.parametrize("set_size", [2, 3, 9])
+    def test_matches_first_fit_decreasing(self, set_size):
+        rng = random.Random(set_size)
+        for _ in range(40):
+            blocks = _random_blocks(rng, set_size)
+            assert pack_blocks(blocks, set_size) == _reference_pack(blocks, set_size)
+
+    @pytest.mark.parametrize("set_size", [2, 3, 9])
+    def test_bins_cover_every_record_once(self, set_size):
+        rng = random.Random(100 + set_size)
+        for _ in range(40):
+            blocks = _random_blocks(rng, set_size)
+            packed = pack_blocks(blocks, set_size)
+            ids = [b.block_id for b in packed]
+            assert len(ids) == len(set(ids))
+            assert not any("." in block_id for block_id in ids)
+            assert set(ids) <= {b.block_id for b in blocks}
+            covered = sorted(rid for b in packed for rid in b.members)
+            assert covered == sorted(rid for b in blocks for rid in b.members)
+            given = {b.block_id: b for b in blocks}
+            for b in packed:
+                if b not in blocks:  # a bin of several blocks
+                    assert 2 <= len(given[b.block_id]) < len(b) <= set_size
+            for b in blocks:
+                if not 2 <= len(b) < set_size:
+                    assert b in packed
+
+    def test_same_for_any_input_order(self):
+        rng = random.Random(7)
+        blocks = _random_blocks(rng, 9)
+        expected = pack_blocks(blocks, 9)
+        for _ in range(5):
+            rng.shuffle(blocks)
+            assert pack_blocks(blocks, 9) == expected
+
+    def test_first_fit_decreasing_by_hand(self):
+        blocks = [
+            Block(name, tuple(f"{name}r{k}" for k in range(size)))
+            for name, size in [("a", 6), ("b", 1), ("c", 4), ("d", 3), ("e", 5),
+                               ("f", 9), ("g", 2), ("h", 4)]
+        ]
+        packed = pack_blocks(blocks, 9)
+        assert [(b.block_id, len(b)) for b in packed] == [
+            ("a", 9), ("b", 1), ("e", 9), ("f", 9), ("h", 6)
+        ]  # a+d, e+c, h+g: c fits beside e (room 4), not beside a (room 3)
+        assert packed[0].members == tuple(sorted(blocks[0].members + blocks[3].members))
+
+
 class TestResolve:
+    def test_small_blocks_share_level0_sets(self):
+        """Twelve 3-record blocks, one entity each, share four level-0 sets:
+        an exact oracle resolves them exactly in 4 calls, not 12."""
+        records, truth = generate_dataset(12, 3, seed=6)
+        emb = planted_embeddings(truth, noise=0.05, seed=6)
+        by_entity = {}
+        for rid in sorted(records):
+            by_entity.setdefault(truth[rid], []).append(rid)
+        blocks = [
+            Block(f"b{k:05d}", tuple(ids))
+            for k, ids in enumerate(by_entity[e] for e in sorted(by_entity))
+        ]
+        assert len(blocks) == 12 and {len(b) for b in blocks} == {3}
+        backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
+        partition, ledger, report = resolve(records, blocks, backend, embeddings=emb)
+        labels = partition.as_labels()
+        assert len(set(labels.values())) == 12
+        assert all(len({labels[rid] for rid in b.members}) == 1 for b in blocks)
+        assert ledger.api_calls == 4
+        assert report.level_set_counts == [4]
+        assert report.blocks == 12
+
     def test_exact_on_small_dataset(self):
         records, truth = generate_dataset(5, 4, seed=21)
         emb = planted_embeddings(truth, noise=0.05, seed=21)
@@ -685,18 +801,22 @@ class TestResolve:
 
         rounds = []
 
-        def packing(nodes, store, config, index, prefix):
-            packed = merge_round(nodes, store, config, index, prefix)
+        def packing(nodes, store, config, sims, prefix):
+            packed = merge_round(nodes, store, config, sims, prefix)
             flags = [
-                open_pairs(rs.members, store, config, index).any() for rs in packed
+                open_pairs(
+                    rs.members, store, config, _rep_sims(resolver.index, rs.members)
+                ).any()
+                for rs in packed
             ]
             rounds.append((list(nodes), list(zip(packed, flags))))
             return packed
 
         monkeypatch.setattr(engine, "merge_round", packing)
-        Resolver(
+        resolver = Resolver(
             records, Recording(), config=SetConfig(seed=1), embeddings=emb
-        ).resolve([block])
+        )
+        resolver.resolve([block])
 
         carried = 0
         for k, (_, packed) in enumerate(rounds):
@@ -954,7 +1074,8 @@ class TestMatchesReference:
         for seed in range(40):
             nodes, store, table = _merge_state(seed, cannot_links)
             expected = _reference_merge_round(nodes, store, config, table, "b.L1")
-            got = merge_round(nodes, store, config, TableIndex(table), "b.L1")
+            sims = _rep_sims(TableIndex(table), nodes)
+            got = merge_round(nodes, store, config, sims, "b.L1")
             assert got == expected, seed
 
     @pytest.mark.parametrize("config", _CONFIGS, ids=["size1", "size2", "size9"])
@@ -1047,8 +1168,9 @@ def test_planted_block_resolves_as_pinned():
 def test_noisy_lsh_blocks_resolve_as_pinned():
     """33 LSH blocks (the largest 40 records) over hashed TF-IDF under an
     oracle that errs 30% of the time, two workers: repairs and conflict
-    warnings happen. Refactors of the engine keep this run byte-identical,
-    whatever the worker count."""
+    warnings happen. The 15 blocks of 3-6 records are packed into 8, so
+    level 0 asks 36 sets. Refactors of the engine keep this run
+    byte-identical, whatever the worker count."""
     records, truth = generate_dataset(40, 5, seed=1)
     index = SimilarityIndex(records)
     blocks = make_blocks(
@@ -1066,11 +1188,11 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
     )
     partition, ledger, report = resolver.resolve(blocks)
     assert _partition_digest(partition) == (
-        "4f52402dd70d1f64de0d24d5415033606da575b50fdb5827b19f86f8dada9d47"
+        "37558d9120b36d8de74323cd662e1291606a787903ff6ec0a6c03db5a540e6df"
     )
-    assert ledger.api_calls == 51
-    assert report.level_set_counts == [43, 15, 4]
+    assert ledger.api_calls == 44
+    assert report.level_set_counts == [36, 15, 4]
     assert report.final_check_sets == 1
-    assert report.guardrail.repaired == 19
+    assert report.guardrail.repaired == 21
     assert report.guardrail.regenerations == 0
     assert report.guardrail.conflict_warnings == 1

@@ -317,6 +317,57 @@ class TestHttpProvider:
             provider.complete(build_prompt(rs, records), [rs])
         assert calls["n"] == 3
 
+    @staticmethod
+    def _status_replies(monkeypatch, status):
+        """Every post gets a reply with ``status``; returns the post and sleep
+        logs."""
+        import requests as requests_mod
+
+        posts, sleeps = [], []
+
+        class FakeResponse:
+            status_code = status
+
+            def raise_for_status(self):
+                if status >= 400:
+                    raise requests_mod.HTTPError(f"status {status}", response=self)
+
+            def json(self):
+                return {"error": {"message": "no"}}
+
+        def post(*args, **kwargs):
+            posts.append(status)
+            return FakeResponse()
+
+        monkeypatch.setattr(requests_mod, "post", post)
+        monkeypatch.setattr("erset.gateway.time.sleep", sleeps.append)
+        return posts, sleeps
+
+    def _complete(self):
+        provider = HttpProvider(
+            ProviderConfig(
+                endpoint="http://x", model="m", max_retries=3, requests_per_minute=100000
+            )
+        )
+        records = _records(2)
+        rs = _record_set(records)
+        return provider.complete(build_prompt(rs, records), [rs])
+
+    @pytest.mark.parametrize("status", [401, 400, 403, 404])
+    def test_client_error_fails_at_once(self, monkeypatch, status):
+        """A refused request would be refused again: one post, no sleep."""
+        posts, sleeps = self._status_replies(monkeypatch, status)
+        with pytest.raises(ProviderUnavailable, match=str(status)):
+            self._complete()
+        assert (len(posts), sleeps) == (1, [])
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_transient_status_is_retried(self, monkeypatch, status):
+        posts, sleeps = self._status_replies(monkeypatch, status)
+        with pytest.raises(ProviderUnavailable):
+            self._complete()
+        assert (len(posts), sleeps) == (4, [1.0, 2.0, 4.0])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ProviderConfig(endpoint="http://x", model="m", temperature=-1)
