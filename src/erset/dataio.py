@@ -24,6 +24,10 @@ class MissingHeader(ERError):
     pass
 
 
+class MissingField(ERError):
+    pass
+
+
 class EmptyFile(ERError):
     pass
 
@@ -97,6 +101,10 @@ def ingest(
     records: dict[str, Record] = {}
     truth: dict[str, str] = {}
     for row_no, row in enumerate(rows, 2):
+        if id_idx >= len(row):
+            raise MissingField(f"{path} row {row_no}: no id")
+        if truth_idx is not None and truth_idx >= len(row):
+            raise MissingField(f"{path} row {row_no}: no {truth_column} value")
         rid = row[id_idx]
         if rid in records:
             raise DuplicateId(f"{path} row {row_no}: duplicate id {rid!r}")

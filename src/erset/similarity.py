@@ -6,6 +6,8 @@ import csv
 import hashlib
 import math
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -117,45 +119,66 @@ class HashedTfidfEmbedder:
     """Signed feature-hashing TF-IDF embedder, L2-normalized.
 
     Deterministic for a fixed (dataset, dim, seed); the df table is frozen at
-    fit time, after which embed() is a pure function of the record.
+    fit time, after which embed() is a pure function of the record. Each
+    distinct token is hashed once: its bucket, sign and idf are kept in a
+    table that fit() resets.
     """
 
     def __init__(self, dim: int = 256, seed: int = 0):
         self.dim = dim
         self.seed = seed
-        self._df: dict[str, int] = {}
-        self._n_docs = 0
+        self._fit([])
 
     def fit(self, records) -> "HashedTfidfEmbedder":
-        self._df = {}
-        self._n_docs = 0
-        for record in records:
-            self._n_docs += 1
-            for token in set(tokenize(record)):
-                self._df[token] = self._df.get(token, 0) + 1
+        return self._fit([set(tokenize(record)) for record in records])
+
+    def _fit(self, token_sets) -> "HashedTfidfEmbedder":
+        """Fit from each record's set of distinct tokens."""
+        self._df: Counter[str] = Counter()
+        for tokens in token_sets:
+            self._df.update(tokens)
+        self._n_docs = len(token_sets)
+        self._terms: dict[str, tuple[int, float, float]] = {}
         return self
 
-    def _weight(self, token: str, count: int) -> float:
-        df = self._df.get(token, 1)
-        return count * math.log(1.0 + self._n_docs / df)
+    def _term(self, token: str) -> tuple[int, float, float]:
+        """(bucket, sign, idf) of a token, hashed on its first use."""
+        term = self._terms.get(token)
+        if term is None:
+            h = _signed_hash(token, self.seed)
+            idf = math.log(1.0 + self._n_docs / self._df.get(token, 1))
+            term = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0, idf)
+            self._terms[token] = term
+        return term
 
     def embed(self, record: Record) -> np.ndarray:
-        tokens = tokenize(record)
-        if not tokens:
-            raise EmptyRecord(f"record {record.id} produced no tokens")
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        vec = np.zeros(self.dim)
-        for token, count in counts.items():
-            h = _signed_hash(token, self.seed)
-            bucket = h % self.dim
-            sign = 1.0 if (h >> 63) & 1 else -1.0
-            vec[bucket] += sign * self._weight(token, count)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ZeroVector(f"record {record.id} hashed to the zero vector")
-        return vec / norm
+        return self._matrix([record.id], [tokenize(record)])[0]
+
+    def _matrix(self, ids, token_lists) -> np.ndarray:
+        """(len(ids), dim) embeddings of the records ids, given their token
+        lists. One np.add.at adds every record's terms in first-appearance
+        order, the order a per-record loop adds them in, so each cell sums
+        bitwise alike. Raises for the first record, in order, that has no
+        tokens or hashes to the zero vector."""
+        rows, buckets, weights = array("q"), array("q"), array("d")
+        for row, tokens in enumerate(token_lists):
+            for token, count in Counter(tokens).items():
+                bucket, sign, idf = self._term(token)
+                rows.append(row)
+                buckets.append(bucket)
+                weights.append(sign * (count * idf))
+        matrix = np.zeros((len(token_lists), self.dim))
+        cells = (np.frombuffer(rows, np.int64), np.frombuffer(buckets, np.int64))
+        np.add.at(matrix, cells, np.frombuffer(weights))
+        norms = row_norms(matrix)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            row = zero[0]
+            if not token_lists[row]:
+                raise EmptyRecord(f"record {ids[row]} produced no tokens")
+            raise ZeroVector(f"record {ids[row]} hashed to the zero vector")
+        matrix /= norms[:, None]
+        return matrix
 
 
 def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
@@ -208,7 +231,9 @@ class SimilarityIndex:
     ):
         self.config = config or SimilarityConfig()
         self.records = records
-        self.token_sets = {rid: set(tokenize(r)) for rid, r in records.items()}
+        ids = list(records)
+        tokens = [tokenize(r) for r in records.values()]
+        self.token_sets = dict(zip(ids, map(set, tokens)))
         if embeddings is not None:
             self.embeddings = {
                 rid: np.asarray(v, dtype=float) for rid, v in embeddings.items()
@@ -217,8 +242,8 @@ class SimilarityIndex:
                 raise DimMismatch("embeddings differ in dimension")
         else:
             embedder = HashedTfidfEmbedder(self.config.dim, self.config.seed)
-            embedder.fit(records.values())
-            self.embeddings = {rid: embedder.embed(r) for rid, r in records.items()}
+            embedder._fit(list(self.token_sets.values()))
+            self.embeddings = dict(zip(ids, embedder._matrix(ids, tokens)))
 
     def rows(self, ids) -> np.ndarray:
         """The embeddings of ids, stacked in order."""

@@ -56,6 +56,17 @@ class TestDataio:
         with pytest.raises(dataio.DuplicateId, match="row 3"):
             dataio.ingest(dup)
 
+    def test_short_row_without_id_or_truth_is_missing_field(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("id,name,entity\nr1,ann,e1\nr2,bob\n")
+        with pytest.raises(dataio.MissingField, match=r"row 3: no entity value$"):
+            dataio.ingest(path, truth_column="entity")
+        # without a truth column the short row's missing fields are empty values
+        assert dataio.ingest(path).records["r2"].attributes[1].value == ""
+        path.write_text("name,id\nann,r1\nbob\n")
+        with pytest.raises(dataio.MissingField, match=r"row 3: no id$"):
+            dataio.ingest(path)
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         target = tmp_path / "out.txt"
         dataio.atomic_write(target, "hello")
@@ -352,6 +363,14 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"data error: {labels}: line 3: no cluster id" in err
+
+    def test_short_row_without_truth_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "x.csv"
+        data.write_text("id,name,entity\nr2,bob\n")
+        rc = main(["resolve", "--input", str(data), "--truth-column", "entity"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"data error: {data} row 2: no entity value" in err
 
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -246,3 +249,105 @@ def test_jaccard_sims_equal_jaccard():
     for i, a in enumerate(ids):
         for j, b in enumerate(ids):
             assert full[i, j] == jaccard(idx.token_sets[a], idx.token_sets[b])
+
+
+def _reference_hash(token, seed):
+    digest = hashlib.blake2b(
+        token.encode("utf-8"), digest_size=8, key=str(seed).encode("utf-8")
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
+def _reference_embedder(corpus, dim, seed):
+    """The per-record loop the embedder replaced with one scatter-add: df
+    over the corpus, then one keyed hash and one vector add per distinct
+    token of a record, in first-appearance order."""
+    df = {}
+    for record in corpus:
+        for token in set(tokenize(record)):
+            df[token] = df.get(token, 0) + 1
+
+    def embed(record):
+        tokens = tokenize(record)
+        if not tokens:
+            raise EmptyRecord(f"record {record.id} produced no tokens")
+        counts = {}
+        for t in tokens:
+            counts[t] = counts.get(t, 0) + 1
+        vec = np.zeros(dim)
+        for token, count in counts.items():
+            h = _reference_hash(token, seed)
+            sign = 1.0 if (h >> 63) & 1 else -1.0
+            idf = math.log(1.0 + len(corpus) / df.get(token, 1))
+            vec[h % dim] += sign * (count * idf)
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            raise ZeroVector(f"record {record.id} hashed to the zero vector")
+        return vec / norm
+
+    return embed
+
+
+def _bitwise_corpus():
+    """Repeated tokens, tokens shared across records, and non-ASCII text."""
+    records, _ = generate_dataset(10, 3, seed=5)
+    extra = [
+        _record("x1", name="ada ada ada lovelace", city="london london"),
+        _record("x2", name="Zoë Ångström", city="Malmö", note="straße STRASSE"),
+        _record("x3", name="東京 大阪 東京", city="ʻOumuamua"),
+        _record("x4", name="ada lovelace", city="", phone="555 555 0100"),
+    ]
+    records.update((r.id, r) for r in extra)
+    return records
+
+
+@pytest.mark.parametrize("dim", [1, 7, 256])
+@pytest.mark.parametrize("seed", [0, 1, 13])
+def test_embeddings_bitwise_equal_the_per_record_loop(dim, seed):
+    records = _bitwise_corpus()
+    reference = _reference_embedder(list(records.values()), dim, seed)
+    index = SimilarityIndex(records, SimilarityConfig(dim=dim, seed=seed))
+    embedder = HashedTfidfEmbedder(dim, seed).fit(records.values())
+    for rid, record in records.items():
+        expected = reference(record).tobytes()
+        assert index.embeddings[rid].tobytes() == expected, rid
+        assert embedder.embed(record).tobytes() == expected, rid
+    # tokens unseen at fit take df 1
+    unseen = _record("u1", name="ada quetzalcoatl", city="ünseen ünseen")
+    assert embedder.embed(unseen).tobytes() == reference(unseen).tobytes()
+
+
+def _cancelling_tokens(seed):
+    """Two tokens whose keyed hashes have opposite signs: a record of just
+    these two, each once and in no other record, sums to zero in dim 1."""
+    positive = negative = None
+    for i in range(64):
+        token = f"w{i}"
+        if (_reference_hash(token, seed) >> 63) & 1:
+            positive = positive or token
+        else:
+            negative = negative or token
+    return positive, negative
+
+
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_first_failing_record_names_the_error(zero_first):
+    a, b = _cancelling_tokens(seed=0)
+    zero = Record("z", (Attribute(a, b),))
+    empty = _record("e", name="")
+    fine = _record("f", name="ada lovelace")
+    order = [fine, zero, empty] if zero_first else [fine, empty, zero]
+    records = {r.id: r for r in order}
+    error, message = (
+        (ZeroVector, "record z hashed to the zero vector")
+        if zero_first
+        else (EmptyRecord, "record e produced no tokens")
+    )
+    with pytest.raises(error, match=f"^{message}$"):
+        SimilarityIndex(records, SimilarityConfig(dim=1, seed=0))
+    reference = _reference_embedder(order, 1, 0)
+    embedder = HashedTfidfEmbedder(1, 0).fit(order)
+    for embed in (reference, embedder.embed):
+        with pytest.raises(error, match=f"^{message}$"):
+            for record in order:
+                embed(record)
