@@ -256,7 +256,6 @@ def apply_clustering(
 
 def merge_round(
     nodes: list[ClusterNode],
-    store: ConstraintStore,
     config: SetConfig,
     sims: np.ndarray,
     set_id_prefix: str,
@@ -266,57 +265,31 @@ def merge_round(
     Waves of greedy packing over the whole level: each wave seeds a new
     record set with the cluster holding the strongest cross-origin match
     still available, then repeatedly appends the unselected cluster most
-    similar to the growing set, up to S_s members. Every cluster is selected
-    exactly once per round and two clusters from the same origin set are
-    never co-packed (their separation is already known), so a wave takes at
-    most one cluster per origin set. The emitted set keeps similar clusters
-    adjacent (greedy sequential order).
+    similar to the growing set, up to min(S_s, origin sets) members. Every
+    cluster is selected exactly once per round and two clusters from the same
+    origin set are never co-packed (their separation is already known), so a
+    wave takes at most one cluster per origin set. The emitted set keeps
+    similar clusters adjacent (greedy sequential order).
 
     ``sims`` is the similarity matrix of the nodes' representatives, in node
-    order. The round works on node indices in candidate order (origin sets
-    sorted, then representative) over that matrix, permuted. Nodes without
-    an origin set share the origin "".
+    order. The round works on node indices in representative order over that
+    matrix, permuted. Nodes without an origin set share the origin "".
     """
-    by_origin: dict[str, list[int]] = {}
-    for i, node in enumerate(nodes):
-        by_origin.setdefault(node.origin_set or "", []).append(i)
-    if len(by_origin) < 2:
-        return []
-    order: list[int] = []  # node positions in candidate order
-    spans: list[tuple[int, int]] = []  # each origin's index range
-    for key in sorted(by_origin):
-        spans.append((len(order), len(order) + len(by_origin[key])))
-        order.extend(sorted(by_origin[key], key=lambda i: nodes[i].representative))
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i].representative)
     candidates = [nodes[i] for i in order]
-    span_of = [span for span in spans for _ in range(*span)]
+    labels: dict[str, int] = {}
+    origin = np.array(
+        [labels.setdefault(n.origin_set or "", len(labels)) for n in candidates]
+    )
+    if len(labels) < 2:
+        return []
     c = len(candidates)
-    rank = np.empty(c, dtype=int)  # representative order
-    rank[sorted(range(c), key=lambda i: candidates[i].representative)] = np.arange(c)
     sims = sims[np.ix_(order, order)]
-    # Pairs a wave may seed with: cross-origin, upper triangle, i.e. each
-    # origin's rows against the later origins' columns. Index order is
-    # candidate order, so the first of several maxima in row-major order is
-    # the first pair a scan over the candidates would meet.
-    seed_sims = np.full((c, c), -np.inf)
-    for lo, hi in spans:
-        seed_sims[lo:hi, hi:] = sims[lo:hi, hi:]
-
-    # Stage the descent of the hierarchy. Packing every wave to S_s members
-    # narrows the level width so fast that a later round cannot fit the
-    # surviving clusters into fewer sets than its predecessor (a set holds at
-    # most one cluster per origin set, so width bounces back up once the
-    # count drops near the square root of the survivor count). Cap the wave
-    # size so the width shrinks but stays above that bound. The cap only
-    # matters once cannot-links exist: without them everything may still
-    # collapse into one cluster and maximal packing is optimal.
-    n_total = len(nodes)
-    origins = len(by_origin)
-    max_size = min(config.set_size, origins)
-    target_sets = math.ceil(n_total / max_size)
-    if store.has_cannot_links(n.representative for n in nodes):
-        plateau = math.ceil((1.0 + math.sqrt(1.0 + 4.0 * n_total)) / 2.0)
-        target_sets = max(target_sets, min(origins - 1, plateau))
-    size_cap = min(max_size, math.ceil(n_total / target_sets))
+    # Pairs a wave may seed with: cross-origin, upper triangle. Index order is
+    # representative order, so the first of several maxima in row-major order
+    # has the lowest smaller representative, then the lowest larger one.
+    seed_sims = np.where(np.triu(origin[:, None] != origin, 1), sims, -np.inf)
+    size_cap = min(config.set_size, len(labels))
 
     unselected = np.ones(c, dtype=bool)
     groups: list[list[int]] = []
@@ -327,8 +300,8 @@ def merge_round(
         # the higher similarity — joins win ties so entities complete. This
         # packs several likely-duplicate pairs into one set instead of
         # burning origin-set capacity on arbitrary fillers that would block
-        # a twin from entering the wave. Pair ties go to the lowest smaller
-        # representative, join ties to the lowest representative.
+        # a twin from entering the wave. Join ties, and a seed without a
+        # pair, go to the lowest representative.
         picks: list[int] = []
         available = unselected.copy()
         join = np.full(c, -np.inf)  # best similarity to the picks so far
@@ -340,42 +313,24 @@ def merge_round(
             take: list[int] = []
             if len(picks) + 2 <= size_cap:
                 block = seed_sims[idx[:, None], idx]
-                best = block.max()
+                k = int(block.argmax())
+                best = block.flat[k]
                 if best > -np.inf and (not picks or best > joins.max()):
-                    rows, cols = (block == best).nonzero()  # row-major
-                    a, b = idx[rows], idx[cols]
-                    k = np.minimum(rank[a], rank[b]).argmin()
-                    take = sorted((int(a[k]), int(b[k])), key=lambda i: rank[i])
-            if not take and picks:
-                ties = idx[joins == joins.max()]
-                take = [int(ties[rank[ties].argmin()])]
-            elif not take:
-                take = [int(idx[rank[idx].argmin()])]
+                    take = [int(idx[k // idx.size]), int(idx[k % idx.size])]
+            if not take:
+                take = [int(idx[joins.argmax()])]
             for i in take:
                 unselected[i] = False
-                lo, hi = span_of[i]
-                available[lo:hi] = False
+                available[origin == origin[i]] = False
                 np.maximum(join, sims[i], out=join)
                 picks.append(i)
         groups.append(picks)
-
-    # Leftover waves fragment when the remaining clusters concentrate in few
-    # origin sets; fold the smallest tails together (same-origin co-packing
-    # is harmless, it just spends a slot on a known relation) until the round
-    # meets its target width or nothing small enough remains.
-    groups.sort(key=len, reverse=True)
-    while len(groups) > target_sets and len(groups) >= 2:
-        if len(groups[-1]) + len(groups[-2]) > config.set_size:
-            break
-        tail = groups.pop()
-        groups[-1].extend(tail)
-        groups.sort(key=len, reverse=True)
 
     out: list[RecordSet] = []
     for counter, picks in enumerate(groups):
         # keep similar clusters adjacent in the emitted set: chain them in
         # representative order, so ties go to the lowest representative
-        members = sorted(picks, key=rank.__getitem__)
+        members = sorted(picks)
         chain = similarity_chain(
             sims[np.ix_(members, members)], members.index(picks[0])
         )
@@ -690,11 +645,10 @@ class Resolver:
         carried: list[ClusterNode] = []
         if len({node.origin_set for node in nodes}) < 2:
             return asked, carried
-        store, config = self.store, self.config
         sims = self.index.sims(node.representative for node in nodes)
-        sets = merge_round(nodes, store, config, sims, set_id_prefix)
+        sets = merge_round(nodes, self.config, sims, set_id_prefix)
         position = {node.representative: i for i, node in enumerate(nodes)}
-        level_open = open_pairs(nodes, store, config, sims)
+        level_open = open_pairs(nodes, self.store, self.config, sims)
         level_open |= level_open.T
         for rs in sets:
             rows = [position[node.representative] for node in rs.members]

@@ -266,8 +266,9 @@ _RETRIED_4XX = (408, 429)  # request timeout, too many requests
 class HttpProvider:
     """Chat-completion HTTP backend with retries, backoff and rate limiting.
     A reply without a string ``choices[0].message.content`` is a failed
-    attempt, retried like a transport error. 408, 429 and 5xx replies are
-    retried too; any other 4xx reply would only be refused again, so it
+    attempt, retried like a transport error; a malformed ``usage`` is not,
+    and the gateway estimates that reply's tokens. 408, 429 and 5xx replies
+    are retried too; any other 4xx reply would only be refused again, so it
     raises ProviderUnavailable at once."""
 
     def __init__(self, config: ProviderConfig):
@@ -319,12 +320,13 @@ class HttpProvider:
                 data = resp.json()
                 self._log(payload, data)
                 text = _reply_text(data)
+                # a usable reply is kept whatever its usage says; counts that
+                # are not two non-negative ints leave the ledger to estimate
                 usage = data.get("usage")
-                if usage:
-                    return text, (
-                        int(usage.get("prompt_tokens", 0)),
-                        int(usage.get("completion_tokens", 0)),
-                    )
+                if isinstance(usage, dict):
+                    counts = usage.get("prompt_tokens"), usage.get("completion_tokens")
+                    if all(type(n) is int and n >= 0 for n in counts):
+                        return text, counts
                 return text, None
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc

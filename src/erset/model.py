@@ -42,7 +42,6 @@ class Record:
 
     id: str
     attributes: tuple[Attribute, ...]
-    source: str | None = None
 
     def __post_init__(self):
         names = [a.name for a in self.attributes]

@@ -368,6 +368,61 @@ class TestHttpProvider:
             self._complete()
         assert (len(posts), sleeps) == (4, [1.0, 2.0, 4.0])
 
+    @staticmethod
+    def _cluster_with_usage(monkeypatch, usage):
+        """One record set through the gateway over an HTTP reply that groups
+        r0 and r1 and carries ``usage`` (no key when None); returns the
+        clustering, the ledger, and the post and sleep counts."""
+        import requests as requests_mod
+
+        posts, sleeps = [], []
+
+        class FakeResponse:
+            status_code = 200
+
+            def json(self):
+                body = {"choices": [{"message": {"content": "R1,R2\nR3"}}]}
+                if usage is not None:
+                    body["usage"] = usage
+                return body
+
+        def post(*args, **kwargs):
+            posts.append(1)
+            return FakeResponse()
+
+        monkeypatch.setattr(requests_mod, "post", post)
+        monkeypatch.setattr("erset.gateway.time.sleep", sleeps.append)
+        provider = HttpProvider(
+            ProviderConfig(
+                endpoint="http://x", model="m", max_retries=3, requests_per_minute=100000
+            )
+        )
+        records = _records(3)
+        gateway = LlmGateway(provider, records, ledger=CostLedger())
+        clustering = gateway.cluster_records(_record_set(records))
+        return clustering, gateway.ledger, len(posts), len(sleeps)
+
+    @pytest.mark.parametrize(
+        "usage",
+        [
+            {"prompt_tokens": None, "completion_tokens": 3},
+            {"prompt_tokens": 11, "completion_tokens": -3},
+            {"prompt_tokens": "abc", "completion_tokens": 3},
+        ],
+        ids=["null", "negative", "text"],
+    )
+    def test_malformed_usage_keeps_reply_and_estimates(self, monkeypatch, usage):
+        """A usable reply with a malformed usage is kept after one post, and
+        the ledger records the same estimate as for a reply without usage."""
+        _, estimated, _, _ = self._cluster_with_usage(monkeypatch, None)
+        clustering, ledger, posts, sleeps = self._cluster_with_usage(
+            monkeypatch, usage
+        )
+        assert clustering.groups == ((0, 1), (2,)) and not clustering.flags
+        assert (posts, sleeps) == (1, 0)
+        counts = (ledger.api_calls, ledger.tokens_in, ledger.tokens_out)
+        assert counts == (1, estimated.tokens_in, estimated.tokens_out)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ProviderConfig(endpoint="http://x", model="m", temperature=-1)
