@@ -6,10 +6,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .metrics import pairwise_f1
-from .model import ConstraintStore, ERError
-from .similarity import jaccard, pair_cosines, row_norms
+from .model import ERError
+from .similarity import cosine_blocks, jaccard, row_norms
 
 
 class BadThresholds(ERError):
@@ -53,15 +55,26 @@ class BlockingParams:
             raise BadThresholds("canopy requires b_s >= m_s")
 
 
-def _components(record_ids, pairs) -> list[Block]:
-    """Disjoint blocks as connected components of the kept-pair graph."""
-    store = ConstraintStore(record_ids)
-    for a, b in sorted(pairs):
-        store.merge(a, b)
-    blocks = []
-    for i, (rep, members) in enumerate(sorted(store.components().items())):
-        blocks.append(Block(block_id=f"b{i:05d}", members=tuple(members)))
-    return blocks
+def _components(ids: list[str], ia, ib) -> list[Block]:
+    """Disjoint blocks as connected components of the graph on the sorted
+    ids whose edges join ids[ia[k]] and ids[ib[k]]. Edges may repeat and
+    point either way."""
+    if not ids:
+        return []
+    ia = np.asarray(ia, dtype=np.intp)
+    ib = np.asarray(ib, dtype=np.intp)
+    # every stored entry is an edge, whatever its weight; repeats merge
+    graph = coo_array((np.ones(len(ia)), (ia, ib)), shape=(len(ids), len(ids)))
+    _, labels = connected_components(graph, directed=False)
+    groups: dict[int, list[str]] = {}
+    for rid, label in zip(ids, labels.tolist()):
+        groups.setdefault(label, []).append(rid)
+    # a component first appears at its lowest record index, so the blocks
+    # come in order of their smallest id, whatever the labels' numbering
+    return [
+        Block(block_id=f"b{i:05d}", members=tuple(members))
+        for i, members in enumerate(groups.values())
+    ]
 
 
 def filter_block(token_sets: dict[str, set], params: BlockingParams) -> list[Block]:
@@ -104,22 +117,25 @@ def filter_block(token_sets: dict[str, set], params: BlockingParams) -> list[Blo
             if sim >= t:
                 scored[rid].append((sim, other))
                 scored[other].append((sim, rid))
-    kept: set[tuple[str, str]] = set()
-    for rid in ids:
+    pos = {rid: i for i, rid in enumerate(ids)}
+    ia, ib = [], []
+    for i, rid in enumerate(ids):
         top = sorted(scored[rid], key=lambda p: (-p[0], p[1]))[: params.k_candidates]
         for _, other in top:
-            kept.add((min(rid, other), max(rid, other)))
-    return _components(ids, kept)
+            ia.append(i)
+            ib.append(pos[other])
+    return _components(ids, ia, ib)
 
 
-# Candidate pairs verified per kernel call: bounds the gathered
-# (2, chunk, dim) rows, so peak memory does not grow with the number of
-# candidates.
-_VERIFY_CHUNK = 1024
+# Doubles one kernel call may hold, gathered rows and cosine block together,
+# so peak memory does not grow with the number or size of the buckets. A
+# bucket too large for it is verified in row stripes.
+_VERIFY_BUDGET = 1 << 19
 
 
-def _band_pairs(band: np.ndarray) -> np.ndarray:
-    """Codes lo*n+hi (lo < hi) of every pair of rows with equal band bits."""
+def _band_buckets(band: np.ndarray) -> list[np.ndarray]:
+    """Rows of every bucket of two or more rows with equal band bits, as one
+    (buckets, size) array per bucket size; each bucket's rows ascend."""
     n = len(band)
     # lexicographic row order; the row index, as the last tie-break, keeps
     # the rows of each bucket ascending (and gives a zero-width band a key)
@@ -128,14 +144,37 @@ def _band_pairs(band: np.ndarray) -> np.ndarray:
     changed = np.any(sorted_band[1:] != sorted_band[:-1], axis=1)
     starts = np.flatnonzero(np.r_[True, changed])
     sizes = np.diff(np.r_[starts, n])
-    codes = [np.empty(0, dtype=np.int64)]
-    for size in np.unique(sizes[sizes >= 2]):
-        # rows of every bucket of this size, ascending, so triu positions
-        # give lo < hi
-        rows = order[starts[sizes == size][:, None] + np.arange(size)]
-        lo, hi = np.triu_indices(size, 1)
-        codes.append((rows[:, lo] * n + rows[:, hi]).ravel())
-    return np.concatenate(codes)
+    return [
+        order[starts[sizes == size][:, None] + np.arange(size)]
+        for size in np.unique(sizes[sizes >= 2])
+    ]
+
+
+def _verify(matrix, norms, rows, b_t):
+    """Lists of index arrays ia, ib: the pairs of rows ia[k] < ib[k] of one
+    bucket of the (buckets, size) stack rows whose cosine is >= b_t. Raises
+    ZeroVector if a bucket holds a zero row."""
+    size = rows.shape[1]
+    dim = matrix.shape[1]
+    per_bucket = size * (dim + size)
+    # a stack of whole buckets per kernel call, or one bucket in row stripes
+    step = max(1, _VERIFY_BUDGET // per_bucket)
+    stripe = size
+    if per_bucket > _VERIFY_BUDGET:
+        stripe = max(1, (_VERIFY_BUDGET - size * dim) // size)
+    ia, ib = [], []
+    for at in range(0, len(rows), step):
+        stack = rows[at : at + step]
+        g, ng = matrix[stack], norms[stack]
+        # rows lo.. of the stripe against columns lo..: the stripe's part of
+        # the upper triangle, whose column index runs from lo as well
+        for lo in range(0, size, stripe):
+            hi = lo + stripe
+            block = cosine_blocks(g[:, lo:hi], g[:, lo:], ng[:, lo:hi], ng[:, lo:])
+            k, i, j = np.nonzero(np.triu(block >= b_t, 1))
+            ia.append(stack[k, lo + i])
+            ib.append(stack[k, lo + j])
+    return ia, ib
 
 
 def lsh_block(
@@ -143,36 +182,30 @@ def lsh_block(
 ) -> list[Block]:
     """Random-hyperplane LSH banding, purified by an exact cosine check at b_t.
 
-    Rows sharing a band's bit pattern are candidates; candidates are
-    deduplicated over all bands and verified in chunks of _VERIFY_CHUNK.
+    Rows sharing a band's bit pattern form a bucket. Each bucket's cosine
+    block is computed whole, a stack of equal-size buckets per kernel call
+    of at most _VERIFY_BUDGET doubles, and its pairs at or above b_t join
+    the graph whose components are the blocks. A pair found in several bands
+    adds its edge several times, which changes no component.
     """
     ids = sorted(embeddings)
     if not ids:
         return []
-    n = len(ids)
     dim = len(next(iter(embeddings.values())))
     rng = np.random.default_rng(params.seed)
     planes = rng.standard_normal((params.lsh_planes, dim))
     matrix = np.array([embeddings[rid] for rid in ids], dtype=float)
     bits = (matrix @ planes.T) > 0  # n x planes
+    norms = row_norms(matrix)
 
     rows_per_band = params.lsh_planes // params.lsh_bands
-    codes = np.unique(
-        np.concatenate(
-            [
-                _band_pairs(bits[:, lo : lo + rows_per_band])
-                for lo in range(0, params.lsh_bands * rows_per_band, rows_per_band)
-            ]
-        )
-    )
-
-    norms = row_norms(matrix)
-    kept = []
-    for chunk in range(0, len(codes), _VERIFY_CHUNK):
-        ia, ib = np.divmod(codes[chunk : chunk + _VERIFY_CHUNK], n)
-        keep = pair_cosines(matrix, norms, ia, ib) >= params.b_t
-        kept.extend(zip((ids[i] for i in ia[keep]), (ids[i] for i in ib[keep])))
-    return _components(ids, kept)
+    ia, ib = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, params.lsh_bands * rows_per_band, rows_per_band):
+        for rows in _band_buckets(bits[:, lo : lo + rows_per_band]):
+            a, b = _verify(matrix, norms, rows, params.b_t)
+            ia.extend(a)
+            ib.extend(b)
+    return _components(ids, np.concatenate(ia), np.concatenate(ib))
 
 
 def _edit_similarity(a: str, b: str) -> float:
@@ -211,30 +244,31 @@ def canopy_block(
                 return attr.value.lower()
         return ""
 
-    keys = {rid: cheap_key(records[rid]) for rid in ids}
-    inverted: dict[str, list[str]] = {}
-    for rid in ids:
-        for word in set(keys[rid].split()):
-            inverted.setdefault(word, []).append(rid)
+    keys = [cheap_key(records[rid]) for rid in ids]
+    inverted: dict[str, list[int]] = {}
+    for i, key in enumerate(keys):
+        for word in set(key.split()):
+            inverted.setdefault(word, []).append(i)
 
-    candidate_pairs: set[tuple[str, str]] = set()
+    # each bucket's indices ascend, so every candidate is (lower, higher)
+    candidate_pairs: set[tuple[int, int]] = set()
     for bucket in inverted.values():
         for x in range(len(bucket)):
             for y in range(x + 1, len(bucket)):
-                a, b = bucket[x], bucket[y]
-                candidate_pairs.add((min(a, b), max(a, b)))
+                candidate_pairs.add((bucket[x], bucket[y]))
 
-    merged: set[tuple[str, str]] = set()
-    for a, b in sorted(candidate_pairs):
+    ia, ib = [], []
+    for a, b in candidate_pairs:
         cheap = _edit_similarity(keys[a], keys[b])
-        if cheap > params.b_s:
-            merged.add((a, b))
-        elif cheap > params.m_s:
-            if jaccard(token_sets[a], token_sets[b]) > params.b_s:
-                merged.add((a, b))
+        if cheap > params.b_s or (
+            cheap > params.m_s
+            and jaccard(token_sets[ids[a]], token_sets[ids[b]]) > params.b_s
+        ):
+            ia.append(a)
+            ib.append(b)
     # _components unions transitively, which is exactly the iterative
     # block-merging fixpoint.
-    return _components(ids, merged)
+    return _components(ids, ia, ib)
 
 
 THRESHOLD_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -257,8 +291,7 @@ def tune_threshold(ids, index, truth: dict[str, str]) -> float:
     best_t, best_f1 = None, 0.0
     for t in THRESHOLD_GRID:
         keep = sims >= t
-        pairs = zip((ids[i] for i in lo[keep]), (ids[i] for i in hi[keep]))
-        blocks = _components(ids, pairs)
+        blocks = _components(ids, lo[keep], hi[keep])
         pred = {rid: block.block_id for block in blocks for rid in block.members}
         _, _, f1 = pairwise_f1(pred, truth_sub)
         if f1 > best_f1 + 1e-12:

@@ -99,13 +99,17 @@ def _over_norms(dots: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     return dots / (na * nb)
 
 
-def pair_cosines(
-    matrix: np.ndarray, norms: np.ndarray, ia: np.ndarray, ib: np.ndarray
+def cosine_blocks(
+    a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray
 ) -> np.ndarray:
-    """Cosine of rows ia[k] and ib[k] of matrix, given its row_norms.
-    Callers bound memory by passing pairs in chunks. Raises ZeroVector if
-    any pair holds a zero row."""
-    return _over_norms(np.vecdot(matrix[ia], matrix[ib]), norms[ia], norms[ib])
+    """(..., m, k) cosines of each row of a (..., m, dim) with each row of b
+    (..., k, dim), given their row_norms na (..., m) and nb (..., k). Leading
+    axes batch independent blocks. Raises ZeroVector if any row is zero."""
+    return _over_norms(
+        np.vecdot(a[..., :, None, :], b[..., None, :, :]),
+        na[..., :, None],
+        nb[..., None, :],
+    )
 
 
 def _signed_hash(token: str, seed: int) -> int:
@@ -271,7 +275,7 @@ class SimilarityIndex:
         b = a if others is ids else self.rows(others)
         na = row_norms(a)
         nb = na if b is a else row_norms(b)
-        return _over_norms(np.vecdot(a[:, None, :], b[None, :, :]), na[:, None], nb)
+        return cosine_blocks(a, b, na, nb)
 
     def sim(self, a: str, b: str) -> float:
         return float(self.sims([a], [b])[0, 0])

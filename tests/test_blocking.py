@@ -10,7 +10,7 @@ from erset.blocking import (
     Block,
     BlockingParams,
     NoValidationData,
-    _band_pairs,
+    _band_buckets,
     _components,
     canopy_block,
     filter_block,
@@ -18,8 +18,15 @@ from erset.blocking import (
     make_blocks,
     tune_threshold,
 )
-from erset.model import Attribute, Record
-from erset.similarity import SimilarityIndex, ZeroVector, cosine, jaccard
+from erset import blocking
+from erset.model import Attribute, ConstraintStore, Record
+from erset.similarity import (
+    SimilarityIndex,
+    ZeroVector,
+    cosine,
+    cosine_blocks,
+    jaccard,
+)
 from erset.synth import generate_dataset, planted_embeddings
 
 from .fakes import TableIndex
@@ -102,6 +109,48 @@ class TestLshBlock:
         assert a == b
 
 
+def _reference_components(record_ids, pairs):
+    """Blocks as a union-find over id pairs, numbered in order of their
+    smallest member id."""
+    store = ConstraintStore(record_ids)
+    for a, b in sorted(pairs):
+        store.merge(a, b)
+    return [
+        Block(block_id=f"b{i:05d}", members=tuple(members))
+        for i, (_, members) in enumerate(sorted(store.components().items()))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+            if n
+            else st.just([]),
+        )
+    )
+)
+def test_components_match_union_find(case):
+    # ids sort in a different order from their numbers; pairs may repeat,
+    # point either way, loop on one record or leave records isolated
+    n, pairs = case
+    ids = sorted(f"r{k}" for k in range(n))
+    ia = [a for a, _ in pairs]
+    ib = [b for _, b in pairs]
+    named = [(ids[a], ids[b]) for a, b in pairs]
+    assert _components(ids, ia, ib) == _reference_components(ids, named)
+
+
+def test_components_of_no_records_and_no_pairs():
+    assert _components([], [], []) == []
+    assert _components(["a", "b"], [], []) == [
+        Block("b00000", ("a",)),
+        Block("b00001", ("b",)),
+    ]
+
+
 def _reference_lsh_block(embeddings, params):
     """LSH blocking as a plain loop: bucket rows per band by their bit
     bytes, collect every within-bucket pair, keep it when cosine() >= b_t."""
@@ -127,7 +176,7 @@ def _reference_lsh_block(embeddings, params):
         for a, b in candidates
         if cosine(embeddings[a], embeddings[b]) >= params.b_t
     ]
-    return _components(ids, kept)
+    return _reference_components(ids, kept)
 
 
 def _tfidf_embeddings(n_entities, seed):
@@ -163,13 +212,64 @@ class TestLshMatchesReference:
             BlockingParams(lsh_planes=4, lsh_bands=8)
 
     @pytest.mark.parametrize("width", [0, 1, 64, 65])
-    def test_band_pairs_tell_every_bit(self, width):
+    def test_band_buckets_tell_every_bit(self, width):
         # rows 1..width each differ from row 0 in one bit; the last row
-        # repeats row 0, so the only pair is (0, n-1)
+        # repeats row 0, so the only bucket is rows (0, n-1)
         n = width + 2
         band = np.zeros((n, width), dtype=bool)
         band[np.arange(1, width + 1), np.arange(width)] = True
-        assert _band_pairs(band).tolist() == [n - 1]
+        assert [rows.tolist() for rows in _band_buckets(band)] == [[[0, n - 1]]]
+
+    def test_band_buckets_stack_equal_sizes(self):
+        band = np.array([[1], [0], [1], [0], [1], [0], [1]], dtype=bool)
+        band = np.c_[band, np.arange(7) >= 4]
+        # rows with bits (1,0): 0 2; (0,0): 1 3; (0,1): 5; (1,1): 4 6
+        stacks = [rows.tolist() for rows in _band_buckets(band)]
+        assert stacks == [[[1, 3], [0, 2], [4, 6]]]
+
+    def test_striped_buckets(self, monkeypatch):
+        # 1-bit bands put about half the records in each bucket; a budget
+        # below one bucket's block verifies every bucket in row stripes
+        # 300 records, buckets of 92 to 208; rows scaled off unit norm, which
+        # changes no bit and no bucket, so that the norms must be read right
+        emb = _tfidf_embeddings(60, 5)
+        scale = np.random.default_rng(5).uniform(0.5, 2.0, len(emb))
+        emb = {rid: v * c for (rid, v), c in zip(emb.items(), scale)}
+        params = BlockingParams(b_t=0.3, lsh_planes=8, lsh_bands=8, seed=5)
+        expected = _reference_lsh_block(emb, params)
+        dim = len(next(iter(emb.values())))
+        calls = []
+
+        def counted(a, b, na, nb):
+            calls.append(a.shape[:-1])  # (buckets, stripe rows)
+            return cosine_blocks(a, b, na, nb)
+
+        monkeypatch.setattr(blocking, "cosine_blocks", counted)
+        # buckets of up to 150 rows whole, larger ones in 2 to 6 stripes;
+        # then every row a stripe of its own
+        for budget in (150 * (dim + 150), 1):
+            calls.clear()
+            monkeypatch.setattr(blocking, "_VERIFY_BUDGET", budget)
+            assert lsh_block(emb, params) == expected
+            assert len(calls) > 16  # more kernel calls than buckets
+        assert calls == [(1, 1)] * len(calls)
+
+    def test_striped_bucket_zero_row_raises(self, monkeypatch):
+        # the zero row hashes to all-zero bits and shares its bucket with
+        # the six rows whose bits are all zero too; every bucket row is a
+        # stripe of its own
+        monkeypatch.setattr(blocking, "_VERIFY_BUDGET", 1)
+        rng = np.random.default_rng(0)
+        params = BlockingParams(lsh_planes=2, lsh_bands=2)
+        planes = np.random.default_rng(params.seed).standard_normal((2, 8))
+        emb = {}
+        while len(emb) < 6:
+            v = rng.standard_normal(8)
+            if not (planes @ v > 0).any():
+                emb[f"r{len(emb)}"] = v
+        emb["z"] = np.zeros(8)
+        with pytest.raises(ZeroVector):
+            lsh_block(emb, params)
 
     def test_zero_vector_candidate_raises(self):
         emb = {"a": np.zeros(8), "b": np.zeros(8), "c": np.ones(8)}
@@ -177,6 +277,15 @@ class TestLshMatchesReference:
             _reference_lsh_block(emb, BlockingParams())
         with pytest.raises(ZeroVector):
             lsh_block(emb, BlockingParams())
+
+    def test_cosine_equal_to_b_t_is_kept(self):
+        # 3/5 rounds to the same double as 0.6; 1-bit bands share a bucket
+        emb = {"a": np.array([1.0, 0.0, 0.0]), "b": np.array([3.0, 4.0, 0.0])}
+        params = BlockingParams(b_t=0.6, lsh_planes=8, lsh_bands=8)
+        assert cosine(emb["a"], emb["b"]) == params.b_t
+        blocks = lsh_block(emb, params)
+        assert blocks == _reference_lsh_block(emb, params)
+        assert blocks == [Block("b00000", ("a", "b"))]
 
     def test_zero_and_one_records(self):
         params = BlockingParams()

@@ -16,9 +16,9 @@ from erset.similarity import (
     SimilarityIndex,
     ZeroVector,
     cosine,
+    cosine_blocks,
     jaccard,
     load_embeddings,
-    pair_cosines,
     row_norms,
     save_embeddings,
     serialize,
@@ -178,7 +178,7 @@ def test_index_sim_raises_zero_vector_at_call():
 
 
 def _kernel_index(planted):
-    """40 hashed TF-IDF (or planted) records; r_dup0 and r_dup1 repeat the
+    """38 hashed TF-IDF (or planted) records; r_dup0 and r_dup1 repeat the
     text of the first record exactly."""
     records, truth = generate_dataset(12, 3, seed=4)
     first = records[min(records)]
@@ -199,11 +199,16 @@ def test_sims_bitwise_equal_sim_and_cosine(planted):
         for j, b in enumerate(ids):
             value = cosine(idx.embeddings[a], idx.embeddings[b])
             assert full[i, j] == idx.sim(a, b) == value, (a, b)
-    # the LSH verifier runs the same arithmetic on gathered row pairs
+    # the LSH verifier calls the same kernel on stacks of gathered buckets
+    # and on row stripes of one bucket
     matrix = idx.rows(ids)
-    ia, ib = np.divmod(np.arange(len(ids) ** 2), len(ids))
-    pairs = pair_cosines(matrix, row_norms(matrix), ia, ib)
-    assert np.array_equal(pairs, full.ravel())
+    norms = row_norms(matrix)
+    buckets = np.random.default_rng(1).permutation(len(ids))[:36].reshape(4, 9)
+    g, ng = matrix[buckets], norms[buckets]
+    stacked = cosine_blocks(g, g, ng, ng)
+    assert np.array_equal(stacked, np.stack([full[np.ix_(b, b)] for b in buckets]))
+    stripe = cosine_blocks(matrix[5:9], matrix[5:], norms[5:9], norms[5:])
+    assert np.array_equal(stripe, full[5:9, 5:])
 
 
 @pytest.mark.parametrize("measure", ["cosine", "jaccard"])
