@@ -1,4 +1,7 @@
-"""Initial block creation: similarity-join filtering, LSH and canopy strategies."""
+"""Initial block creation: a prefix-filtered Jaccard self-join over token
+sets, exact at b_t, or random-hyperplane LSH over embeddings, which tests
+cosine b_t only on pairs that share a band bucket and so stays fast on large
+inputs at some cost in recall."""
 
 from __future__ import annotations
 
@@ -12,10 +15,6 @@ from scipy.sparse.csgraph import connected_components
 from .metrics import pairwise_f1
 from .model import ERError
 from .similarity import cosine_blocks, jaccard, row_norms
-
-
-class BadThresholds(ERError):
-    pass
 
 
 class NoValidationData(ERError):
@@ -33,17 +32,15 @@ class Block:
 
 @dataclass
 class BlockingParams:
-    method: str = "lsh"  # "filter", "lsh" or "canopy"
+    method: str = "lsh"  # "filter" or "lsh"
     b_t: float = 0.5
     lsh_planes: int = 64
     lsh_bands: int = 8
-    b_s: float = 0.8
-    m_s: float = 0.5
     k_candidates: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("filter", "lsh", "canopy"):
+        if self.method not in ("filter", "lsh"):
             raise ValueError(f"unknown blocking method: {self.method!r}")
         if not 0.0 < self.b_t < 1.0:
             raise ValueError("b_t must be in (0, 1)")
@@ -51,8 +48,6 @@ class BlockingParams:
             raise ValueError("lsh_planes and lsh_bands must be positive")
         if self.lsh_bands > self.lsh_planes:
             raise ValueError("lsh_bands must not exceed lsh_planes")
-        if self.b_s < self.m_s:
-            raise BadThresholds("canopy requires b_s >= m_s")
 
 
 def _components(ids: list[str], ia, ib) -> list[Block]:
@@ -208,69 +203,6 @@ def lsh_block(
     return _components(ids, np.concatenate(ia), np.concatenate(ib))
 
 
-def _edit_similarity(a: str, b: str) -> float:
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return 1.0 - prev[-1] / max(len(a), len(b))
-
-
-def canopy_block(
-    records: dict,
-    token_sets: dict[str, set],
-    params: BlockingParams,
-) -> list[Block]:
-    """Two-threshold canopy blocking.
-
-    A cheap metric (edit similarity on the first textual attribute, with an
-    inverted word index limiting candidate pairs) merges pairs above b_s
-    directly; pairs above m_s form canopies where refined Jaccard over all
-    attributes decides, merging transitively until fixpoint.
-    """
-    if params.b_s < params.m_s:
-        raise BadThresholds("canopy requires b_s >= m_s")
-    ids = sorted(records)
-
-    def cheap_key(record) -> str:
-        for attr in record.attributes:
-            if attr.kind == "textual" and attr.value:
-                return attr.value.lower()
-        return ""
-
-    keys = [cheap_key(records[rid]) for rid in ids]
-    inverted: dict[str, list[int]] = {}
-    for i, key in enumerate(keys):
-        for word in set(key.split()):
-            inverted.setdefault(word, []).append(i)
-
-    # each bucket's indices ascend, so every candidate is (lower, higher)
-    candidate_pairs: set[tuple[int, int]] = set()
-    for bucket in inverted.values():
-        for x in range(len(bucket)):
-            for y in range(x + 1, len(bucket)):
-                candidate_pairs.add((bucket[x], bucket[y]))
-
-    ia, ib = [], []
-    for a, b in candidate_pairs:
-        cheap = _edit_similarity(keys[a], keys[b])
-        if cheap > params.b_s or (
-            cheap > params.m_s
-            and jaccard(token_sets[ids[a]], token_sets[ids[b]]) > params.b_s
-        ):
-            ia.append(a)
-            ib.append(b)
-    # _components unions transitively, which is exactly the iterative
-    # block-merging fixpoint.
-    return _components(ids, ia, ib)
-
-
 THRESHOLD_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
 
@@ -312,8 +244,6 @@ def make_blocks(
         return filter_block(token_sets, params)
     if method == "lsh":
         return lsh_block(embeddings, params)
-    if method == "canopy":
-        return canopy_block(records, token_sets, params)
     if method == "none":
         ids = tuple(sorted(records))
         return [Block("b00000", ids)] if ids else []

@@ -43,7 +43,7 @@ def _add_blocking_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--blocking",
         default="none",
-        choices=["filter", "lsh", "canopy", "none"],
+        choices=["filter", "lsh", "none"],
     )
     p.add_argument(
         "--b-t",
@@ -54,8 +54,6 @@ def _add_blocking_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--lsh-planes", type=int, default=64)
     p.add_argument("--lsh-bands", type=int, default=8)
-    p.add_argument("--b-s", type=float, default=0.8)
-    p.add_argument("--m-s", type=float, default=0.5)
     p.add_argument("--k-candidates", type=int, default=50)
 
 
@@ -226,8 +224,6 @@ def _blocking_params(args) -> blocking_mod.BlockingParams:
         b_t=args.b_t,
         lsh_planes=args.lsh_planes,
         lsh_bands=args.lsh_bands,
-        b_s=args.b_s,
-        m_s=args.m_s,
         k_candidates=args.k_candidates,
         seed=args.seed,
     )

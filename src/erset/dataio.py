@@ -1,5 +1,5 @@
-"""File formats: dataset ingestion with attribute-kind inference, partition /
-truth / blocks / report artifacts, and flat key=value config files."""
+"""File formats: dataset ingestion, partition / truth / blocks / report
+artifacts, and flat key=value config files."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from .blocking import Block
 from .model import Attribute, ERError, Record
 
-CATEGORICAL_CUTOFF = 20
-
 
 class DuplicateId(ERError):
     pass
@@ -25,6 +23,10 @@ class MissingHeader(ERError):
 
 
 class MissingField(ERError):
+    pass
+
+
+class ExtraField(ERError):
     pass
 
 
@@ -46,20 +48,6 @@ class Dataset:
                 )
 
 
-def _infer_kind(values: list[str]) -> str:
-    non_empty = [v for v in values if v]
-    if non_empty:
-        try:
-            for v in non_empty:
-                float(v)
-            return "numeric"
-        except ValueError:
-            pass
-    if len(set(non_empty)) <= CATEGORICAL_CUTOFF:
-        return "categorical"
-    return "textual"
-
-
 def ingest(
     path: str,
     id_column: str = "id",
@@ -68,10 +56,10 @@ def ingest(
 ) -> Dataset:
     """Read a delimited file with a header into a Dataset.
 
-    Attribute kinds are inferred per column: numeric if every non-empty value
-    parses as a number, categorical if there are at most 20 distinct values,
-    textual otherwise. The truth column, when named, is stripped from the
-    attributes and returned as ground truth.
+    Every column other than the id and truth columns becomes a string
+    attribute of its header name. A short row's missing values are empty; a
+    row with more fields than the header is an error. The truth column, when
+    named, is stripped from the attributes and returned as ground truth.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -93,14 +81,14 @@ def ingest(
         for i, name in enumerate(header)
         if i != id_idx and i != truth_idx
     ]
-    kinds = {
-        name: _infer_kind([row[i] if i < len(row) else "" for row in rows])
-        for i, name in attr_columns
-    }
 
     records: dict[str, Record] = {}
     truth: dict[str, str] = {}
     for row_no, row in enumerate(rows, 2):
+        if len(row) > len(header):
+            raise ExtraField(
+                f"{path} row {row_no}: {len(row)} fields, header has {len(header)}"
+            )
         if id_idx >= len(row):
             raise MissingField(f"{path} row {row_no}: no id")
         if truth_idx is not None and truth_idx >= len(row):
@@ -111,7 +99,7 @@ def ingest(
         records[rid] = Record(
             id=rid,
             attributes=tuple(
-                Attribute(name, row[i] if i < len(row) else "", kinds[name])
+                Attribute(name, row[i] if i < len(row) else "")
                 for i, name in attr_columns
             ),
         )

@@ -22,23 +22,16 @@ class UniverseMismatch(ERError):
     pass
 
 
-ATTRIBUTE_KINDS = ("textual", "numeric", "categorical")
-
-
 @dataclass(frozen=True)
 class Attribute:
     name: str
     value: str
-    kind: str = "textual"
-
-    def __post_init__(self):
-        if self.kind not in ATTRIBUTE_KINDS:
-            raise ValueError(f"unknown attribute kind: {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class Record:
-    """One data instance: an opaque id plus an ordered list of typed attributes."""
+    """One data instance: an opaque id plus an ordered tuple of named
+    string attributes."""
 
     id: str
     attributes: tuple[Attribute, ...]

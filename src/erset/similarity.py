@@ -202,6 +202,8 @@ def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
                 values = np.array([float(x) for x in row[1:]])
             except ValueError as exc:
                 raise EmbeddingParseError(f"{path}: bad row for id {rid!r}") from exc
+            if not np.isfinite(values).all():
+                raise EmbeddingParseError(f"{path}: non-finite value for id {rid!r}")
             if dim is None:
                 dim = len(values)
             elif len(values) != dim:

@@ -72,7 +72,9 @@ def generate_dataset(
 
     Each entity gets a base profile; each duplicate perturbs every attribute
     value independently (typo with probability typo_rate, dropped with
-    probability drop_rate). Returns (records by id, record id -> entity id).
+    probability drop_rate). A duplicate whose values were all dropped keeps
+    its entity's name unperturbed, so every record has a value. Returns
+    (records by id, record id -> entity id).
     """
     if n_entities < 1 or dupes_per_entity < 1:
         raise ValueError("n_entities and dupes_per_entity must be positive")
@@ -90,6 +92,8 @@ def generate_dataset(
                 if rng.random() < typo_rate:
                     value = _typo(value, rng)
                 values[name] = value
+            if not any(values.values()):
+                values["name"] = profiles[entity_id]["name"]
             rows.append((entity_id, values))
     rng.shuffle(rows)
 

@@ -6,20 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erset.blocking import (
-    BadThresholds,
     Block,
     BlockingParams,
     NoValidationData,
     _band_buckets,
     _components,
-    canopy_block,
     filter_block,
     lsh_block,
     make_blocks,
     tune_threshold,
 )
 from erset import blocking
-from erset.model import Attribute, ConstraintStore, Record
+from erset.model import ConstraintStore
 from erset.similarity import (
     SimilarityIndex,
     ZeroVector,
@@ -42,8 +40,6 @@ def test_params_validation():
         BlockingParams(method="sorted-neighborhood")
     with pytest.raises(ValueError):
         BlockingParams(b_t=0.0)
-    with pytest.raises(BadThresholds):
-        BlockingParams(b_s=0.3, m_s=0.6)
 
 
 class TestFilterBlock:
@@ -302,42 +298,6 @@ class TestLshMatchesReference:
         blocks = lsh_block(emb, params)
         assert blocks == _reference_lsh_block(emb, params)
         assert [b.members for b in blocks] == [("a",), ("b",)]
-
-
-class TestCanopyBlock:
-    def _records(self):
-        rows = {
-            "a1": "ada lovelace",
-            "a2": "ada lovelance",
-            "b1": "grace hopper",
-            "b2": "grace hoppre",
-            "c1": "alan turing",
-        }
-        records = {
-            rid: Record(rid, (Attribute("name", name),))
-            for rid, name in rows.items()
-        }
-        tokens = {rid: set(rows[rid].split()) for rid in rows}
-        return records, tokens
-
-    def test_merges_near_duplicates(self):
-        records, tokens = self._records()
-        blocks = canopy_block(
-            records, tokens, BlockingParams(method="canopy", b_s=0.8, m_s=0.4)
-        )
-        _assert_disjoint_cover(blocks, records)
-        by_member = {rid: b.block_id for b in blocks for rid in b.members}
-        assert by_member["a1"] == by_member["a2"]
-        assert by_member["b1"] == by_member["b2"]
-        assert by_member["a1"] != by_member["b1"]
-        assert by_member["c1"] not in (by_member["a1"], by_member["b1"])
-
-    def test_bad_thresholds(self):
-        records, tokens = self._records()
-        params = BlockingParams(method="canopy", b_s=0.9, m_s=0.2)
-        params.m_s = 0.95  # corrupt after construction
-        with pytest.raises(BadThresholds):
-            canopy_block(records, tokens, params)
 
 
 class TestTuneThreshold:

@@ -27,21 +27,6 @@ class TestDataio:
             a.name for a in next(iter(ds.records.values())).attributes
         }
 
-    def test_kind_inference(self, tmp_path):
-        path = tmp_path / "k.csv"
-        path.write_text(
-            "id,price,color,notes\n"
-            + "\n".join(
-                f"r{i},{i}.5,{'red' if i % 2 else 'blue'},free text value {i} "
-                + "x" * i
-                for i in range(30)
-            )
-            + "\n"
-        )
-        ds = dataio.ingest(path)
-        kinds = {a.name: a.kind for a in ds.records["r0"].attributes}
-        assert kinds == {"price": "numeric", "color": "categorical", "notes": "textual"}
-
     def test_ingest_errors(self, tmp_path):
         empty = tmp_path / "e.csv"
         empty.write_text("")
@@ -55,6 +40,14 @@ class TestDataio:
         dup.write_text("id,name\nr1,x\nr1,y\n")
         with pytest.raises(dataio.DuplicateId, match="row 3"):
             dataio.ingest(dup)
+
+    def test_row_longer_than_header_is_extra_field(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("id,name,city\nr1,ann,oslo\nr3,bob,rome,EXTRA,MORE\n")
+        with pytest.raises(dataio.ExtraField, match=r"row 3: 5 fields, header has 3$"):
+            dataio.ingest(path)
+        assert main(["block", "--input", str(path), "--measure", "jaccard"]) == 2
+        assert f"data error: {path} row 3: 5 fields" in capsys.readouterr().err
 
     def test_short_row_without_id_or_truth_is_missing_field(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -389,7 +382,9 @@ class TestCli:
         assert type(args.set_size) is int and args.set_size == 5
         assert type(args.b_t) is float and args.b_t == 0.4
 
-    @pytest.mark.parametrize("line", ["set-sise = 3", "batch-size = 2"])
+    @pytest.mark.parametrize(
+        "line", ["set-sise = 3", "batch-size = 2", "b-s = 0.8"]
+    )
     def test_config_file_unknown_key_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"backend = oracle\n{line}\n")
@@ -397,6 +392,12 @@ class TestCli:
         assert rc == 1
         key = line.split()[0]
         assert f"config error: {cfg}: unknown key {key!r}" in capsys.readouterr().err
+
+    def test_unknown_blocking_method_is_usage_error(self, dataset_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["block", "--input", str(dataset_csv), "--blocking", "canopy"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'canopy'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, shown",

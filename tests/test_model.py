@@ -20,11 +20,6 @@ from erset.model import (
 )
 
 
-def test_attribute_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        Attribute("name", "x", kind="blob")
-
-
 def test_record_rejects_duplicate_attribute_names():
     with pytest.raises(ValueError):
         Record("r1", (Attribute("a", "1"), Attribute("a", "2")))

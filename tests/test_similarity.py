@@ -10,6 +10,7 @@ from erset.model import Attribute, EmptyRecord, Record
 from erset.synth import generate_dataset, planted_embeddings
 from erset.similarity import (
     DimMismatch,
+    EmbeddingParseError,
     HashedTfidfEmbedder,
     MissingRecord,
     SimilarityConfig,
@@ -115,6 +116,26 @@ def test_load_embeddings_errors(tmp_path):
     path.write_text("id,d0,d1\na,1.0,2.0\nb,1.0\n")
     with pytest.raises(DimMismatch):
         load_embeddings(path, ["a", "b"])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_embeddings_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "emb.csv"
+    path.write_text(f"id,d0,d1\na,1.0,2.0\nr1,{bad},1\n")
+    with pytest.raises(EmbeddingParseError, match="non-finite value for id 'r1'"):
+        load_embeddings(path, ["a", "r1"])
+
+
+@pytest.mark.parametrize(
+    "args, rid",
+    [((500, 5, 0.1, 0.05, 4), "r02254"), ((300, 4, 0.2, 0.1, 6), "r00678")],
+    ids=["seed4", "seed6"],
+)
+def test_synth_record_with_every_value_dropped_keeps_its_name(args, rid):
+    records, _ = generate_dataset(*args)
+    values = {a.name: a.value for a in records[rid].attributes}
+    assert values["name"] and not any(values[k] for k in ("city", "phone", "street"))
+    SimilarityIndex(records)
 
 
 def test_similarity_index_measures():
