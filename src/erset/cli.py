@@ -289,8 +289,7 @@ def _run_resolve(args, dataset, index, blocks, backend, seed):
         dataset.records,
         backend,
         config=config,
-        embeddings=index.embeddings,
-        sim_config=index.config,
+        index=index,
         parallelism=args.parallelism,
         ledger=CostLedger(),
     )

@@ -60,6 +60,7 @@ def ingest(
     attribute of its header name. A short row's missing values are empty; a
     row with more fields than the header is an error. The truth column, when
     named, is stripped from the attributes and returned as ground truth.
+    Blank lines are skipped; an error names the file line of its row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -70,41 +71,42 @@ def ingest(
             raise MissingHeader(f"{path}: no {id_column!r} column in header")
         if truth_column is not None and truth_column not in header:
             raise MissingHeader(f"{path}: no {truth_column!r} column in header")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
+        id_idx = header.index(id_column)
+        truth_idx = header.index(truth_column) if truth_column else None
+        attr_columns = [
+            (i, name)
+            for i, name in enumerate(header)
+            if i != id_idx and i != truth_idx
+        ]
 
-    id_idx = header.index(id_column)
-    truth_idx = header.index(truth_column) if truth_column else None
-    attr_columns = [
-        (i, name)
-        for i, name in enumerate(header)
-        if i != id_idx and i != truth_idx
-    ]
-
-    records: dict[str, Record] = {}
-    truth: dict[str, str] = {}
-    for row_no, row in enumerate(rows, 2):
-        if len(row) > len(header):
-            raise ExtraField(
-                f"{path} row {row_no}: {len(row)} fields, header has {len(header)}"
+        records: dict[str, Record] = {}
+        truth: dict[str, str] = {}
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) > len(header):
+                raise ExtraField(
+                    f"{path} line {line}: {len(row)} fields, header has {len(header)}"
+                )
+            if id_idx >= len(row):
+                raise MissingField(f"{path} line {line}: no id")
+            if truth_idx is not None and truth_idx >= len(row):
+                raise MissingField(f"{path} line {line}: no {truth_column} value")
+            rid = row[id_idx]
+            if rid in records:
+                raise DuplicateId(f"{path} line {line}: duplicate id {rid!r}")
+            records[rid] = Record(
+                id=rid,
+                attributes=tuple(
+                    Attribute(name, row[i] if i < len(row) else "")
+                    for i, name in attr_columns
+                ),
             )
-        if id_idx >= len(row):
-            raise MissingField(f"{path} row {row_no}: no id")
-        if truth_idx is not None and truth_idx >= len(row):
-            raise MissingField(f"{path} row {row_no}: no {truth_column} value")
-        rid = row[id_idx]
-        if rid in records:
-            raise DuplicateId(f"{path} row {row_no}: duplicate id {rid!r}")
-        records[rid] = Record(
-            id=rid,
-            attributes=tuple(
-                Attribute(name, row[i] if i < len(row) else "")
-                for i, name in attr_columns
-            ),
-        )
-        if truth_idx is not None:
-            truth[rid] = row[truth_idx]
+            if truth_idx is not None:
+                truth[rid] = row[truth_idx]
+    if not records:
+        raise EmptyFile(f"{path}: no data rows")
     return Dataset(records, truth or None)
 
 

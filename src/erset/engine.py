@@ -254,6 +254,59 @@ def apply_clustering(
     return new_nodes, warnings
 
 
+class _RankedPairs:
+    """The cross-origin upper-triangle pairs of a round's similarity matrix,
+    ranked once: similarity descending, then row, then column. That is the
+    order in which a row-major argmax over the matrix, masked to the pairs of
+    available nodes, finds its first maximum, so the first ranked pair whose
+    two nodes are available is that argmax.
+
+    Pairs are kept as flat matrix codes. Every pair before ``head`` holds a
+    node already selected this round; each search scans from it in chunks
+    that double in length."""
+
+    def __init__(self, sims: np.ndarray, origin: np.ndarray):
+        self.width = len(origin)
+        self.values = sims.ravel()
+        codes = np.flatnonzero(np.triu(origin[:, None] != origin, 1))
+        keys = -self.values[codes]
+        rank = np.argsort(keys)
+        # the sort is not stable: put each run of equal similarities back in
+        # code order, the row-major order of the masked argmax
+        keys = keys[rank]
+        tie = np.flatnonzero(keys[1:] == keys[:-1])
+        if tie.size:
+            tied = np.union1d(tie, tie + 1)
+            rank[tied] = rank[tied][np.lexsort((rank[tied], keys[tied]))]
+        self.codes = codes[rank]
+        self.head = 0
+
+    def first(
+        self, available: np.ndarray, floor: float, restart: bool
+    ) -> tuple[int, int] | None:
+        """The first ranked pair of two available nodes, if its similarity is
+        above ``floor``. On a wave's first search (``restart``) every
+        unselected node is available, so the pairs before the one found hold
+        a selected node: ``head`` moves to it."""
+        start, size = self.head, 64
+        while start < len(self.codes) and self.values[self.codes[start]] > floor:
+            codes = self.codes[start : start + size]
+            rows, cols = np.divmod(codes, self.width)
+            hits = np.flatnonzero(available[rows] & available[cols])
+            if hits.size:
+                k = hits[0]
+                if restart:
+                    self.head = start + k
+                if self.values[codes[k]] > floor:
+                    return int(rows[k]), int(cols[k])
+                return None
+            start += size
+            size *= 2
+        if restart:
+            self.head = len(self.codes)
+        return None
+
+
 def merge_round(
     nodes: list[ClusterNode],
     config: SetConfig,
@@ -274,6 +327,8 @@ def merge_round(
     ``sims`` is the similarity matrix of the nodes' representatives, in node
     order. The round works on node indices in representative order over that
     matrix, permuted. Nodes without an origin set share the origin "".
+    Candidate pairs are ranked once per round (_RankedPairs), so a round
+    costs O(c² log c) for c nodes, not O(c²) per pick.
     """
     order = sorted(range(len(nodes)), key=lambda i: nodes[i].representative)
     candidates = [nodes[i] for i in order]
@@ -285,15 +340,15 @@ def merge_round(
         return []
     c = len(candidates)
     sims = sims[np.ix_(order, order)]
-    # Pairs a wave may seed with: cross-origin, upper triangle. Index order is
-    # representative order, so the first of several maxima in row-major order
-    # has the lowest smaller representative, then the lowest larger one.
-    seed_sims = np.where(np.triu(origin[:, None] != origin, 1), sims, -np.inf)
     size_cap = min(config.set_size, len(labels))
+    # Pairs a wave may seed with. Index order is representative order, so of
+    # several equal pairs the first ranked has the lowest smaller
+    # representative, then the lowest larger one.
+    ranked = _RankedPairs(sims, origin) if size_cap >= 2 else None
 
-    unselected = np.ones(c, dtype=bool)
+    selected = np.zeros(c, dtype=bool)
     groups: list[list[int]] = []
-    while unselected.any():
+    while not selected.all():
         # Build one output set. Each step adds either the best remaining
         # cross-origin pair (two clusters from two unused origin sets) or
         # the single cluster best matching the picks so far, whichever has
@@ -303,24 +358,17 @@ def merge_round(
         # a twin from entering the wave. Join ties, and a seed without a
         # pair, go to the lowest representative.
         picks: list[int] = []
-        available = unselected.copy()
+        available = ~selected
         join = np.full(c, -np.inf)  # best similarity to the picks so far
-        while len(picks) < size_cap:
-            idx = available.nonzero()[0]
-            if not idx.size:
-                break
-            joins = join[idx]
-            take: list[int] = []
-            if len(picks) + 2 <= size_cap:
-                block = seed_sims[idx[:, None], idx]
-                k = int(block.argmax())
-                best = block.flat[k]
-                if best > -np.inf and (not picks or best > joins.max()):
-                    take = [int(idx[k // idx.size]), int(idx[k % idx.size])]
-            if not take:
-                take = [int(idx[joins.argmax()])]
+        while len(picks) < size_cap and available.any():
+            joins = np.where(available, join, -np.inf)
+            take = None
+            if ranked is not None and len(picks) + 2 <= size_cap:
+                take = ranked.first(available, joins.max(), restart=not picks)
+            if take is None:
+                take = (int(joins.argmax() if picks else available.argmax()),)
             for i in take:
-                unselected[i] = False
+                selected[i] = True
                 available[origin == origin[i]] = False
                 np.maximum(join, sims[i], out=join)
                 picks.append(i)
@@ -481,7 +529,11 @@ class ResolveReport:
 
 class Resolver:
     """End-to-end driver: per-block record-set hierarchies over a shared
-    constraint store, with concurrent guarded clustering within each round."""
+    constraint store, with concurrent guarded clustering within each round.
+
+    The similarity index is built from ``sim_config`` and ``embeddings``, or
+    passed prebuilt as ``index``, which must cover ``records``; giving both
+    is a ValueError."""
 
     def __init__(
         self,
@@ -493,10 +545,15 @@ class Resolver:
         parallelism: int = 1,
         ledger: CostLedger | None = None,
         max_levels: int = 50,
+        index: SimilarityIndex | None = None,
     ):
+        if index is not None and (sim_config is not None or embeddings is not None):
+            raise ValueError("pass either a prebuilt index or sim_config/embeddings")
         self.records = records
         self.config = config or SetConfig()
-        self.index = SimilarityIndex(records, sim_config, embeddings)
+        if index is None:
+            index = SimilarityIndex(records, sim_config, embeddings)
+        self.index = index
         self.ledger = ledger if ledger is not None else CostLedger()
         self.gateway = LlmGateway(backend, records, ledger=self.ledger)
         self.parallelism = max(1, parallelism)

@@ -31,11 +31,28 @@ def variation(cluster_sizes) -> float:
     return sigma / mu
 
 
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(len(points), len(centers)) squared Euclidean distances, each summed
+    over its elementwise squared differences: the values that decide every
+    k-means label."""
+    return np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+
+
 def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Seeded Lloyd k-means with farthest-point init; returns a label array.
 
     Deterministic for a fixed seed: the first center is drawn from the seeded
     RNG, the rest by farthest-point (ties to the lowest index).
+
+    Each step ranks the centers by the expanded distance ‖x‖² − 2x·c + ‖c‖²,
+    one matrix product. Rounding in its three terms and in _sq_dists is
+    below (4·dim + 8) machine epsilons of max‖x‖² + max‖c‖², so the two
+    formulas differ by at most ``eps``, that bound or 1e-9 of the same
+    scale, whichever is larger. A row whose best expanded distance is more
+    than 2·eps below its second best therefore has that nearest center under
+    _sq_dists too. Every other row, and the choice of a point to re-seed an
+    emptied cluster, is decided by _sq_dists, so labels are bitwise those of
+    _sq_dists alone.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -49,22 +66,39 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
         centers.append(points[idx])
         dist2 = np.minimum(dist2, np.sum((points - centers[-1]) ** 2, axis=1))
     centers = np.array(centers)
-    labels = np.full(n, -1, dtype=int)
-    for _iteration in range(100):
-        d = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    x2 = np.einsum("ij,ij->i", points, points)
+    margin = max(1e-9, (4 * points.shape[1] + 8) * np.finfo(float).eps)
+    x2_max = x2.max()
+    rows = np.arange(n)
+    labels = before = np.full(n, -1, dtype=int)
+    for iteration in range(100):
+        c2 = np.einsum("ij,ij->i", centers, centers)
+        d = x2[:, None] - 2.0 * (points @ centers.T) + c2
+        eps = margin * (x2_max + c2.max())
         new_labels = np.argmin(d, axis=1)
-        # Re-seed any emptied cluster with the point farthest from its own
-        # center, never stealing from a cluster that would empty in turn.
-        for c in range(k):
-            if np.any(new_labels == c):
-                continue
+        if k > 1:
+            gap = np.partition(d, 1, axis=1)[:, 1] - d[rows, new_labels]
+            close = np.flatnonzero(gap <= 2 * eps)
+            if close.size:
+                new_labels[close] = np.argmin(_sq_dists(points[close], centers), axis=1)
+        # Re-seed each emptied cluster with the point farthest from its own
+        # center, never stealing from a cluster that would empty in turn (so
+        # no re-seed empties another cluster).
+        for c in np.flatnonzero(np.bincount(new_labels, minlength=k) == 0):
             counts = np.bincount(new_labels, minlength=k)
-            own_dist = d[np.arange(n), new_labels]
-            own_dist = np.where(counts[new_labels] > 1, own_dist, -1.0)
-            new_labels[int(np.argmax(own_dist))] = c
+            own = np.where(counts[new_labels] > 1, d[rows, new_labels], -1.0)
+            near = np.flatnonzero(own >= own.max() - 2 * eps)
+            mine = new_labels[near]
+            exact = _sq_dists(points[near], centers)[np.arange(len(near)), mine]
+            exact = np.where(counts[mine] > 1, exact, -1.0)
+            new_labels[near[int(np.argmax(exact))]] = c
         if np.array_equal(new_labels, labels):
             break
-        labels = new_labels
+        if np.array_equal(new_labels, before):
+            # Each step's labels follow from the last step's alone, so the
+            # labels now alternate to the cap: return the cap's.
+            return new_labels if (99 - iteration) % 2 == 0 else labels
+        before, labels = labels, new_labels
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
     return labels

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from erset import blocking, cli, dataio, metrics
+from erset import blocking, cli, dataio, engine, metrics, similarity
 from erset.cli import _apply_config_file, build_parser, main
 from erset.gateway import OracleConfig, SimulatedOracle
 from erset.model import SetConfig
@@ -38,26 +38,35 @@ class TestDataio:
             dataio.ingest(noid)
         dup = tmp_path / "d.csv"
         dup.write_text("id,name\nr1,x\nr1,y\n")
-        with pytest.raises(dataio.DuplicateId, match="row 3"):
+        with pytest.raises(dataio.DuplicateId, match="line 3"):
             dataio.ingest(dup)
+
+    def test_ingest_errors_name_the_file_line(self, tmp_path):
+        """Blank lines are skipped but counted: the duplicate sits on line 4."""
+        path = tmp_path / "b.csv"
+        path.write_text("id,name\n\nr1,x\nr1,y\n")
+        with pytest.raises(dataio.DuplicateId, match=r"line 4: duplicate id 'r1'$"):
+            dataio.ingest(path)
+        path.write_text("id,name\n\nr1,x\n\nr2,y\n")
+        assert sorted(dataio.ingest(path).records) == ["r1", "r2"]
 
     def test_row_longer_than_header_is_extra_field(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         path.write_text("id,name,city\nr1,ann,oslo\nr3,bob,rome,EXTRA,MORE\n")
-        with pytest.raises(dataio.ExtraField, match=r"row 3: 5 fields, header has 3$"):
+        with pytest.raises(dataio.ExtraField, match=r"line 3: 5 fields, header has 3$"):
             dataio.ingest(path)
         assert main(["block", "--input", str(path), "--measure", "jaccard"]) == 2
-        assert f"data error: {path} row 3: 5 fields" in capsys.readouterr().err
+        assert f"data error: {path} line 3: 5 fields" in capsys.readouterr().err
 
     def test_short_row_without_id_or_truth_is_missing_field(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("id,name,entity\nr1,ann,e1\nr2,bob\n")
-        with pytest.raises(dataio.MissingField, match=r"row 3: no entity value$"):
+        with pytest.raises(dataio.MissingField, match=r"line 3: no entity value$"):
             dataio.ingest(path, truth_column="entity")
         # without a truth column the short row's missing fields are empty values
         assert dataio.ingest(path).records["r2"].attributes[1].value == ""
         path.write_text("name,id\nann,r1\nbob\n")
-        with pytest.raises(dataio.MissingField, match=r"row 3: no id$"):
+        with pytest.raises(dataio.MissingField, match=r"line 3: no id$"):
             dataio.ingest(path)
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
@@ -259,6 +268,35 @@ class TestCli:
         ]
         assert got == expected
 
+    def test_simulate_builds_one_index(self, dataset_csv, monkeypatch, capsys):
+        """Every (error rate, seed) run resolves over the index the command
+        built first; the summary is the one each run building its own gave."""
+        built = []
+
+        class Counting(similarity.SimilarityIndex):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "SimilarityIndex", Counting)
+        monkeypatch.setattr(engine, "SimilarityIndex", Counting)
+        argv = [
+            "simulate",
+            "--input", str(dataset_csv),
+            "--truth-column", "entity_id",
+            "--blocking", "lsh",
+            "--error-rates", "0.0,0.3",
+            "--seeds", "2",
+        ]
+        assert main(argv) == 0
+        assert len(built) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "mean_acc": 0.8541666666666666,
+            "mean_api_calls": 3.0,
+            "mean_fp_measure": 0.9163837931532572,
+            "runs": 4,
+        }
+
     def test_resolve_without_backend_is_config_error(self, dataset_csv, capsys):
         rc = main(["resolve", "--input", str(dataset_csv)])
         assert rc == 1
@@ -363,7 +401,7 @@ class TestCli:
         rc = main(["resolve", "--input", str(data), "--truth-column", "entity"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"data error: {data} row 2: no entity value" in err
+        assert f"data error: {data} line 2: no entity value" in err
 
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -1029,6 +1029,19 @@ def _merge_state(seed):
     return nodes, _quantised_table(rng, ids)
 
 
+def _large_merge_state(seed):
+    """20-60 origin sets of up to 200 nodes over a quantised table: waves
+    run long, and many pairs tie."""
+    rng = random.Random(1000 + seed)
+    origins = rng.randint(20, 60)
+    ids = _random_ids(rng, rng.randint(100, 200))
+    # every origin set holds a node; the rest are spread at random
+    labels = list(range(origins))
+    labels += [rng.randrange(origins) for _ in range(len(ids) - origins)]
+    nodes = [ClusterNode.singleton(r, f"s{o:02d}") for r, o in zip(ids, labels)]
+    return nodes, _quantised_table(rng, ids)
+
+
 def _sweep_state(seed):
     """Nodes, one per entity, over a store with merges and cannot-links, and
     a quantised similarity table over the ids."""
@@ -1058,8 +1071,9 @@ class TestMatchesReference:
     def test_merge_round(self, config, unlabelled):
         """With ``unlabelled``, the nodes of one origin set carry no origin:
         they share the origin "" and are still never co-packed."""
-        for seed in range(40):
-            nodes, table = _merge_state(seed)
+        states = [_merge_state(seed) for seed in range(40)]
+        states += [_large_merge_state(seed) for seed in range(3)]
+        for seed, (nodes, table) in enumerate(states):
             if unlabelled:
                 first = nodes[0].origin_set
                 nodes = [
@@ -1157,6 +1171,47 @@ def test_planted_block_resolves_as_pinned():
     assert report.level_set_counts == [17, 9, 5, 1]
     assert report.final_check_sets == 0
     assert ledger.api_calls == 32
+    assert report.max_levels_hits == 0
+
+
+def test_resolver_takes_a_prebuilt_index():
+    """A prebuilt index replaces sim_config and embeddings, and resolves as
+    the index the resolver would build; passing both is a ValueError."""
+    records, truth = generate_dataset(30, 5, seed=1)
+    emb = planted_embeddings(truth, noise=0.05, seed=1)
+    index = SimilarityIndex(records, embeddings=emb)
+    backend = SimulatedOracle(OracleConfig(truth, 0.0, 1))
+    with pytest.raises(ValueError):
+        Resolver(records, backend, index=index, embeddings=emb)
+    with pytest.raises(ValueError):
+        Resolver(records, backend, index=index, sim_config=index.config)
+    resolver = Resolver(records, backend, config=SetConfig(seed=1), index=index)
+    assert resolver.index is index
+    partition, ledger, _ = resolver.resolve([Block("b0", tuple(sorted(records)))])
+    assert _partition_digest(partition) == (
+        "b45e679493627fce12a992bf5d5ba1544accd1390caad9cea6f66b31d4a68e5a"
+    )
+    assert ledger.api_calls == 32
+
+
+def test_800_record_block_resolves_as_pinned():
+    """One 800-record planted block under an exact oracle: merge rounds over
+    hundreds of nodes from dozens of origin sets, and k-means over the whole
+    block. Faster kernels keep this run byte-identical: partition, level
+    widths, sweep sets and calls."""
+    records, truth = generate_dataset(160, 5, seed=1)
+    emb = planted_embeddings(truth, noise=0.05, seed=1)
+    block = Block("b0", tuple(sorted(records)))
+    backend = SimulatedOracle(OracleConfig(truth, 0.0, 1))
+    partition, ledger, report = resolve(
+        records, [block], backend, config=SetConfig(seed=1), embeddings=emb
+    )
+    assert _partition_digest(partition) == (
+        "f5c0ab6ca313b952f37a00064db56c5eba6497ee424da1d622b3d9327ee48884"
+    )
+    assert report.level_set_counts == [89, 48, 28, 4]
+    assert report.final_check_sets == 0
+    assert ledger.api_calls == 169
     assert report.max_levels_hits == 0
 
 

@@ -1,3 +1,6 @@
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +67,145 @@ class TestKmeans:
         pts = np.array([[0.0, 0]] * 5 + [[1.0, 1]] * 5)
         labels = kmeans(pts, 4, seed=1)
         assert len(set(labels.tolist())) == 4
+
+
+def _reference_kmeans(points, k, seed=0):
+    """kmeans as it was before its expanded-distance screen: every Lloyd
+    step decides every label from the (n, k, dim) broadcast of differences.
+    Kept frozen, as the reference that kmeans must equal bitwise."""
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    rng = random.Random(seed)
+    centers = [points[rng.randrange(n)]]
+    dist2 = np.sum((points - centers[0]) ** 2, axis=1)
+    while len(centers) < k:
+        idx = int(np.argmax(dist2))
+        centers.append(points[idx])
+        dist2 = np.minimum(dist2, np.sum((points - centers[-1]) ** 2, axis=1))
+    centers = np.array(centers)
+    labels = np.full(n, -1, dtype=int)
+    for _iteration in range(100):
+        d = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(d, axis=1)
+        for c in range(k):
+            if np.any(new_labels == c):
+                continue
+            counts = np.bincount(new_labels, minlength=k)
+            own_dist = d[np.arange(n), new_labels]
+            own_dist = np.where(counts[new_labels] > 1, own_dist, -1.0)
+            new_labels[int(np.argmax(own_dist))] = c
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    return labels
+
+
+class TestKmeansMatchesReference:
+    """kmeans and elbow_k against _reference_kmeans, on inputs whose
+    expanded distances tie or nearly tie, so rows are re-decided by the
+    elementwise formula. ``decided`` counts the rows so re-decided."""
+
+    @pytest.fixture(autouse=True)
+    def _count_redecided(self):
+        self.decided = 0
+        sq_dists = setbuilder._sq_dists
+
+        def counting(points, centers):
+            self.decided += len(points)
+            return sq_dists(points, centers)
+
+        with mock.patch.object(setbuilder, "_sq_dists", counting):
+            yield
+
+    def check(self, points, k, seed, k_max=None):
+        assert np.array_equal(
+            kmeans(points, k, seed), _reference_kmeans(points, k, seed)
+        )
+        if k_max is not None and len(points) >= 2:
+            got = elbow_k(points, k_max, seed)
+            with mock.patch.object(setbuilder, "kmeans", _reference_kmeans):
+                want = elbow_k(points, k_max, seed)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+
+    def test_integer_grid_with_exact_ties(self):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 40))
+            points = rng.integers(-2, 3, (n, int(rng.integers(1, 6)))).astype(float)
+            self.check(points, int(rng.integers(1, n + 1)), seed, k_max=5)
+        assert self.decided > 0
+
+    def test_duplicated_points_equidistant_from_two_centers(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(1, 5))
+            a, b = 2 * rng.integers(-3, 4, (2, dim))
+            mid = (a + b) / 2
+            copies = int(rng.integers(2, 6))
+            points = np.vstack([[a, b], np.repeat([mid], copies, axis=0)])
+            points = np.vstack([points, rng.integers(-6, 7, (3, dim))]).astype(float)
+            for k in (2, 3):
+                self.check(points, k, seed, k_max=4)
+        assert self.decided > 0
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_norms_from_1e_minus6_to_1e6(self, scale):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n, dim = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+            grid = rng.integers(-2, 3, (n, dim)) * scale
+            mixed = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+            for points in (grid, mixed * scale):
+                self.check(points, int(rng.integers(1, n + 1)), seed, k_max=4)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 255, 512])
+    def test_dims_with_k_up_to_n(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in (1, 2, 5, 12):
+            noisy = rng.standard_normal((n, dim))
+            grid = rng.integers(0, 2, (n, dim)).astype(float)
+            for points in (noisy, grid):
+                for k in range(1, n + 1):
+                    self.check(points, k, seed=k, k_max=n if k == n else None)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 24),
+        st.integers(1, 8),
+        st.sampled_from([1e-6, 1.0, 1e6]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_grids(self, seed, n, dim, scale, data):
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-1, 2, (n, dim)) * scale
+        k = data.draw(st.integers(1, n))
+        self.check(points, k, seed % 7, k_max=data.draw(st.integers(1, 6)))
+
+    def test_input_that_empties_a_cluster(self):
+        """Two distinct points and k = 4: farthest-point init repeats a
+        center, whose cluster empties and is re-seeded (see
+        TestKmeans.test_no_empty_clusters)."""
+        points = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5)
+        for seed in range(4):
+            self.check(points, 4, seed, k_max=6)
+
+    def test_reseeds_among_distances_of_a_few_ulps(self):
+        """Repeated decimal points and k above their distinct count: the
+        mean of a cluster of copies can miss the copy by an ulp, so each
+        re-seed picks the farthest point among distances of a few ulps. Many
+        of these runs alternate between two labelings up to the iteration
+        cap, ending on either one."""
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            distinct = int(rng.integers(2, 4))
+            values = rng.random((distinct, int(rng.integers(1, 4)))).round(2)
+            points = np.repeat(values, rng.integers(2, 6, distinct), axis=0)
+            k = int(rng.integers(distinct + 1, len(points) + 1))
+            self.check(points, k, seed % 5, k_max=k)
 
 
 class TestElbow:
