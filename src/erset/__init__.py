@@ -24,7 +24,7 @@ from .model import (
     SetConfig,
 )
 from .setbuilder import elbow_k, kmeans, next_record_set, pre_clusters, variation
-from .similarity import HashedTfidfEmbedder, SimilarityConfig, SimilarityIndex
+from .similarity import SimilarityConfig, SimilarityIndex
 from .synth import generate_dataset, planted_embeddings
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "CostLedger",
     "Dataset",
     "ERError",
-    "HashedTfidfEmbedder",
     "HttpProvider",
     "LlmGateway",
     "OracleConfig",

@@ -48,6 +48,8 @@ class BlockingParams:
             raise ValueError("lsh_planes and lsh_bands must be positive")
         if self.lsh_bands > self.lsh_planes:
             raise ValueError("lsh_bands must not exceed lsh_planes")
+        if self.k_candidates < 1:
+            raise ValueError("k_candidates must be positive")
 
 
 def _components(ids: list[str], ia, ib) -> list[Block]:

@@ -34,6 +34,10 @@ class EmptyFile(ERError):
     pass
 
 
+class DuplicateColumn(ERError):
+    pass
+
+
 @dataclass
 class Dataset:
     records: dict[str, Record]
@@ -71,6 +75,9 @@ def ingest(
             raise MissingHeader(f"{path}: no {id_column!r} column in header")
         if truth_column is not None and truth_column not in header:
             raise MissingHeader(f"{path}: no {truth_column!r} column in header")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise DuplicateColumn(f"{path}: header names column {repeated[0]!r} twice")
         id_idx = header.index(id_column)
         truth_idx = header.index(truth_column) if truth_column else None
         attr_columns = [

@@ -344,7 +344,7 @@ def merge_round(
     # Pairs a wave may seed with. Index order is representative order, so of
     # several equal pairs the first ranked has the lowest smaller
     # representative, then the lowest larger one.
-    ranked = _RankedPairs(sims, origin) if size_cap >= 2 else None
+    ranked = _RankedPairs(sims, origin)
 
     selected = np.zeros(c, dtype=bool)
     groups: list[list[int]] = []
@@ -363,7 +363,7 @@ def merge_round(
         while len(picks) < size_cap and available.any():
             joins = np.where(available, join, -np.inf)
             take = None
-            if ranked is not None and len(picks) + 2 <= size_cap:
+            if len(picks) + 2 <= size_cap:
                 take = ranked.first(available, joins.max(), restart=not picks)
             if take is None:
                 take = (int(joins.argmax() if picks else available.argmax()),)
@@ -454,8 +454,6 @@ def final_check(
             chosen.append(best)
             gain += uncovered[best]
             gain[best] = -n
-        if len(chosen) < 2:
-            break
         rows = np.array(chosen)
         uncovered[rows[:, None], rows] = False
         out.append(

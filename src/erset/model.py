@@ -133,8 +133,8 @@ class SetConfig:
     b_t: float = 0.5
 
     def __post_init__(self):
-        if self.set_size < 1:
-            raise ValueError("set_size must be positive")
+        if self.set_size < 2:
+            raise ValueError("set_size must be at least 2")
         if not 1 <= self.set_diversity <= self.set_size:
             raise ValueError("set_diversity must be in [1, set_size]")
         if self.max_regen < 0:

@@ -112,81 +112,54 @@ def cosine_blocks(
     )
 
 
-def _signed_hash(token: str, seed: int) -> int:
-    digest = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=8, key=str(seed).encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest, "little")
+def hashed_tfidf(ids, token_lists, token_sets, dim: int, seed: int) -> np.ndarray:
+    """(len(ids), dim) signed feature-hashing TF-IDF embeddings, L2-normalized,
+    of the records ids, given each one's token list and set of distinct tokens.
 
-
-class HashedTfidfEmbedder:
-    """Signed feature-hashing TF-IDF embedder, L2-normalized.
-
-    Deterministic for a fixed (dataset, dim, seed); the df table is frozen at
-    fit time, after which embed() is a pure function of the record. Each
-    distinct token is hashed once: its bucket, sign and idf are kept in a
-    table that fit() resets.
+    A token's df counts the token sets holding it. Each distinct token is
+    hashed once with keyed blake2b, for its bucket and sign. One np.add.at
+    adds every record's terms in first-appearance order, the order a
+    per-record loop adds them in, so each cell sums bitwise alike. Raises for
+    the first record, in order, that has no tokens or hashes to the zero
+    vector.
     """
-
-    def __init__(self, dim: int = 256, seed: int = 0):
-        self.dim = dim
-        self.seed = seed
-        self._fit([])
-
-    def fit(self, records) -> "HashedTfidfEmbedder":
-        return self._fit([set(tokenize(record)) for record in records])
-
-    def _fit(self, token_sets) -> "HashedTfidfEmbedder":
-        """Fit from each record's set of distinct tokens."""
-        self._df: Counter[str] = Counter()
-        for tokens in token_sets:
-            self._df.update(tokens)
-        self._n_docs = len(token_sets)
-        self._terms: dict[str, tuple[int, float, float]] = {}
-        return self
-
-    def _term(self, token: str) -> tuple[int, float, float]:
-        """(bucket, sign, idf) of a token, hashed on its first use."""
-        term = self._terms.get(token)
-        if term is None:
-            h = _signed_hash(token, self.seed)
-            idf = math.log(1.0 + self._n_docs / self._df.get(token, 1))
-            term = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0, idf)
-            self._terms[token] = term
-        return term
-
-    def embed(self, record: Record) -> np.ndarray:
-        return self._matrix([record.id], [tokenize(record)])[0]
-
-    def _matrix(self, ids, token_lists) -> np.ndarray:
-        """(len(ids), dim) embeddings of the records ids, given their token
-        lists. One np.add.at adds every record's terms in first-appearance
-        order, the order a per-record loop adds them in, so each cell sums
-        bitwise alike. Raises for the first record, in order, that has no
-        tokens or hashes to the zero vector."""
-        rows, buckets, weights = array("q"), array("q"), array("d")
-        for row, tokens in enumerate(token_lists):
-            for token, count in Counter(tokens).items():
-                bucket, sign, idf = self._term(token)
-                rows.append(row)
-                buckets.append(bucket)
-                weights.append(sign * (count * idf))
-        matrix = np.zeros((len(token_lists), self.dim))
-        cells = (np.frombuffer(rows, np.int64), np.frombuffer(buckets, np.int64))
-        np.add.at(matrix, cells, np.frombuffer(weights))
-        norms = row_norms(matrix)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            row = zero[0]
-            if not token_lists[row]:
-                raise EmptyRecord(f"record {ids[row]} produced no tokens")
-            raise ZeroVector(f"record {ids[row]} hashed to the zero vector")
-        matrix /= norms[:, None]
-        return matrix
+    df: Counter[str] = Counter()
+    for tokens in token_sets:
+        df.update(tokens)
+    key = str(seed).encode("utf-8")
+    terms: dict[str, tuple[int, float, float]] = {}
+    rows, buckets, weights = array("q"), array("q"), array("d")
+    for row, tokens in enumerate(token_lists):
+        for token, count in Counter(tokens).items():
+            term = terms.get(token)
+            if term is None:
+                digest = hashlib.blake2b(
+                    token.encode("utf-8"), digest_size=8, key=key
+                ).digest()
+                h = int.from_bytes(digest, "little")
+                idf = math.log(1.0 + len(token_sets) / df[token])
+                term = terms[token] = (h % dim, 1.0 if (h >> 63) & 1 else -1.0, idf)
+            bucket, sign, idf = term
+            rows.append(row)
+            buckets.append(bucket)
+            weights.append(sign * (count * idf))
+    matrix = np.zeros((len(token_lists), dim))
+    cells = (np.frombuffer(rows, np.int64), np.frombuffer(buckets, np.int64))
+    np.add.at(matrix, cells, np.frombuffer(weights))
+    norms = row_norms(matrix)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        row = zero[0]
+        if not token_lists[row]:
+            raise EmptyRecord(f"record {ids[row]} produced no tokens")
+        raise ZeroVector(f"record {ids[row]} hashed to the zero vector")
+    matrix /= norms[:, None]
+    return matrix
 
 
 def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
-    """Load a CSV of precomputed embeddings: header "id,d0,...,d{dim-1}"."""
+    """Load a CSV of precomputed embeddings: header "id,d0,...,d{dim-1}".
+    Every record id needs a row; an id given twice is an error."""
     out: dict[str, np.ndarray] = {}
     dim: int | None = None
     with open(path, newline="") as fh:
@@ -198,6 +171,10 @@ def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
             if not row:
                 continue
             rid = row[0]
+            if rid in out:
+                raise EmbeddingParseError(
+                    f"{path} line {reader.line_num}: duplicate id {rid!r}"
+                )
             try:
                 values = np.array([float(x) for x in row[1:]])
             except ValueError as exc:
@@ -240,16 +217,19 @@ class SimilarityIndex:
         ids = list(records)
         tokens = [tokenize(r) for r in records.values()]
         self.token_sets = dict(zip(ids, map(set, tokens)))
-        if embeddings is not None:
-            self.embeddings = {
-                rid: np.asarray(v, dtype=float) for rid, v in embeddings.items()
-            }
-            if len({v.shape for v in self.embeddings.values()}) > 1:
-                raise DimMismatch("embeddings differ in dimension")
-        else:
-            embedder = HashedTfidfEmbedder(self.config.dim, self.config.seed)
-            embedder._fit(list(self.token_sets.values()))
-            self.embeddings = dict(zip(ids, embedder._matrix(ids, tokens)))
+        if embeddings is None:
+            matrix = hashed_tfidf(
+                ids, tokens, self.token_sets.values(), self.config.dim, self.config.seed
+            )
+            self.embeddings = dict(zip(ids, matrix))
+            return
+        # one embedding per record: an id without a record is dropped
+        missing = [rid for rid in ids if rid not in embeddings]
+        if missing:
+            raise MissingRecord(f"no embedding for record id {missing[0]!r}")
+        self.embeddings = {rid: np.asarray(embeddings[rid], dtype=float) for rid in ids}
+        if len({v.shape for v in self.embeddings.values()}) > 1:
+            raise DimMismatch("embeddings differ in dimension")
 
     def rows(self, ids) -> np.ndarray:
         """The embeddings of ids, stacked in order."""

@@ -42,6 +42,14 @@ def test_params_validation():
         BlockingParams(b_t=0.0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_candidates_below_one_is_rejected(k):
+    """0 would leave every record its own block, and a negative value would
+    drop partners by slicing."""
+    with pytest.raises(ValueError, match="k_candidates"):
+        BlockingParams(k_candidates=k)
+
+
 class TestFilterBlock:
     def test_joins_similar_token_sets(self):
         tokens = {

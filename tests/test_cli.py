@@ -69,6 +69,15 @@ class TestDataio:
         with pytest.raises(dataio.MissingField, match=r"line 3: no id$"):
             dataio.ingest(path)
 
+    def test_header_naming_a_column_twice_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("id,name,name\nr1,ann,bob\n")
+        with pytest.raises(dataio.DuplicateColumn, match=r"names column 'name' twice"):
+            dataio.ingest(path)
+        assert main(["block", "--input", str(path), "--measure", "jaccard"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and "'name'" in err
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         target = tmp_path / "out.txt"
         dataio.atomic_write(target, "hello")
@@ -455,6 +464,26 @@ class TestCli:
         assert rc == 1
         assert f"config error: {cfg}: {shown}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--set-size", "1", "--set-diversity", "1"],
+            ["--k-candidates", "0"],
+            ["--k-candidates", "-1"],
+        ],
+        ids=["set-size-1", "k-candidates-0", "k-candidates-negative"],
+    )
+    def test_setting_that_resolves_nothing_is_config_error(
+        self, dataset_csv, capsys, flags
+    ):
+        rc = main(
+            ["resolve", "--input", str(dataset_csv), "--truth-column", "entity_id",
+             "--blocking", "filter", "--measure", "jaccard", "--backend", "oracle"]
+            + flags
+        )
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_determinism_of_partition_file(self, dataset_csv, tmp_path):
         parts = []
         for run in range(2):
@@ -473,3 +502,54 @@ class TestCli:
             ) == 0
             parts.append(part.read_bytes())
         assert parts[0] == parts[1]
+
+
+class TestEmbeddingsFile:
+    """An embeddings file that does not match the dataset: r1 and r2 are one
+    entity, r3 another."""
+
+    ROWS = {"r1": "1.0,0.0", "r2": "1.0,0.1", "r3": "0.0,1.0"}
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,name,entity\nr1,ann,e1\nr2,ann,e1\nr3,bob,e2\n")
+        return path
+
+    def _embeddings(self, tmp_path, name, extra=()):
+        path = tmp_path / name
+        rows = [f"{rid},{values}" for rid, values in self.ROWS.items()]
+        path.write_text("\n".join(["id,d0,d1", *rows, *extra]) + "\n")
+        return path
+
+    def _run(self, data, embeddings, tmp_path, command="resolve"):
+        part = tmp_path / f"{embeddings.stem}.part.csv"
+        args = [command, "--input", str(data), "--truth-column", "entity",
+                "--blocking", "lsh", "--embeddings", str(embeddings)]
+        if command == "resolve":
+            args += ["--backend", "oracle", "--partition-out", str(part)]
+        return main(args), part
+
+    def test_id_without_a_record_is_dropped(self, data, tmp_path, capsys):
+        exact = self._embeddings(tmp_path, "exact.csv")
+        extra = self._embeddings(tmp_path, "extra.csv", ["zz,1.0,0.05"])
+        rc, want = self._run(data, exact, tmp_path)
+        assert rc == 0
+        rc, got = self._run(data, extra, tmp_path)
+        assert rc == 0
+        assert got.read_bytes() == want.read_bytes()
+        assert dataio.load_labels(got)["r1"] == dataio.load_labels(got)["r2"]
+        capsys.readouterr()
+        reports = []
+        for embeddings in (exact, extra):
+            assert self._run(data, embeddings, tmp_path, "block")[0] == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[1] == reports[0]
+        assert reports[0]["pair_recall"] == 1.0
+
+    def test_repeated_id_is_data_error(self, data, tmp_path, capsys):
+        repeated = self._embeddings(tmp_path, "repeated.csv", ["r1,0.0,1.0"])
+        rc, part = self._run(data, repeated, tmp_path)
+        assert rc == 2 and not part.exists()
+        err = capsys.readouterr().err
+        assert err == f"data error: {repeated} line 5: duplicate id 'r1'\n"

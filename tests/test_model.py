@@ -88,6 +88,13 @@ def test_set_config_validation():
     assert (cfg.set_size, cfg.set_diversity) == (9, 4)
 
 
+def test_set_size_below_two_is_rejected():
+    """A set of one record asks nothing: the run would make no call."""
+    with pytest.raises(ValueError, match="set_size"):
+        SetConfig(set_size=1, set_diversity=1)
+    assert SetConfig(set_size=2, set_diversity=1).set_size == 2
+
+
 @given(st.text(max_size=200))
 def test_estimate_tokens_is_ceil_quarter(text):
     assert estimate_tokens(text) == math.ceil(len(text) / 4)

@@ -11,13 +11,13 @@ from erset.synth import generate_dataset, planted_embeddings
 from erset.similarity import (
     DimMismatch,
     EmbeddingParseError,
-    HashedTfidfEmbedder,
     MissingRecord,
     SimilarityConfig,
     SimilarityIndex,
     ZeroVector,
     cosine,
     cosine_blocks,
+    hashed_tfidf,
     jaccard,
     load_embeddings,
     row_norms,
@@ -79,24 +79,23 @@ class TestHashedTfidf:
             "r3": _record("r3", name="grace hopper", city="arlington"),
         }
 
+    def _embeddings(self, dim, seed):
+        config = SimilarityConfig(dim=dim, seed=seed)
+        return SimilarityIndex(self._corpus(), config).embeddings
+
     def test_deterministic_and_normalized(self):
-        records = self._corpus()
-        e1 = HashedTfidfEmbedder(dim=64, seed=7).fit(records.values())
-        e2 = HashedTfidfEmbedder(dim=64, seed=7).fit(records.values())
-        v1, v2 = e1.embed(records["r1"]), e2.embed(records["r1"])
-        assert np.allclose(v1, v2)
+        v1 = self._embeddings(dim=64, seed=7)["r1"]
+        v2 = self._embeddings(dim=64, seed=7)["r1"]
+        assert np.array_equal(v1, v2)
         assert np.linalg.norm(v1) == pytest.approx(1.0)
 
     def test_seed_changes_hashing(self):
-        records = self._corpus()
-        a = HashedTfidfEmbedder(dim=64, seed=0).fit(records.values())
-        b = HashedTfidfEmbedder(dim=64, seed=1).fit(records.values())
-        assert not np.allclose(a.embed(records["r1"]), b.embed(records["r1"]))
+        a = self._embeddings(dim=64, seed=0)["r1"]
+        b = self._embeddings(dim=64, seed=1)["r1"]
+        assert not np.allclose(a, b)
 
     def test_duplicates_embed_closer_than_strangers(self):
-        records = self._corpus()
-        emb = HashedTfidfEmbedder(dim=256, seed=0).fit(records.values())
-        vecs = {rid: emb.embed(r) for rid, r in records.items()}
+        vecs = self._embeddings(dim=256, seed=0)
         assert cosine(vecs["r1"], vecs["r2"]) > cosine(vecs["r1"], vecs["r3"])
 
 
@@ -106,6 +105,26 @@ def test_embedding_roundtrip(tmp_path):
     save_embeddings(path, emb)
     loaded = load_embeddings(path, ["a", "b"])
     assert np.allclose(loaded["a"], emb["a"]) and np.allclose(loaded["b"], emb["b"])
+
+
+def test_load_embeddings_rejects_a_repeated_id_by_file_line(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("id,d0,d1\na,1.0,2.0\n\nb,3.0,4.0\na,5.0,6.0\n")
+    with pytest.raises(EmbeddingParseError, match=r"line 5: duplicate id 'a'$"):
+        load_embeddings(path, ["a", "b"])
+
+
+def test_index_keeps_one_embedding_per_record():
+    """An embedding whose id names no record is dropped; a record without
+    an embedding is an error."""
+    records = {rid: _record(rid, name=rid) for rid in ("a", "b")}
+    emb = {"zz": np.ones(2), "b": np.array([1.0, 2.0]), "a": np.array([3.0, 1.0])}
+    idx = SimilarityIndex(records, embeddings=emb)
+    assert list(idx.embeddings) == ["a", "b"]
+    assert np.array_equal(idx.rows(["a", "b"]), [emb["a"], emb["b"]])
+    del emb["a"]
+    with pytest.raises(MissingRecord, match="'a'"):
+        SimilarityIndex(records, embeddings=emb)
 
 
 def test_load_embeddings_errors(tmp_path):
@@ -285,7 +304,7 @@ def _reference_hash(token, seed):
 
 
 def _reference_embedder(corpus, dim, seed):
-    """The per-record loop the embedder replaced with one scatter-add: df
+    """The per-record loop hashed_tfidf replaced with one scatter-add: df
     over the corpus, then one keyed hash and one vector add per distinct
     token of a record, in first-appearance order."""
     df = {}
@@ -333,14 +352,13 @@ def test_embeddings_bitwise_equal_the_per_record_loop(dim, seed):
     records = _bitwise_corpus()
     reference = _reference_embedder(list(records.values()), dim, seed)
     index = SimilarityIndex(records, SimilarityConfig(dim=dim, seed=seed))
-    embedder = HashedTfidfEmbedder(dim, seed).fit(records.values())
-    for rid, record in records.items():
+    ids = list(records)
+    tokens = [tokenize(record) for record in records.values()]
+    matrix = hashed_tfidf(ids, tokens, [set(t) for t in tokens], dim, seed)
+    for row, (rid, record) in enumerate(records.items()):
         expected = reference(record).tobytes()
         assert index.embeddings[rid].tobytes() == expected, rid
-        assert embedder.embed(record).tobytes() == expected, rid
-    # tokens unseen at fit take df 1
-    unseen = _record("u1", name="ada quetzalcoatl", city="ünseen ünseen")
-    assert embedder.embed(unseen).tobytes() == reference(unseen).tobytes()
+        assert matrix[row].tobytes() == expected, rid
 
 
 def _cancelling_tokens(seed):
@@ -371,9 +389,10 @@ def test_first_failing_record_names_the_error(zero_first):
     )
     with pytest.raises(error, match=f"^{message}$"):
         SimilarityIndex(records, SimilarityConfig(dim=1, seed=0))
+    tokens = [tokenize(record) for record in order]
+    with pytest.raises(error, match=f"^{message}$"):
+        hashed_tfidf(list(records), tokens, [set(t) for t in tokens], 1, 0)
     reference = _reference_embedder(order, 1, 0)
-    embedder = HashedTfidfEmbedder(1, 0).fit(order)
-    for embed in (reference, embedder.embed):
-        with pytest.raises(error, match=f"^{message}$"):
-            for record in order:
-                embed(record)
+    with pytest.raises(error, match=f"^{message}$"):
+        for record in order:
+            reference(record)
