@@ -2,7 +2,7 @@
 
 from .blocking import Block, BlockingParams, make_blocks, tune_threshold
 from .dataio import Dataset, ingest
-from .engine import Resolver, resolve
+from .engine import Resolver
 from .gateway import (
     HttpProvider,
     LlmGateway,
@@ -64,7 +64,6 @@ __all__ = [
     "pairwise_f1",
     "planted_embeddings",
     "pre_clusters",
-    "resolve",
     "tune_threshold",
     "variation",
 ]

@@ -135,7 +135,7 @@ def _band_buckets(band: np.ndarray) -> list[np.ndarray]:
     (buckets, size) array per bucket size; each bucket's rows ascend."""
     n = len(band)
     # lexicographic row order; the row index, as the last tie-break, keeps
-    # the rows of each bucket ascending (and gives a zero-width band a key)
+    # the rows of each bucket ascending
     order = np.lexsort((np.arange(n), *band.T))
     sorted_band = band[order]
     changed = np.any(sorted_band[1:] != sorted_band[:-1], axis=1)

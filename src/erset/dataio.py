@@ -64,8 +64,11 @@ def ingest(
     attribute of its header name. A short row's missing values are empty; a
     row with more fields than the header is an error. The truth column, when
     named, is stripped from the attributes and returned as ground truth.
-    Blank lines are skipped; an error names the file line of its row.
+    Blank lines are skipped; an error names the file line of its row. A
+    delimiter other than one character is a ValueError.
     """
+    if len(delimiter) != 1:
+        raise ValueError(f"delimiter must be one character, not {delimiter!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header = next(reader, None)
@@ -161,6 +164,9 @@ def save_labels(path: str, labels: dict[str, str], value_name: str) -> None:
 
 
 def load_labels(path: str) -> dict[str, str]:
+    """Read a ``record_id,<label>`` file: a header of exactly those two
+    columns, then one two-field row per record id. Blank lines are skipped;
+    an error names the file line of its row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -168,14 +174,24 @@ def load_labels(path: str) -> dict[str, str]:
             raise EmptyFile(f"{path}: no header row")
         if not header or header[0] != "record_id":
             raise MissingHeader(f"{path}: expected a record_id column first")
+        if len(header) != 2:
+            raise ExtraField(
+                f"{path}: line {reader.line_num}: header names {len(header)} "
+                "columns, expected record_id and one label column"
+            )
         out: dict[str, str] = {}
         for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) < 2:
-                raise ERError(f"{path}: line {reader.line_num}: no cluster id")
+                raise MissingField(f"{path}: line {line}: no cluster id")
+            if len(row) > 2:
+                raise ExtraField(f"{path}: line {line}: {len(row)} fields, expected 2")
             if row[0] in out:
-                raise DuplicateId(f"{path}: duplicate record id {row[0]!r}")
+                raise DuplicateId(
+                    f"{path}: line {line}: duplicate record id {row[0]!r}"
+                )
             out[row[0]] = row[1]
     if not out:
         raise EmptyFile(f"{path}: no data rows")

@@ -530,8 +530,8 @@ class Resolver:
     constraint store, with concurrent guarded clustering within each round.
 
     The similarity index is built from ``sim_config`` and ``embeddings``, or
-    passed prebuilt as ``index``, which must cover ``records``; giving both
-    is a ValueError."""
+    passed prebuilt as ``index``, which must cover ``records``; giving both,
+    or a ``parallelism`` below 1, is a ValueError."""
 
     def __init__(
         self,
@@ -547,6 +547,8 @@ class Resolver:
     ):
         if index is not None and (sim_config is not None or embeddings is not None):
             raise ValueError("pass either a prebuilt index or sim_config/embeddings")
+        if parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
         self.records = records
         self.config = config or SetConfig()
         if index is None:
@@ -554,7 +556,7 @@ class Resolver:
         self.index = index
         self.ledger = ledger if ledger is not None else CostLedger()
         self.gateway = LlmGateway(backend, records, ledger=self.ledger)
-        self.parallelism = max(1, parallelism)
+        self.parallelism = parallelism
         self.max_levels = max_levels
         self.store = ConstraintStore(sorted(records))
         self.report = ResolveReport()
@@ -724,24 +726,3 @@ class Resolver:
         partition.validate(self.records)
         self.report.ledger = self.ledger.snapshot()
         return partition, self.ledger, self.report
-
-
-def resolve(
-    records: dict[str, Record],
-    blocks: list[Block],
-    backend,
-    config: SetConfig | None = None,
-    sim_config: SimilarityConfig | None = None,
-    embeddings: dict[str, np.ndarray] | None = None,
-    parallelism: int = 1,
-) -> tuple[Partition, CostLedger, ResolveReport]:
-    """Run the full pipeline over pre-computed blocks with the given backend."""
-    resolver = Resolver(
-        records,
-        backend,
-        config=config,
-        sim_config=sim_config,
-        embeddings=embeddings,
-        parallelism=parallelism,
-    )
-    return resolver.resolve(blocks)

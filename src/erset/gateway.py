@@ -86,6 +86,8 @@ class ProviderConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.requests_per_minute < 1:
+            raise ValueError("requests_per_minute must be >= 1")
 
 
 @dataclass
@@ -227,7 +229,7 @@ class SimulatedOracle:
 
 class _TokenBucket:
     def __init__(self, per_minute: int):
-        self.capacity = max(1, per_minute)
+        self.capacity = per_minute
         self.tokens = float(self.capacity)
         self.updated = time.monotonic()
         self._lock = threading.Lock()

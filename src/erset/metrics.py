@@ -23,7 +23,7 @@ def _check_universe(pred: dict, truth: dict) -> None:
         raise UniverseMismatch("pred and truth cover different record ids")
 
 
-def contingency(pred: dict, truth: dict) -> tuple[np.ndarray, list, list]:
+def contingency(pred: dict, truth: dict) -> np.ndarray:
     """Contingency table t[i][j] = |pred cluster i ∩ truth cluster j|."""
     _check_universe(pred, truth)
     pred_labels = sorted(set(pred.values()), key=str)
@@ -33,19 +33,19 @@ def contingency(pred: dict, truth: dict) -> tuple[np.ndarray, list, list]:
     table = np.zeros((len(pred_labels), len(truth_labels)), dtype=int)
     for rid in pred:
         table[pi[pred[rid]], ti[truth[rid]]] += 1
-    return table, pred_labels, truth_labels
+    return table
 
 
 def acc(pred: dict, truth: dict) -> float:
     """Fraction correct under the optimal one-to-one cluster assignment."""
-    table, _, _ = contingency(pred, truth)
+    table = contingency(pred, truth)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum()) / len(pred)
 
 
 def fp_measure(pred: dict, truth: dict) -> float:
     """Harmonic mean of purity and inverse purity."""
-    table, _, _ = contingency(pred, truth)
+    table = contingency(pred, truth)
     n = table.sum()
     purity = float(table.max(axis=1).sum()) / n
     inverse_purity = float(table.max(axis=0).sum()) / n
@@ -60,7 +60,7 @@ def nmi(pred: dict, truth: dict) -> float:
     Degenerate conventions: 1.0 when both entropies are zero, 0.0 when
     exactly one is.
     """
-    table, _, _ = contingency(pred, truth)
+    table = contingency(pred, truth)
     n = table.sum()
     pa = table.sum(axis=1) / n
     pb = table.sum(axis=0) / n
@@ -96,7 +96,7 @@ def ari(pred: dict, truth: dict) -> float:
     Returns 1.0 in the degenerate cases where the expected index equals the
     maximum index (both all-singletons or both single-cluster).
     """
-    table, _, _ = contingency(pred, truth)
+    table = contingency(pred, truth)
     n = int(table.sum())
     if n < 2:
         raise TooFewRecords("ARI needs at least 2 records")
@@ -110,7 +110,7 @@ def ari(pred: dict, truth: dict) -> float:
 
 def pairwise_f1(pred: dict, truth: dict) -> tuple[float, float, float]:
     """(precision, recall, f1) over unordered record pairs; 0 on empty denominators."""
-    table, _, _ = contingency(pred, truth)
+    table = contingency(pred, truth)
     tp, together_pred, together_truth = _pair_counts(table)
     precision = tp / together_pred if together_pred else 0.0
     recall = tp / together_truth if together_truth else 0.0

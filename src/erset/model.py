@@ -194,22 +194,13 @@ class ConstraintStore:
     """
 
     def __init__(self, record_ids=()):
-        self._index: dict[str, int] = {}
-        self._ids: list[str] = []
-        self._parent: list[int] = []
-        self._size: list[int] = []
+        # a repeated id is one record, at its first position
+        self._ids: list[str] = list(dict.fromkeys(record_ids))
+        self._index = {rid: i for i, rid in enumerate(self._ids)}
+        self._parent = list(range(len(self._ids)))
+        self._size = [1] * len(self._ids)
         # root -> set of roots it cannot link with (symmetric adjacency)
         self._cannot: dict[int, set[int]] = {}
-        for rid in record_ids:
-            self.add_record(rid)
-
-    def add_record(self, record_id: str) -> None:
-        if record_id in self._index:
-            return
-        self._index[record_id] = len(self._ids)
-        self._ids.append(record_id)
-        self._parent.append(len(self._parent))
-        self._size.append(1)
 
     def _find(self, i: int) -> int:
         parent = self._parent

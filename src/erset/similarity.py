@@ -158,10 +158,11 @@ def hashed_tfidf(ids, token_lists, token_sets, dim: int, seed: int) -> np.ndarra
 
 
 def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
-    """Load a CSV of precomputed embeddings: header "id,d0,...,d{dim-1}".
-    Every record id needs a row; an id given twice is an error."""
+    """Load a CSV of precomputed embeddings: header "id,d0,...,d{dim-1}",
+    then one row per id holding exactly one value per header dimension.
+    Every record id needs a row; an id given twice is an error. A row's
+    error names its file line."""
     out: dict[str, np.ndarray] = {}
-    dim: int | None = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -170,23 +171,20 @@ def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
         for row in reader:
             if not row:
                 continue
-            rid = row[0]
+            rid, where = row[0], f"{path} line {reader.line_num}"
             if rid in out:
-                raise EmbeddingParseError(
-                    f"{path} line {reader.line_num}: duplicate id {rid!r}"
+                raise EmbeddingParseError(f"{where}: duplicate id {rid!r}")
+            if len(row) != len(header):
+                raise DimMismatch(
+                    f"{where}: id {rid!r} has dim {len(row) - 1}, "
+                    f"header has {len(header) - 1}"
                 )
             try:
                 values = np.array([float(x) for x in row[1:]])
             except ValueError as exc:
-                raise EmbeddingParseError(f"{path}: bad row for id {rid!r}") from exc
+                raise EmbeddingParseError(f"{where}: bad row for id {rid!r}") from exc
             if not np.isfinite(values).all():
-                raise EmbeddingParseError(f"{path}: non-finite value for id {rid!r}")
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise DimMismatch(
-                    f"{path}: id {rid!r} has dim {len(values)}, expected {dim}"
-                )
+                raise EmbeddingParseError(f"{where}: non-finite value for id {rid!r}")
             out[rid] = values
     missing = [rid for rid in record_ids if rid not in out]
     if missing:
@@ -213,7 +211,6 @@ class SimilarityIndex:
         embeddings: dict[str, np.ndarray] | None = None,
     ):
         self.config = config or SimilarityConfig()
-        self.records = records
         ids = list(records)
         tokens = [tokenize(r) for r in records.values()]
         self.token_sets = dict(zip(ids, map(set, tokens)))

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from erset.blocking import Block, BlockingParams, lsh_block
-from erset.engine import resolve
+from erset.engine import Resolver
 from erset.gateway import (
     HttpProvider,
     LlmGateway,
@@ -30,14 +30,13 @@ from .oracles import acc_bruteforce, ari_naive, fp_naive, nmi_naive
 def _resolve_oracle(records, truth, blocks, emb, *, p=0.0, seed=0, config=None,
                     parallelism=1):
     backend = SimulatedOracle(OracleConfig(truth, p, seed))
-    return resolve(
+    return Resolver(
         records,
-        blocks,
         backend,
         config=config or SetConfig(seed=seed),
         embeddings=emb,
         parallelism=parallelism,
-    )
+    ).resolve(blocks)
 
 
 def _standard_dataset(seed=1):

@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import erset
 from erset import blocking, cli, dataio, engine, metrics, similarity
 from erset.cli import _apply_config_file, build_parser, main
 from erset.gateway import OracleConfig, SimulatedOracle
@@ -88,6 +94,36 @@ class TestDataio:
         path = tmp_path / "labels.csv"
         dataio.save_labels(path, {"a": "1", "b": "2"}, "cluster_id")
         assert dataio.load_labels(path) == {"a": "1", "b": "2"}
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("record_id,name,entity_id\nr1,john,e1\nr2,mary,e1\n", 1),
+            ("record_id\nr1\n", 1),
+            ("record_id,cluster_id\nr1,a\n\nr2,b,c\n", 4),
+            ("record_id,cluster_id\nr1,a\nr2,b\nr1,c\n", 4),
+        ],
+        ids=["three-column-header", "one-column-header", "three-field-row", "repeated-id"],
+    )
+    def test_bad_labels_file_is_data_error_naming_its_line(
+        self, tmp_path, capsys, text, line
+    ):
+        """evaluate never scores a column other than the second one, and
+        names the line of a repeated id."""
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        rc = main(["evaluate", "--partition", str(path), "--truth", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}: line {line}: ")
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_of_other_than_one_character_is_config_error(
+        self, dataset_csv, capsys, delimiter
+    ):
+        rc = main(["block", "--input", str(dataset_csv), "--delimiter", delimiter])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: delimiter must be one character, not {delimiter!r}\n"
 
     def test_blocks_roundtrip(self, tmp_path):
         from erset.blocking import Block
@@ -484,6 +520,33 @@ class TestCli:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["resolve", "simulate"])
+    def test_parallelism_below_one_is_config_error(
+        self, dataset_csv, capsys, command, value
+    ):
+        argv = [command, "--input", str(dataset_csv), "--truth-column", "entity_id",
+                "--parallelism", value]
+        if command == "resolve":
+            argv += ["--backend", "oracle"]
+        assert main(argv) == 1
+        assert "config error: parallelism must be >= 1" in capsys.readouterr().err
+
+    def test_requests_per_minute_below_one_is_config_error(
+        self, dataset_csv, capsys, monkeypatch
+    ):
+        import requests
+
+        def post(*args, **kwargs):
+            raise AssertionError("no request is made")
+
+        monkeypatch.setattr(requests, "post", post)
+        rc = main(["resolve", "--input", str(dataset_csv), "--backend", "http",
+                   "--endpoint", "http://x", "--model", "m",
+                   "--requests-per-minute", "0"])
+        assert rc == 1
+        assert "config error: requests_per_minute must be >= 1" in capsys.readouterr().err
+
     def test_determinism_of_partition_file(self, dataset_csv, tmp_path):
         parts = []
         for run in range(2):
@@ -547,9 +610,54 @@ class TestEmbeddingsFile:
         assert reports[1] == reports[0]
         assert reports[0]["pair_recall"] == 1.0
 
+    def test_rows_wider_than_the_header_are_data_error(self, data, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        rows = [f"{rid},{values},0.5" for rid, values in self.ROWS.items()]
+        wide.write_text("\n".join(["id,d0,d1", *rows]) + "\n")
+        rc, part = self._run(data, wide, tmp_path)
+        assert rc == 2 and not part.exists()
+        err = capsys.readouterr().err
+        assert err == f"data error: {wide} line 2: id 'r1' has dim 3, header has 2\n"
+
     def test_repeated_id_is_data_error(self, data, tmp_path, capsys):
         repeated = self._embeddings(tmp_path, "repeated.csv", ["r1,0.0,1.0"])
         rc, part = self._run(data, repeated, tmp_path)
         assert rc == 2 and not part.exists()
         err = capsys.readouterr().err
         assert err == f"data error: {repeated} line 5: duplicate id 'r1'\n"
+
+
+class TestReadme:
+    def test_cli_walkthrough_runs(self, tmp_path, monkeypatch, capsys):
+        """Every line of README's CLI block exits 0, run in a fresh directory:
+        ``erset`` lines through ``main``, ``python -c`` lines with this
+        interpreter. The live-endpoint lines (the ``export`` and the
+        ``--backend http`` command) are skipped."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [
+            shlex.split(line)
+            for line in lines
+            if line.strip()
+            and not line.startswith(("#", "export "))
+            and "--backend http" not in line
+        ]
+        src = str(Path(erset.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        for argv in commands:
+            if argv[0] == "erset":
+                rc = main(argv[1:])
+                ran.append(argv[1])
+            else:
+                assert argv[:2] == ["python", "-c"], argv
+                rc = subprocess.run([sys.executable, *argv[1:]], env=env).returncode
+                ran.append("python")
+            assert rc == 0, (argv, capsys.readouterr().err)
+        assert set(ran) == {
+            "synth", "block", "tune", "resolve", "python", "evaluate", "simulate"
+        }

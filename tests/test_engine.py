@@ -18,7 +18,6 @@ from erset.engine import (
     pack_blocks,
     regenerate_set,
     repair_clustering,
-    resolve,
 )
 from erset.gateway import LlmGateway, OracleConfig, SimulatedOracle
 from erset.model import (
@@ -505,7 +504,8 @@ class TestFinalCheck:
         emb = planted_embeddings(truth, noise=0.0, seed=3)
         block = Block("b0", tuple(sorted(records)))
         backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
-        partition, _, report = resolve(records, [block], backend, embeddings=emb)
+        resolver = Resolver(records, backend, embeddings=emb)
+        partition, _, report = resolver.resolve([block])
         assert report.final_check_sets == 0
         assert report.final_check_rounds == 0
         assert len(partition.clusters) == len(records)
@@ -622,7 +622,8 @@ class TestResolve:
         ]
         assert len(blocks) == 12 and {len(b) for b in blocks} == {3}
         backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
-        partition, ledger, report = resolve(records, blocks, backend, embeddings=emb)
+        resolver = Resolver(records, backend, embeddings=emb)
+        partition, ledger, report = resolver.resolve(blocks)
         labels = partition.as_labels()
         assert len(set(labels.values())) == 12
         assert all(len({labels[rid] for rid in b.members}) == 1 for b in blocks)
@@ -635,9 +636,8 @@ class TestResolve:
         emb = planted_embeddings(truth, noise=0.05, seed=21)
         backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
         block = Block("b0", tuple(sorted(records)))
-        partition, ledger, report = resolve(
-            records, [block], backend, embeddings=emb
-        )
+        resolver = Resolver(records, backend, embeddings=emb)
+        partition, ledger, report = resolver.resolve([block])
         labels = partition.as_labels()
         groups = {}
         for rid, label in labels.items():
@@ -656,7 +656,7 @@ class TestResolve:
         emb = planted_embeddings(truth, noise=0.1, seed=22)
         backend = SimulatedOracle(OracleConfig(truth, 0.5, 1))
         block = Block("b0", tuple(sorted(records)))
-        partition, _, _ = resolve(records, [block], backend, embeddings=emb)
+        partition, _, _ = Resolver(records, backend, embeddings=emb).resolve([block])
         assert set(partition.as_labels()) == set(records)
 
     def test_blocks_never_compared(self):
@@ -689,7 +689,7 @@ class TestResolve:
 
         monkeypatch.setattr(engine, "final_check", recording)
         backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
-        resolve(records, [block], backend, embeddings=emb)
+        Resolver(records, backend, embeddings=emb).resolve([block])
         assert len(seen) == 2
         first_wave = [n.representative for rs in seen[0][1] for n in rs.members]
         assert len(first_wave) > len(set(first_wave))  # a node is reused
@@ -705,7 +705,8 @@ class TestResolve:
         emb = _one_direction_embeddings(records)
         block = Block("b0", tuple(sorted(records)))
         backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
-        partition, ledger, _ = resolve(records, [block], backend, embeddings=emb)
+        resolver = Resolver(records, backend, embeddings=emb)
+        partition, ledger, _ = resolver.resolve([block])
         assert len(partition.clusters) == len(records)
         assert ledger.api_calls <= 16
 
@@ -715,9 +716,12 @@ class TestResolve:
         ids = sorted(records)
         blocks = [Block("b0", (ids[0],)), Block("b1", tuple(ids[1:]))]
         backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
-        _, ledger, _ = resolve(records, blocks[1:], backend, embeddings=emb)
-        alone, ledger_alone, _ = resolve(records, blocks[:1], backend, embeddings=emb)
-        both, ledger_both, _ = resolve(records, blocks, backend, embeddings=emb)
+        def run(some):
+            return Resolver(records, backend, embeddings=emb).resolve(some)
+
+        _, ledger, _ = run(blocks[1:])
+        alone, ledger_alone, _ = run(blocks[:1])
+        both, ledger_both, _ = run(blocks)
         assert ledger_alone.api_calls == 0
         assert ledger_both.api_calls == ledger.api_calls
         assert alone.as_labels()[ids[0]] == both.as_labels()[ids[0]]
@@ -1161,9 +1165,8 @@ def test_planted_block_resolves_as_pinned():
     emb = planted_embeddings(truth, noise=0.05, seed=1)
     block = Block("b0", tuple(sorted(records)))
     backend = SimulatedOracle(OracleConfig(truth, 0.0, 1))
-    partition, ledger, report = resolve(
-        records, [block], backend, config=SetConfig(seed=1), embeddings=emb
-    )
+    resolver = Resolver(records, backend, config=SetConfig(seed=1), embeddings=emb)
+    partition, ledger, report = resolver.resolve([block])
     assert _partition_digest(partition) == (
         "b45e679493627fce12a992bf5d5ba1544accd1390caad9cea6f66b31d4a68e5a"
     )
@@ -1202,9 +1205,8 @@ def test_800_record_block_resolves_as_pinned():
     emb = planted_embeddings(truth, noise=0.05, seed=1)
     block = Block("b0", tuple(sorted(records)))
     backend = SimulatedOracle(OracleConfig(truth, 0.0, 1))
-    partition, ledger, report = resolve(
-        records, [block], backend, config=SetConfig(seed=1), embeddings=emb
-    )
+    resolver = Resolver(records, backend, config=SetConfig(seed=1), embeddings=emb)
+    partition, ledger, report = resolver.resolve([block])
     assert _partition_digest(partition) == (
         "f5c0ab6ca313b952f37a00064db56c5eba6497ee424da1d622b3d9327ee48884"
     )

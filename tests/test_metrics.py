@@ -24,7 +24,7 @@ def test_universe_mismatch():
 
 
 def test_contingency_table():
-    table, _, _ = contingency(_labels("ab", "c"), _labels("a", "bc"))
+    table = contingency(_labels("ab", "c"), _labels("a", "bc"))
     assert table.sum() == 3
     assert sorted(table.flatten().tolist()) == [0, 1, 1, 1]
 
@@ -174,7 +174,7 @@ def test_relabeling_invariance(pair):
 @given(partition_pairs())
 def test_bounds_and_identity(pair):
     pred, truth = pair
-    table, _, _ = contingency(pred, truth)
+    table = contingency(pred, truth)
     a = acc(pred, truth)
     assert table.max() / len(pred) <= a <= 1.0
     assert 0.0 <= fp_measure(pred, truth) <= 1.0

@@ -145,6 +145,12 @@ class TestConstraintStore:
         store.merge("c", "a")
         assert store.components() == {"a": ["a", "c"], "b": ["b"], "d": ["d"]}
 
+    def test_repeated_id_is_one_record(self):
+        store = ConstraintStore(["b", "a", "b"])
+        assert store.components() == {"b": ["b"], "a": ["a"]}
+        store.merge("a", "b")
+        assert store.components() == {"a": ["a", "b"]}
+
     def test_unknown_id(self):
         store = ConstraintStore(["a"])
         with pytest.raises(KeyError):

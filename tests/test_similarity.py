@@ -137,6 +137,35 @@ def test_load_embeddings_errors(tmp_path):
         load_embeddings(path, ["a", "b"])
 
 
+def test_load_embeddings_rows_match_the_header_width(tmp_path):
+    """A row wider than its header is not a wider embedding, even when every
+    row is as wide."""
+    path = tmp_path / "emb.csv"
+    path.write_text("id,d0,d1\na,1.0,2.0,3.0\nb,1.0,2.0,3.0\n")
+    with pytest.raises(DimMismatch, match="line 2: id 'a' has dim 3, header has 2"):
+        load_embeddings(path, ["a", "b"])
+    path.write_text("id,d0,d1\na,1.0,2.0\nb,1.0,2.0,3.0\n")
+    with pytest.raises(DimMismatch, match="line 3: id 'b' has dim 3, header has 2"):
+        load_embeddings(path, ["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ("b,1.0,x", EmbeddingParseError, "line 4: bad row for id 'b'"),
+        ("b,nan,1", EmbeddingParseError, "line 4: non-finite value for id 'b'"),
+        ("b,1.0", DimMismatch, "line 4: id 'b' has dim 1"),
+    ],
+    ids=["bad-value", "non-finite", "narrow"],
+)
+def test_load_embeddings_row_errors_name_the_file_line(tmp_path, row, error, message):
+    """The blank third line is skipped but counted."""
+    path = tmp_path / "emb.csv"
+    path.write_text(f"id,d0,d1\na,1.0,2.0\n\n{row}\n")
+    with pytest.raises(error, match=message):
+        load_embeddings(path, ["a", "b"])
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_load_embeddings_rejects_non_finite_values(tmp_path, bad):
     path = tmp_path / "emb.csv"
@@ -232,7 +261,7 @@ def _kernel_index(planted):
 @pytest.mark.parametrize("planted", [False, True])
 def test_sims_bitwise_equal_sim_and_cosine(planted):
     idx = _kernel_index(planted)
-    ids = sorted(idx.records)
+    ids = sorted(idx.embeddings)
     full = idx.sims(ids)
     assert full.shape == (len(ids), len(ids))
     for i, a in enumerate(ids):
@@ -266,7 +295,7 @@ def test_sims_rectangular_and_empty_shapes(measure):
 
 def test_sims_of_permuted_ids_are_the_permuted_matrix():
     idx = _kernel_index(planted=False)
-    ids = sorted(idx.records)
+    ids = sorted(idx.embeddings)
     perm = np.random.default_rng(0).permutation(len(ids))
     permuted = idx.sims(ids[k] for k in perm)
     assert np.array_equal(permuted, idx.sims(ids)[np.ix_(perm, perm)])
