@@ -307,13 +307,8 @@ class _RankedPairs:
         return None
 
 
-def merge_round(
-    nodes: list[ClusterNode],
-    config: SetConfig,
-    sims: np.ndarray,
-    set_id_prefix: str,
-) -> list[RecordSet]:
-    """One CMR round: pack the level's clusters into next-level record sets.
+def merge_round(origin: np.ndarray, sims: np.ndarray, set_size: int) -> list[list[int]]:
+    """One CMR round: pack a level's clusters into next-level record sets.
 
     Waves of greedy packing over the whole level: each wave seeds a new
     record set with the cluster holding the strongest cross-origin match
@@ -321,26 +316,20 @@ def merge_round(
     similar to the growing set, up to min(S_s, origin sets) members. Every
     cluster is selected exactly once per round and two clusters from the same
     origin set are never co-packed (their separation is already known), so a
-    wave takes at most one cluster per origin set. The emitted set keeps
-    similar clusters adjacent (greedy sequential order).
+    wave takes at most one cluster per origin set. Each wave's clusters are
+    chained so that similar ones sit adjacent (greedy sequential order).
 
-    ``sims`` is the similarity matrix of the nodes' representatives, in node
-    order. The round works on node indices in representative order over that
-    matrix, permuted. Nodes without an origin set share the origin "".
+    ``origin`` holds the clusters' origin-set labels and ``sims`` their
+    similarity matrix, both in representative order; returns each wave's
+    chained cluster indices. A level of one origin set packs nothing.
     Candidate pairs are ranked once per round (_RankedPairs), so a round
-    costs O(c² log c) for c nodes, not O(c²) per pick.
+    costs O(c² log c) for c clusters, not O(c²) per pick.
     """
-    order = sorted(range(len(nodes)), key=lambda i: nodes[i].representative)
-    candidates = [nodes[i] for i in order]
-    labels: dict[str, int] = {}
-    origin = np.array(
-        [labels.setdefault(n.origin_set or "", len(labels)) for n in candidates]
-    )
-    if len(labels) < 2:
+    origins = len(np.unique(origin))
+    if origins < 2:
         return []
-    c = len(candidates)
-    sims = sims[np.ix_(order, order)]
-    size_cap = min(config.set_size, len(labels))
+    c = len(origin)
+    size_cap = min(set_size, origins)
     # Pairs a wave may seed with. Index order is representative order, so of
     # several equal pairs the first ranked has the lowest smaller
     # representative, then the lowest larger one.
@@ -372,23 +361,14 @@ def merge_round(
                 available[origin == origin[i]] = False
                 np.maximum(join, sims[i], out=join)
                 picks.append(i)
-        groups.append(picks)
-
-    out: list[RecordSet] = []
-    for counter, picks in enumerate(groups):
-        # keep similar clusters adjacent in the emitted set: chain them in
-        # representative order, so ties go to the lowest representative
+        # keep similar clusters adjacent: chain them in representative
+        # order, so ties go to the lowest representative
         members = sorted(picks)
         chain = similarity_chain(
             sims[np.ix_(members, members)], members.index(picks[0])
         )
-        out.append(
-            RecordSet(
-                f"{set_id_prefix}.{counter:04d}",
-                tuple(candidates[members[k]] for k in chain),
-            )
-        )
-    return out
+        groups.append([members[k] for k in chain])
+    return groups
 
 
 def open_pairs(
@@ -397,10 +377,10 @@ def open_pairs(
     config: SetConfig,
     sims: np.ndarray,
 ) -> np.ndarray:
-    """Upper-triangular boolean matrix over ``nodes`` in the given order:
-    True where a pair is open, i.e. its nodes have distinct store roots, no
-    cannot-link, and representatives at least ``config.b_t`` similar.
-    ``sims`` is the similarity matrix of the representatives, in node order.
+    """Symmetric boolean matrix over ``nodes`` in the given order: True where
+    a pair is open, i.e. its nodes have distinct store roots, no cannot-link,
+    and representatives at least ``config.b_t`` similar. ``sims`` is the
+    similarity matrix of the representatives, in node order.
 
     A pair below ``b_t`` is presumed distinct, as blocking presumes across
     blocks: it is not looked up in the store. Every other pair is determined
@@ -411,35 +391,22 @@ def open_pairs(
     for i, j in zip(*(ax.tolist() for ax in close.nonzero())):
         a, b = reps[i], reps[j]
         out[i, j] = not store.same_entity(a, b) and not store.cannot_link(a, b)
-    return out
+    return out | out.T
 
 
-def final_check(
-    nodes: list[ClusterNode],
-    store: ConstraintStore,
-    config: SetConfig,
-    index: SimilarityIndex,
-    set_id_prefix: str,
-    start: int = 0,
-) -> list[RecordSet]:
-    """One wave of exit-condition sets: greedily pack record sets of at most
-    S_s nodes maximizing newly covered open pairs (see open_pairs).
-    Known-distinct nodes may share a set — their pair adds no information,
-    but mixing sides is what lets one call cover up to
-    floor(S_s/2) * ceil(S_s/2) open pairs.
+def final_check(open_: np.ndarray, set_size: int) -> list[list[int]]:
+    """One wave of exit-condition sets: a greedy cover of the open pairs
+    (see open_pairs) by groups of at most S_s nodes, each group maximizing
+    the open pairs it newly covers. Known-distinct nodes may share a group —
+    their pair adds no information, but mixing sides is what lets one call
+    cover up to floor(S_s/2) * ceil(S_s/2) open pairs.
 
-    Uncovered pairs are a symmetric boolean matrix over the nodes in
-    representative order, so argmax ties go to the lowest id."""
-    n = len(nodes)
-    if n < 2:
-        return []
-    nodes = sorted(nodes, key=lambda node: node.representative)
-    sims = index.sims(node.representative for node in nodes)
-    uncovered = open_pairs(nodes, store, config, sims)
-    uncovered |= uncovered.T
-
-    out: list[RecordSet] = []
-    counter = start
+    ``open_`` is the level's symmetric open-pair matrix, in representative
+    order, so argmax ties go to the lowest representative; returns each
+    group's node indices in the order they were chosen."""
+    uncovered = open_.copy()
+    n = len(uncovered)
+    out: list[list[int]] = []
     while uncovered.any():
         seed = int(uncovered.sum(axis=1).argmax())
         chosen = [seed]
@@ -447,7 +414,7 @@ def final_check(
         # any gain they can still collect
         gain = uncovered[seed].astype(int)
         gain[seed] = -n
-        while len(chosen) < config.set_size:
+        while len(chosen) < set_size:
             best = int(gain.argmax())
             if gain[best] <= 0:
                 break
@@ -456,10 +423,7 @@ def final_check(
             gain[best] = -n
         rows = np.array(chosen)
         uncovered[rows[:, None], rows] = False
-        out.append(
-            RecordSet(f"{set_id_prefix}.{counter:04d}", tuple(nodes[i] for i in chosen))
-        )
-        counter += 1
+        out.append(chosen)
     return out
 
 
@@ -665,21 +629,21 @@ class Resolver:
         # replies all fell back resolved nothing and would only repeat.
         wave = 0
         counter = 0
-        while True:
-            sets = final_check(
-                nodes,
-                self.store,
-                self.config,
-                self.index,
-                f"{block.block_id}.F",
-                start=counter,
-            )
-            if not sets:
+        while len(nodes) >= 2:
+            nodes, _, open_ = self._level(nodes)
+            groups = final_check(open_, self.config.set_size)
+            if not groups:
                 break
             if wave == self.max_levels:
                 capped = True
                 break
             wave += 1
+            sets = [
+                RecordSet(
+                    f"{block.block_id}.F.{counter + k:04d}", tuple(nodes[i] for i in g)
+                )
+                for k, g in enumerate(groups)
+            ]
             counter += len(sets)
             self.report.final_check_sets += len(sets)
             self.report.final_check_rounds = max(self.report.final_check_rounds, wave)
@@ -689,30 +653,38 @@ class Resolver:
                 break
         self.report.max_levels_hits += capped
 
+    def _level(
+        self, nodes: list[ClusterNode]
+    ) -> tuple[list[ClusterNode], np.ndarray, np.ndarray]:
+        """One read of a level: its nodes in representative order, their
+        similarity matrix and their open pairs (see open_pairs)."""
+        nodes = sorted(nodes, key=lambda node: node.representative)
+        sims = self.index.sims(node.representative for node in nodes)
+        return nodes, sims, open_pairs(nodes, self.store, self.config, sims)
+
     def _pack_level(
         self, nodes: list[ClusterNode], set_id_prefix: str
     ) -> tuple[list[RecordSet], list[ClusterNode]]:
         """Pack one merge round: the sets that hold an open pair, to ask, and
         the nodes of every other set, carried unchanged (a one-member set
-        holds no pair). The level's similarity matrix is read once: the
-        round packs over it, and each set is decided by its members' block
-        of the level's open pairs. A level whose nodes share one origin set
-        packs nothing: that set's answer already relates every pair."""
+        holds no pair). The round packs over one read of the level, and each
+        set is decided by its members' block of the level's open pairs. A
+        level whose nodes share one origin set packs nothing: that set's
+        answer already relates every pair."""
         asked: list[RecordSet] = []
         carried: list[ClusterNode] = []
         if len({node.origin_set for node in nodes}) < 2:
             return asked, carried
-        sims = self.index.sims(node.representative for node in nodes)
-        sets = merge_round(nodes, self.config, sims, set_id_prefix)
-        position = {node.representative: i for i, node in enumerate(nodes)}
-        level_open = open_pairs(nodes, self.store, self.config, sims)
-        level_open |= level_open.T
-        for rs in sets:
-            rows = [position[node.representative] for node in rs.members]
-            if level_open[np.ix_(rows, rows)].any():
-                asked.append(rs)
+        nodes, sims, open_ = self._level(nodes)
+        labels = [node.origin_set or "" for node in nodes]
+        origin = np.unique(labels, return_inverse=True)[1]
+        groups = merge_round(origin, sims, self.config.set_size)
+        for k, group in enumerate(groups):
+            members = tuple(nodes[i] for i in group)
+            if open_[np.ix_(group, group)].any():
+                asked.append(RecordSet(f"{set_id_prefix}.{k:04d}", members))
             else:
-                carried.extend(rs.members)
+                carried.extend(members)
         return asked, carried
 
     def resolve(self, blocks: list[Block]) -> tuple[Partition, CostLedger, ResolveReport]:

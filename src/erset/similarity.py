@@ -158,9 +158,10 @@ def hashed_tfidf(ids, token_lists, token_sets, dim: int, seed: int) -> np.ndarra
 
 
 def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
-    """Load a CSV of precomputed embeddings: header "id,d0,...,d{dim-1}",
-    then one row per id holding exactly one value per header dimension.
-    Every record id needs a row; an id given twice is an error. A row's
+    """Load a CSV of precomputed embeddings: header "id,d0,...,d{dim-1}"
+    with at least one dimension, then one row per id holding exactly one
+    value per header dimension. Every record id needs a row; an id given
+    twice, or a row of zeros (it has no direction), is an error. A row's
     error names its file line."""
     out: dict[str, np.ndarray] = {}
     with open(path, newline="") as fh:
@@ -168,6 +169,10 @@ def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
         header = next(reader, None)
         if header is None or not header or header[0] != "id":
             raise EmbeddingParseError(f"{path}: missing 'id,d0,...' header row")
+        if len(header) < 2:
+            raise EmbeddingParseError(
+                f"{path} line {reader.line_num}: header has no dimension columns"
+            )
         for row in reader:
             if not row:
                 continue
@@ -185,6 +190,8 @@ def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
                 raise EmbeddingParseError(f"{where}: bad row for id {rid!r}") from exc
             if not np.isfinite(values).all():
                 raise EmbeddingParseError(f"{where}: non-finite value for id {rid!r}")
+            if not values.any():
+                raise EmbeddingParseError(f"{where}: zero vector for id {rid!r}")
             out[rid] = values
     missing = [rid for rid in record_ids if rid not in out]
     if missing:

@@ -89,9 +89,9 @@ def test_criterion_03_all_distinct_call_count_and_reduction():
     assert pair_ledger.api_calls / ledger.api_calls >= 3.0
 
 
-def _mdg_ablation_runs():
+def _mdg_ablation_runs(noise=0.1):
     records, truth = _standard_dataset()
-    emb = planted_embeddings(truth, noise=0.1, seed=1)
+    emb = planted_embeddings(truth, noise=noise, seed=1)
     blocks = [Block("b0", tuple(sorted(records)))]
     runs = []
     for seed in range(10):
@@ -105,6 +105,7 @@ def _mdg_ablation_runs():
                 "fp": fp_measure(partition.as_labels(), truth),
                 "calls": ledger.api_calls,
                 "regenerations": report.guardrail.regenerations,
+                "merge_sets": sum(report.level_set_counts[1:]),
             }
         runs.append(row)
     return runs
@@ -113,6 +114,14 @@ def _mdg_ablation_runs():
 @pytest.fixture(scope="module")
 def mdg_runs():
     return _mdg_ablation_runs()
+
+
+@pytest.fixture(scope="module")
+def mdg_hierarchy_runs():
+    """Criterion 04's ablation at planted noise 0.05, where true pairs reach
+    b_t: merge rounds and the sweep run, and the guardrail has work to do.
+    At noise 0.1 every true pair is below b_t, and level 0 is all there is."""
+    return _mdg_ablation_runs(noise=0.05)
 
 
 def test_criterion_04_mdg_quality(mdg_runs):
@@ -127,6 +136,20 @@ def test_criterion_04_regeneration_overhead(mdg_runs):
     extra = sum(r[2]["regenerations"] for r in mdg_runs)
     baseline = sum(r[0]["calls"] for r in mdg_runs)
     assert extra <= 0.15 * baseline
+
+
+def test_criterion_04_hierarchy_asks_merge_round_sets(mdg_hierarchy_runs):
+    assert all(run["merge_sets"] > 0 for r in mdg_hierarchy_runs for run in r.values())
+
+
+def test_criterion_04_mdg_quality_through_the_hierarchy(mdg_hierarchy_runs):
+    test_criterion_04_mdg_quality(mdg_hierarchy_runs)
+
+
+def test_criterion_04_regeneration_overhead_through_the_hierarchy(
+    mdg_hierarchy_runs,
+):
+    test_criterion_04_regeneration_overhead(mdg_hierarchy_runs)
 
 
 def test_criterion_05_metric_oracle_equivalence():
@@ -214,6 +237,26 @@ def test_criterion_10_determinism_under_parallelism():
         lines = sorted(f"{r},{c}" for r, c in partition.as_labels().items())
         counters = (ledger.api_calls, ledger.tokens_in, ledger.tokens_out)
         outputs.append(("\n".join(lines).encode(), counters))
+    assert outputs[0] == outputs[1]
+
+
+def test_criterion_10_determinism_through_the_hierarchy():
+    """Criterion 10 at planted noise 0.05, where merge rounds run: sets are
+    clustered concurrently at every level, and two runs still agree."""
+    records, truth = _standard_dataset()
+    emb = planted_embeddings(truth, noise=0.05, seed=1)
+    blocks = [Block("b0", tuple(sorted(records)))]
+    outputs = []
+    for _ in range(2):
+        partition, ledger, report = _resolve_oracle(
+            records, truth, blocks, emb, p=0.2, seed=5,
+            config=SetConfig(seed=5), parallelism=4,
+        )
+        assert sum(report.level_set_counts[1:]) > 0
+        lines = sorted(f"{r},{c}" for r, c in partition.as_labels().items())
+        counters = (ledger.api_calls, ledger.tokens_in, ledger.tokens_out)
+        shape = (report.level_set_counts, report.final_check_sets, report.guardrail)
+        outputs.append(("\n".join(lines).encode(), counters, shape))
     assert outputs[0] == outputs[1]
 
 

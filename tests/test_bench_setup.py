@@ -18,7 +18,7 @@ import run  # noqa: E402
 TINY = {
     # planted embeddings, no blocking, exact oracle
     "dense-block": dict(datasets=1, entities=12, dupes=3),
-    # hashed TF-IDF fitted in set-up, LSH blocking
+    # hashed TF-IDF embeddings built with the index in set-up, LSH blocking
     "wide-lsh": dict(datasets=2, entities=15, dupes=3),
     # oracle error 0.3, two workers, no latency
     "noisy-live": dict(datasets=2, entities=6, dupes=3, latency_s=0.0),

@@ -626,6 +626,24 @@ class TestEmbeddingsFile:
         err = capsys.readouterr().err
         assert err == f"data error: {repeated} line 5: duplicate id 'r1'\n"
 
+    @pytest.mark.parametrize("command", ["resolve", "block"])
+    def test_embeddings_without_a_direction_are_data_error(
+        self, data, tmp_path, capsys, command
+    ):
+        """A header without dimensions, or a row of zeros, names its file
+        line, whatever the command (both once failed only in the cosine)."""
+        flat = tmp_path / "flat.csv"
+        flat.write_text("id\nr1\nr2\nr3\n")
+        zero = self._embeddings(tmp_path, "zero.csv")
+        zero.write_text(zero.read_text().replace("r3,0.0,1.0", "r3,0.0,-0.0"))
+        for path, message in (
+            (flat, "line 1: header has no dimension columns"),
+            (zero, "line 4: zero vector for id 'r3'"),
+        ):
+            rc, part = self._run(data, path, tmp_path, command)
+            assert rc == 2 and not part.exists()
+            assert capsys.readouterr().err == f"data error: {path} {message}\n"
+
 
 class TestReadme:
     def test_cli_walkthrough_runs(self, tmp_path, monkeypatch, capsys):

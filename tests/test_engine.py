@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erset import engine, setbuilder
 from erset.blocking import Block, BlockingParams, make_blocks
@@ -43,6 +45,36 @@ def _sims(rs, table):
 def _rep_sims(index, nodes):
     """The similarity matrix of the nodes' representatives, in node order."""
     return index.sims(n.representative for n in nodes)
+
+
+def _in_rep_order(nodes, index):
+    """The nodes in representative order and their similarity matrix: one
+    read of a level, as the Resolver makes it."""
+    nodes = sorted(nodes, key=lambda n: n.representative)
+    return nodes, _rep_sims(index, nodes)
+
+
+def _named(prefix, nodes, groups, start=0):
+    """Each group of node indices as a record set, numbered as the Resolver
+    numbers them."""
+    return [
+        RecordSet(f"{prefix}.{start + k:04d}", tuple(nodes[i] for i in g))
+        for k, g in enumerate(groups)
+    ]
+
+
+def _merge_sets(nodes, config, index, prefix="L1"):
+    """merge_round over the nodes, its groups as record sets."""
+    nodes, sims = _in_rep_order(nodes, index)
+    origin = np.unique([n.origin_set or "" for n in nodes], return_inverse=True)[1]
+    return _named(prefix, nodes, merge_round(origin, sims, config.set_size))
+
+
+def _sweep_sets(nodes, store, config, index, prefix="F", start=0):
+    """final_check over the nodes' open pairs, its groups as record sets."""
+    nodes, sims = _in_rep_order(nodes, index)
+    open_ = open_pairs(nodes, store, config, sims)
+    return _named(prefix, nodes, final_check(open_, config.set_size), start)
 
 
 def _set_of(ids, set_id="s0", origin=None):
@@ -334,9 +366,6 @@ class TestApplyClustering:
 
 
 class TestMergeRound:
-    def _round(self, nodes, config, index):
-        return merge_round(nodes, config, _rep_sims(index, nodes), "L1")
-
     def test_figure_style_chaining(self):
         """4 origin sets x 3 entity clusters, diversity 1: three next-round
         sets, each holding one cluster per origin set matched by similarity."""
@@ -352,7 +381,7 @@ class TestMergeRound:
             (a, b): 0.9 if entity[a] == entity[b] else 0.1
             for a, b in itertools.combinations(sorted(ids), 2)
         }
-        out = self._round(nodes, SetConfig(set_diversity=1), TableIndex(sims))
+        out = _merge_sets(nodes, SetConfig(set_diversity=1), TableIndex(sims))
         assert len(out) == 3
         for rs in out:
             assert len(rs) == 4
@@ -375,7 +404,7 @@ class TestMergeRound:
             ClusterNode.singleton("b2", origin_set="sb"),
         ]
         ids = ["a1", "a2", "b1", "b2"]
-        out = self._round(nodes, SetConfig(set_diversity=1), TableIndex(sims))
+        out = _merge_sets(nodes, SetConfig(set_diversity=1), TableIndex(sims))
         packs = sorted(
             tuple(sorted(n.representative for n in rs.members)) for rs in out
         )
@@ -383,7 +412,7 @@ class TestMergeRound:
 
     def test_single_origin_yields_no_multinode_sets(self):
         nodes = [ClusterNode.singleton(i, origin_set="s0") for i in "abc"]
-        out = self._round(nodes, SetConfig(), TableIndex(default=0.5))
+        out = _merge_sets(nodes, SetConfig(), TableIndex(default=0.5))
         assert all(len(rs) == 1 for rs in out)
 
     def test_every_node_selected_exactly_once(self):
@@ -394,7 +423,7 @@ class TestMergeRound:
                 rid = f"n{s}{j}"
                 ids.append(rid)
                 nodes.append(ClusterNode.singleton(rid, origin_set=f"s{s}"))
-        out = self._round(nodes, SetConfig(), TableIndex(default=0.5))
+        out = _merge_sets(nodes, SetConfig(), TableIndex(default=0.5))
         seen = [n.representative for rs in out for n in rs.members]
         assert sorted(seen) == sorted(ids)
 
@@ -407,7 +436,7 @@ class TestMergeRound:
             ClusterNode.singleton("a1", origin_set="sa"),
             ClusterNode.singleton("b1", origin_set="sb"),
         ]
-        out = self._round(nodes, SetConfig(), TableIndex(default=0.9))
+        out = _merge_sets(nodes, SetConfig(), TableIndex(default=0.9))
         assert len(out) == 1
         assert sorted(n.representative for n in out[0].members) == ["a1", "b1"]
 
@@ -421,13 +450,14 @@ class TestOpenPairs:
         nodes = [ClusterNode.singleton(i) for i in "abc"]
         index = TableIndex(table, default=1.0)
         out = open_pairs(nodes, store, SetConfig(b_t=b_t), _rep_sims(index, nodes))
-        return {"abc"[i] + "abc"[j] for i, j in zip(*out.nonzero())}
+        return {"abc"[i] + "abc"[j] for i, j in zip(*out.nonzero()) if i < j}
 
     def test_upper_triangle_of_close_undetermined_pairs(self):
         nodes = [ClusterNode.singleton(i) for i in "abc"]
         store = ConstraintStore(list("abc"))
         out = open_pairs(nodes, store, SetConfig(), _rep_sims(ALL_CLOSE, nodes))
-        assert out.tolist() == [
+        assert (out == out.T).all()
+        assert np.triu(out).tolist() == [
             [False, True, True], [False, False, True], [False, False, False]
         ]
 
@@ -454,12 +484,12 @@ class TestFinalCheck:
         store = ConstraintStore(["a", "b"])
         store.merge("a", "b")
         nodes = [ClusterNode(frozenset("ab"), "a")]
-        assert final_check(nodes, store, SetConfig(), ALL_CLOSE, "F") == []
+        assert _sweep_sets(nodes, store, SetConfig(), ALL_CLOSE) == []
 
     def test_three_singletons_one_set(self):
         store = ConstraintStore(["a", "b", "c"])
         nodes = [ClusterNode.singleton(i) for i in "abc"]
-        sets = final_check(nodes, store, SetConfig(), ALL_CLOSE, "F")
+        sets = _sweep_sets(nodes, store, SetConfig(), ALL_CLOSE)
         assert len(sets) == 1
         assert sorted(n.representative for n in sets[0].members) == ["a", "b", "c"]
 
@@ -472,7 +502,7 @@ class TestFinalCheck:
             for i, j in itertools.combinations(range(9), 2):
                 store.add_cannot_link(f"{side}{i}", f"{side}{j}")
         nodes = [ClusterNode.singleton(i, origin_set=i[0]) for i in ids]
-        sets = final_check(nodes, store, SetConfig(), ALL_CLOSE, "F")
+        sets = _sweep_sets(nodes, store, SetConfig(), ALL_CLOSE)
         assert 5 <= len(sets) <= 9
         covered = set()
         for rs in sets:
@@ -487,14 +517,14 @@ class TestFinalCheck:
         store = ConstraintStore(["a", "b"])
         nodes = [ClusterNode.singleton(i) for i in "ab"]
         below = TableIndex({("a", "b"): 0.49})
-        assert final_check(nodes, store, SetConfig(b_t=0.5), below, "F") == []
+        assert _sweep_sets(nodes, store, SetConfig(b_t=0.5), below) == []
 
     def test_pair_at_b_t_is_asked(self):
         """Only the pair at b_t is unresolved: one set of exactly that pair."""
         store = ConstraintStore(["a", "b", "c"])
         nodes = [ClusterNode.singleton(i) for i in "abc"]
         index = TableIndex({("a", "b"): 0.1, ("a", "c"): 0.6, ("b", "c"): 0.2})
-        sets = final_check(nodes, store, SetConfig(b_t=0.6), index, "F")
+        sets = _sweep_sets(nodes, store, SetConfig(b_t=0.6), index)
         assert [[n.representative for n in rs.members] for rs in sets] == [["a", "c"]]
 
     def test_all_distinct_planted_records_need_no_sweep(self):
@@ -607,6 +637,21 @@ class TestPackBlocks:
         assert packed[0].members == tuple(sorted(blocks[0].members + blocks[3].members))
 
 
+def _record_levels(monkeypatch):
+    """Record the nodes of each level the Resolver reads, in the order the
+    packers index them."""
+    levels = []
+    read = Resolver._level
+
+    def reading(resolver, nodes):
+        out = read(resolver, nodes)
+        levels.append(out[0])
+        return out
+
+    monkeypatch.setattr(Resolver, "_level", reading)
+    return levels
+
+
 class TestResolve:
     def test_small_blocks_share_level0_sets(self):
         """Twelve 3-record blocks, one entity each, share four level-0 sets:
@@ -680,18 +725,20 @@ class TestResolve:
         records, truth = generate_dataset(18, 1, seed=3)
         emb = _one_direction_embeddings(records)
         block = Block("b0", tuple(sorted(records)))
+        levels = _record_levels(monkeypatch)
         seen = []
 
-        def recording(nodes, *args, **kwargs):
-            sets = final_check(nodes, *args, **kwargs)
-            seen.append((list(nodes), sets))
-            return sets
+        def recording(open_, set_size):
+            groups = final_check(open_, set_size)
+            nodes = levels[-1]
+            seen.append((nodes, [[nodes[i] for i in g] for g in groups]))
+            return groups
 
         monkeypatch.setattr(engine, "final_check", recording)
         backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
         Resolver(records, backend, embeddings=emb).resolve([block])
         assert len(seen) == 2
-        first_wave = [n.representative for rs in seen[0][1] for n in rs.members]
+        first_wave = [n.representative for group in seen[0][1] for n in group]
         assert len(first_wave) > len(set(first_wave))  # a node is reused
         nodes = seen[1][0]
         assert sum(len(n.members) for n in nodes) == len(records)
@@ -811,21 +858,24 @@ class TestResolve:
                 sent.update(rs.set_id for rs in record_sets)
                 return oracle.complete(prompt, record_sets)
 
+        levels = _record_levels(monkeypatch)
         rounds = []
 
-        def packing(nodes, config, sims, prefix):
-            packed = merge_round(nodes, config, sims, prefix)
+        def packing(origin, sims, set_size):
+            groups = merge_round(origin, sims, set_size)
+            nodes = levels[-1]
+            packed = _named(f"b0.L{len(rounds) + 1}", nodes, groups)
             flags = [
                 open_pairs(
                     rs.members,
                     resolver.store,
-                    config,
+                    resolver.config,
                     _rep_sims(resolver.index, rs.members),
                 ).any()
                 for rs in packed
             ]
-            rounds.append((list(nodes), list(zip(packed, flags))))
-            return packed
+            rounds.append((nodes, list(zip(packed, flags))))
+            return groups
 
         monkeypatch.setattr(engine, "merge_round", packing)
         resolver = Resolver(
@@ -1086,8 +1136,7 @@ class TestMatchesReference:
                     for n in nodes
                 ]
             expected = _reference_merge_round(nodes, config, table, "b.L1")
-            sims = _rep_sims(TableIndex(table), nodes)
-            got = merge_round(nodes, config, sims, "b.L1")
+            got = _merge_sets(nodes, config, TableIndex(table), "b.L1")
             assert got == expected, seed
 
     @pytest.mark.parametrize("config", _CONFIGS, ids=["size2", "size9"])
@@ -1102,8 +1151,53 @@ class TestMatchesReference:
                     expected = _reference_final_check(
                         nodes, store, config, table, "b.F", start
                     )
-                    got = final_check(nodes, store, config, index, "b.F", start)
+                    got = _sweep_sets(nodes, store, config, index, "b.F", start)
                     assert got == expected, seed
+
+
+@st.composite
+def _level_arrays(draw):
+    """Origin labels, a symmetric similarity matrix in 0.1 steps (so ties are
+    common) and a symmetric open-pair matrix over n nodes, and a set size."""
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sims = np.triu(rng.integers(-2, 11, (n, n)) / 10, 1)
+    origin = rng.integers(0, draw(st.integers(1, 7)), n)
+    open_ = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.1, 0.5, 1.0])), 1)
+    return origin, sims + sims.T + np.eye(n), open_ | open_.T, draw(st.integers(2, 9))
+
+
+class TestPackerProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_level_arrays())
+    def test_merge_round_packs_each_index_once(self, level):
+        """Every index in exactly one group, no two equal origins in a group,
+        and no group above min(set size, origins); one origin packs nothing."""
+        origin, sims, _, set_size = level
+        groups = merge_round(origin, sims, set_size)
+        origins = len(set(origin.tolist()))
+        if origins < 2:
+            assert groups == []
+            return
+        assert sorted(i for g in groups for i in g) == list(range(len(origin)))
+        for g in groups:
+            assert len(set(origin[g].tolist())) == len(g)
+            assert 1 <= len(g) <= min(set_size, origins)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_level_arrays())
+    def test_final_check_covers_every_open_pair(self, level):
+        """Each open pair shares a group; each group holds 2 to set size
+        distinct nodes; the open matrix is left as given."""
+        _, _, open_, set_size = level
+        given_open = open_.copy()
+        groups = final_check(open_, set_size)
+        assert np.array_equal(open_, given_open)
+        covered = np.zeros_like(open_)
+        for g in groups:
+            assert 2 <= len(set(g)) == len(g) <= set_size
+            covered[np.ix_(g, g)] = True
+        assert not (open_ & ~covered).any()
 
 
 def _partition_digest(partition):

@@ -166,6 +166,23 @@ def test_load_embeddings_row_errors_name_the_file_line(tmp_path, row, error, mes
         load_embeddings(path, ["a", "b"])
 
 
+def test_load_embeddings_rejects_a_header_without_dimensions(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("id\na\nb\n")
+    with pytest.raises(
+        EmbeddingParseError, match="line 1: header has no dimension columns"
+    ):
+        load_embeddings(path, ["a", "b"])
+
+
+def test_load_embeddings_rejects_a_zero_row_by_file_line(tmp_path):
+    """A zero vector has no direction, so no cosine: -0.0 counts as zero."""
+    path = tmp_path / "emb.csv"
+    path.write_text("id,d0,d1\na,1.0,2.0\n\nb,0.0,-0.0\n")
+    with pytest.raises(EmbeddingParseError, match="line 4: zero vector for id 'b'$"):
+        load_embeddings(path, ["a", "b"])
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_load_embeddings_rejects_non_finite_values(tmp_path, bad):
     path = tmp_path / "emb.csv"
