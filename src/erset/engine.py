@@ -276,7 +276,9 @@ class _RankedPairs:
         keys = keys[rank]
         tie = np.flatnonzero(keys[1:] == keys[:-1])
         if tie.size:
-            tied = np.union1d(tie, tie + 1)
+            mask = np.zeros(len(keys), dtype=bool)
+            mask[tie] = mask[tie + 1] = True
+            tied = np.flatnonzero(mask)
             rank[tied] = rank[tied][np.lexsort((rank[tied], keys[tied]))]
         self.codes = codes[rank]
         self.head = 0
@@ -524,6 +526,7 @@ class Resolver:
         self.max_levels = max_levels
         self.store = ConstraintStore(sorted(records))
         self.report = ResolveReport()
+        self._resolved = False
 
     def _round(
         self, record_sets: list[RecordSet]
@@ -590,47 +593,50 @@ class Resolver:
         return sets
 
     def _resolve_block(self, block: Block) -> None:
-        """Level 0, then merge rounds while evidence can still change, then
-        the final sweep.
+        """Level 0, then one loop that reads each level once (see _level):
+        merge rounds while evidence can still change, then the final sweep.
 
         A merge round sends only the packed sets that hold an open pair (see
         open_pairs); the nodes of every other set are carried to the next
         level unchanged. A carried node keeps its own origin set, the last
         set that answered about it: a set never asked gives no node its
-        origin. The hierarchy ends on the first round that packs no set with
-        an open pair, or whose replies all fell back (no answer, so asking
-        again would only repeat). A block whose hierarchy or sweep still had
-        an open pair to ask when it reached ``max_levels`` counts in
-        ``max_levels_hits``.
+        origin. The sweep starts on the read of the first level that packs no
+        set with an open pair, or after a round whose replies all fell back
+        (no answer, so asking again would only repeat). A sweep set may
+        reuse a node, so each wave ends by rebuilding one node per entity to
+        keep the level's nodes disjoint; an all-fallback wave ends the sweep.
+        A block whose hierarchy or sweep still had an open pair to ask when
+        it reached ``max_levels`` counts in ``max_levels_hits``.
         """
         sets = self._level0_sets(block)
         self._count_level(0, len(sets))
         nodes, _ = self._round(sets)
 
-        capped = False
-        level = 0
-        while True:
-            asked, carried = self._pack_level(nodes, f"{block.block_id}.L{level + 1}")
-            if not asked:
-                break
-            if level == self.max_levels:
-                capped = True
-                break
-            level += 1
-            self._count_level(level, len(asked))
-            new_nodes, clusterings = self._round(asked)
-            nodes = new_nodes + carried
-            if all(map(_is_fallback, clusterings)):
-                break
-
-        # Exit condition: sweep the remaining open pairs until none are left.
-        # A sweep set may reuse a node, so each wave ends by rebuilding one
-        # node per entity to keep the level's nodes disjoint. A wave whose
-        # replies all fell back resolved nothing and would only repeat.
-        wave = 0
-        counter = 0
+        merging, capped = True, False
+        level = wave = counter = 0
         while len(nodes) >= 2:
-            nodes, _, open_ = self._level(nodes)
+            nodes, sims, open_ = self._level(nodes)
+            if merging:
+                labels = [node.origin_set or "" for node in nodes]
+                origin = np.unique(labels, return_inverse=True)[1]
+                groups = merge_round(origin, sims, self.config.set_size)
+                asked = {k for k, g in enumerate(groups) if open_[np.ix_(g, g)].any()}
+                capped = bool(asked) and level == self.max_levels
+                merging = bool(asked) and not capped
+            if merging:
+                level += 1
+                self._count_level(level, len(asked))
+                prefix = f"{block.block_id}.L{level}"
+                new_nodes, clusterings = self._round([
+                    RecordSet(f"{prefix}.{k:04d}", tuple(nodes[i] for i in groups[k]))
+                    for k in sorted(asked)
+                ])
+                nodes = new_nodes + [
+                    nodes[i] for k, g in enumerate(groups) if k not in asked for i in g
+                ]
+                merging = not all(map(_is_fallback, clusterings))
+                continue
+
             groups = final_check(open_, self.config.set_size)
             if not groups:
                 break
@@ -662,35 +668,17 @@ class Resolver:
         sims = self.index.sims(node.representative for node in nodes)
         return nodes, sims, open_pairs(nodes, self.store, self.config, sims)
 
-    def _pack_level(
-        self, nodes: list[ClusterNode], set_id_prefix: str
-    ) -> tuple[list[RecordSet], list[ClusterNode]]:
-        """Pack one merge round: the sets that hold an open pair, to ask, and
-        the nodes of every other set, carried unchanged (a one-member set
-        holds no pair). The round packs over one read of the level, and each
-        set is decided by its members' block of the level's open pairs. A
-        level whose nodes share one origin set packs nothing: that set's
-        answer already relates every pair."""
-        asked: list[RecordSet] = []
-        carried: list[ClusterNode] = []
-        if len({node.origin_set for node in nodes}) < 2:
-            return asked, carried
-        nodes, sims, open_ = self._level(nodes)
-        labels = [node.origin_set or "" for node in nodes]
-        origin = np.unique(labels, return_inverse=True)[1]
-        groups = merge_round(origin, sims, self.config.set_size)
-        for k, group in enumerate(groups):
-            members = tuple(nodes[i] for i in group)
-            if open_[np.ix_(group, group)].any():
-                asked.append(RecordSet(f"{set_id_prefix}.{k:04d}", members))
-            else:
-                carried.extend(members)
-        return asked, carried
-
     def resolve(self, blocks: list[Block]) -> tuple[Partition, CostLedger, ResolveReport]:
         """Resolve every block, after packing the blocks smaller than one
         record set into shared ones (pack_blocks); ``report.blocks`` counts
-        the blocks given."""
+        the blocks given. A Resolver resolves once: its store, report and
+        ledger hold that run, so a second call is a RuntimeError."""
+        if self._resolved:
+            raise RuntimeError(
+                "this Resolver has already resolved: its constraint store, report "
+                "and ledger hold that run; build a new Resolver"
+            )
+        self._resolved = True
         self.report.blocks = len(blocks)
         for block in pack_blocks(blocks, self.config.set_size):
             self._resolve_block(block)

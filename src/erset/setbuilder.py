@@ -232,20 +232,27 @@ def next_record_set(
             nearest = np.delete(nearest, k)
         selected.extend(take)
 
+    # A filler's cost depends only on its pre-cluster, so each pick scores
+    # every pre-cluster with records left once and takes the cheapest one's
+    # lowest id (cost ties to the lowest id). ``left`` holds each
+    # pre-cluster's records left, lowest id last; ``profile`` keeps its labels
+    # in order of first appearance in ``selected``, the order variation sums in.
     taken = set(selected)
-    remaining = [rid for rid in pool if rid not in taken]
-    while len(selected) < config.set_size and remaining:
-        profile_base: dict[int, int] = {}
-        for rid in selected:
-            profile_base[cluster_of[rid]] = profile_base.get(cluster_of[rid], 0) + 1
-
-        def filler_cost(rid: str) -> float:
-            profile = dict(profile_base)
-            profile[cluster_of[rid]] = profile.get(cluster_of[rid], 0) + 1
-            return variation(profile.values())
-
-        best = min(remaining, key=lambda rid: (filler_cost(rid), rid))
-        remaining.remove(best)
-        selected.append(best)
+    left = {
+        c: [rid for rid in reversed(ids) if rid not in taken]
+        for c, ids in by_cluster.items()
+    }
+    profile: dict[int, int] = {}
+    for rid in selected:
+        profile[cluster_of[rid]] = profile.get(cluster_of[rid], 0) + 1
+    while len(selected) < config.set_size and any(left.values()):
+        _, rid, c = min(
+            (variation({**profile, c: profile.get(c, 0) + 1}.values()), ids[-1], c)
+            for c, ids in left.items()
+            if ids
+        )
+        left[c].pop()
+        profile[c] = profile.get(c, 0) + 1
+        selected.append(rid)
 
     return sequential_order(selected, index)

@@ -896,6 +896,63 @@ class TestResolve:
         assert carried > 0
         assert len(rounds) > 1 and not any(is_open for _, is_open in rounds[-1][1])
 
+    @pytest.mark.parametrize("error_rate", [0.0, 0.3])
+    def test_each_level_is_read_once(self, monkeypatch, error_rate):
+        """The level on which merging stops is also the sweep's first level:
+        it is read once. No two reads of the same nodes come without a round
+        between them."""
+        records, truth = generate_dataset(40, 5, seed=1)
+        emb = planted_embeddings(truth, noise=0.05, seed=1)
+        block = Block("b0", tuple(sorted(records)))
+        events = []
+        read, round_ = Resolver._level, Resolver._round
+
+        def reading(resolver, nodes):
+            out = read(resolver, nodes)
+            events.append(tuple((n.members, n.representative) for n in out[0]))
+            return out
+
+        def asking(resolver, record_sets):
+            events.append("round")
+            return round_(resolver, record_sets)
+
+        monkeypatch.setattr(Resolver, "_level", reading)
+        monkeypatch.setattr(Resolver, "_round", asking)
+        resolver = Resolver(
+            records, SimulatedOracle(OracleConfig(truth, error_rate, 1)),
+            config=SetConfig(seed=1), embeddings=emb,
+        )
+        _, _, report = resolver.resolve([block])
+        for a, b in zip(events, events[1:]):
+            assert a == "round" or a != b
+        reads = [e for e in events if e != "round"]
+        assert len(reads) == len(report.level_set_counts) + report.final_check_rounds
+
+    def test_a_resolver_resolves_once(self):
+        """A second resolve() on the same Resolver would start from the first
+        run's store, report and ledger: it is a RuntimeError, and the first
+        run's report stands as a fresh Resolver gives it."""
+        records, truth = generate_dataset(24, 5, seed=1)
+        emb = planted_embeddings(truth, noise=0.05, seed=1)
+        block = Block("b0", tuple(sorted(records)))
+
+        def resolver():
+            return Resolver(
+                records, SimulatedOracle(OracleConfig(truth, 0.0, 1)),
+                config=SetConfig(seed=1), embeddings=emb,
+            )
+
+        used = resolver()
+        _, ledger, report = used.resolve([block])
+        with pytest.raises(RuntimeError, match="already resolved"):
+            used.resolve([block])
+        _, fresh_ledger, fresh_report = resolver().resolve([block])
+        assert report.level_set_counts == fresh_report.level_set_counts
+        assert report.guardrail == fresh_report.guardrail
+        assert (ledger.api_calls, ledger.tokens_in) == (
+            fresh_ledger.api_calls, fresh_ledger.tokens_in
+        )
+
 
 # Loop versions of merge_round and final_check, kept as references for the
 # index code in the engine: both must emit the same set ids, members and

@@ -339,3 +339,80 @@ class TestNextRecordSet:
         assert len(ids) == min(len(pool), 9)
         assert len(set(ids)) == len(ids)
         assert set(ids) <= set(pool)
+
+
+def _reference_next_record_set(pool, config, index, cluster_of, turn):
+    """next_record_set for an oversized block with fillers scored one
+    candidate record at a time, kept frozen as the reference for the
+    per-pre-cluster scoring."""
+    pool = sorted(pool)
+    by_cluster = {}
+    for rid in pool:
+        by_cluster.setdefault(cluster_of[rid], []).append(rid)
+    n_labels = max(cluster_of.values()) + 1
+    order = sorted(
+        by_cluster, key=lambda c: (-len(by_cluster[c]), (c - turn) % n_labels)
+    )
+    target_size = config.set_size // config.set_diversity
+    selected = []
+    for c in order:
+        members = by_cluster[c]
+        room = config.set_size - len(selected)
+        if room <= 0 or len(members) < target_size:
+            break
+        points = index.rows(members)
+        seed_pos = int(np.argmin(np.linalg.norm(points - points.mean(axis=0), axis=1)))
+        take = [members[seed_pos]]
+        candidates = members[:seed_pos] + members[seed_pos + 1 :]
+        nearest = np.full(len(candidates), -np.inf)
+        while len(take) < min(target_size, room) and candidates:
+            np.maximum(nearest, index.sims(candidates, take[-1:])[:, 0], out=nearest)
+            k = int(nearest.argmax())
+            take.append(candidates.pop(k))
+            nearest = np.delete(nearest, k)
+        selected.extend(take)
+
+    taken = set(selected)
+    remaining = [rid for rid in pool if rid not in taken]
+    while len(selected) < config.set_size and remaining:
+        profile_base = {}
+        for rid in selected:
+            profile_base[cluster_of[rid]] = profile_base.get(cluster_of[rid], 0) + 1
+
+        def filler_cost(rid):
+            profile = dict(profile_base)
+            profile[cluster_of[rid]] = profile.get(cluster_of[rid], 0) + 1
+            return variation(profile.values())
+
+        best = min(remaining, key=lambda rid: (filler_cost(rid), rid))
+        remaining.remove(best)
+        selected.append(best)
+    return sequential_order(selected, index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.data(),
+    st.integers(0, 5),
+    st.integers(0, 10**6),
+)
+def test_fillers_match_the_per_record_reference(set_size, data, turn, seed):
+    """Scoring each pre-cluster once picks the fillers, in the same order, that
+    scoring each candidate record picked: on random pre-cluster labels, pool
+    sizes and diversities, with ties between equal-cost pre-clusters."""
+    diversity = data.draw(st.integers(1, set_size))
+    n = data.draw(st.integers(set_size + 1, 40))
+    rng = random.Random(seed)
+    n_labels = rng.randint(1, 8)
+    ids = [f"r{i:02d}" for i in range(n)]
+    cluster_of = {rid: rng.randrange(n_labels) for rid in ids}
+    emb = {
+        rid: np.random.default_rng([seed, i]).normal(size=4)
+        for i, rid in enumerate(ids)
+    }
+    index = embedding_index(emb)
+    config = SetConfig(set_size=set_size, set_diversity=diversity)
+    assert next_record_set(ids, config, index, cluster_of, turn) == (
+        _reference_next_record_set(ids, config, index, cluster_of, turn)
+    )
