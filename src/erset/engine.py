@@ -118,11 +118,12 @@ def repair_clustering(
 
 def regenerate_set(
     record_set: RecordSet, clustering: SetClustering, sims: np.ndarray
-) -> RecordSet:
+) -> tuple[RecordSet, np.ndarray]:
     """Reorder a rejected set: each misclustered record (original order) is
     moved to sit immediately after the last member of the group it is most
     similar to. The member multiset is unchanged. ``sims`` is the similarity
-    matrix of the set's representatives, in set order."""
+    matrix of the set's representatives, in set order; it is returned with
+    the reordered set, permuted the same way."""
     members = record_set.members
     group_of = {pos: gi for gi, g in enumerate(clustering.groups) for pos in g}
     order = list(range(len(members)))
@@ -141,33 +142,34 @@ def regenerate_set(
             order.index(q) for q in clustering.groups[best_group] if q != pos
         )
         order.insert(anchor + 1, pos)
-    return RecordSet(record_set.set_id, tuple(members[i] for i in order))
+    reordered = RecordSet(record_set.set_id, tuple(members[i] for i in order))
+    return reordered, sims[np.ix_(order, order)]
 
 
 def guarded_cluster(
     record_set: RecordSet,
+    sims: np.ndarray | None,
     gateway: LlmGateway,
-    index: SimilarityIndex,
     max_regen: int,
 ) -> tuple[RecordSet, SetClustering, GuardrailStats]:
     """Cluster with the guardrail.
 
-    The check and every remedy read the similarity matrix of the set's
-    representatives. When the check fails, the clustering is first repaired
-    without a call (repair_clustering); a repaired clustering is accepted,
-    flagged "guardrail-repaired". Only when no move improves it is the set
-    reordered (regenerate_set) and clustered again, up to max_regen times;
-    the last clustering is then returned either way, flagged
-    "guardrail-exhausted" if it still fails. max_regen=0 turns off both remedies.
+    ``sims`` is the similarity matrix of the set's representatives, in set
+    order; the check and every remedy read it. When the check fails, the
+    clustering is first repaired without a call (repair_clustering); a
+    repaired clustering is accepted, flagged "guardrail-repaired". Only when
+    no move improves it is the set reordered, with its matrix
+    (regenerate_set), and clustered again, up to max_regen times; the last
+    clustering is then returned either way, flagged "guardrail-exhausted" if
+    it still fails. max_regen=0 turns off both remedies.
 
-    A one-member set has one valid clustering and costs no call. A
-    "fallback-singletons" clustering is no answer, so it is not checked;
-    it is returned as is and counted in ``fallbacks``.
+    A one-member set has one valid clustering and costs no call; its
+    ``sims`` may be None. A "fallback-singletons" clustering is no answer,
+    so it is not checked; it is returned as is and counted in ``fallbacks``.
     """
     stats = GuardrailStats()
     if len(record_set) == 1:
         return record_set, SetClustering(record_set.set_id, ((0,),)), stats
-    sims = index.sims(n.representative for n in record_set.members)
     clustering = gateway.cluster_records(record_set)
     while not _is_fallback(clustering) and not mdg_check(clustering, sims):
         stats.checks_failed += 1
@@ -180,8 +182,7 @@ def guarded_cluster(
             stats.exhausted += 1
             clustering = clustering.with_flag("guardrail-exhausted")
             break
-        record_set = regenerate_set(record_set, clustering, sims)
-        sims = index.sims(n.representative for n in record_set.members)
+        record_set, sims = regenerate_set(record_set, clustering, sims)
         clustering = gateway.cluster_records(record_set)
         stats.regenerations += 1
     if _is_fallback(clustering):
@@ -194,11 +195,8 @@ def _is_fallback(clustering: SetClustering) -> bool:
 
 
 def apply_clustering(
-    store: ConstraintStore,
-    record_set: RecordSet,
-    clustering: SetClustering,
-    index: SimilarityIndex,
-) -> tuple[list[ClusterNode], int]:
+    store: ConstraintStore, record_set: RecordSet, clustering: SetClustering
+) -> int:
     """Fold one set clustering into the constraint store.
 
     Group mates are must-linked; distinct groups are pairwise cannot-linked.
@@ -206,7 +204,8 @@ def apply_clustering(
     (earlier evidence wins) and a conflict warning is counted; a cannot-link
     between groups that already share a root is skipped with a warning. A
     fallback clustering records no answer and adds no cannot-links.
-    Returns the new cluster nodes and the warning count.
+    Returns the warning count; the new nodes are read from the store
+    (Resolver._nodes).
     """
     clustering.validate(record_set)
     warnings = 0
@@ -242,16 +241,7 @@ def apply_clustering(
                     warnings += 1
                 else:
                     store.add_cannot_link(a, b)
-
-    new_nodes = []
-    for sub in merged:
-        if len(sub) == 1:  # members unchanged, so is the representative
-            members, rep = sub[0].members, sub[0].representative
-        else:
-            members = frozenset().union(*(n.members for n in sub))
-            rep = index.representative(members)
-        new_nodes.append(ClusterNode(members, rep, record_set.set_id))
-    return new_nodes, warnings
+    return warnings
 
 
 class _RankedPairs:
@@ -475,6 +465,11 @@ def pack_blocks(blocks: Sequence[Block], set_size: int) -> list[Block]:
     return sorted(out, key=lambda b: b.block_id)
 
 
+def _asked(set_id: str, nodes: list, sims: np.ndarray, group: list[int]):
+    """The record set of a level's nodes at ``group``, with its block of ``sims``."""
+    return RecordSet(set_id, tuple(nodes[i] for i in group)), sims[np.ix_(group, group)]
+
+
 @dataclass
 class ResolveReport:
     blocks: int = 0
@@ -529,67 +524,72 @@ class Resolver:
         self._resolved = False
 
     def _round(
-        self, record_sets: list[RecordSet]
+        self, asked: list[tuple[RecordSet, np.ndarray | None]]
     ) -> tuple[list[ClusterNode], list[SetClustering]]:
-        """Guarded-cluster each set (concurrently), then fold the results
-        into the store in the order the sets were built. Returns the new
-        nodes and the clusterings."""
+        """Guarded-cluster each set with its similarity matrix (concurrently),
+        then fold the results into the store in the order the sets were
+        built. Returns the nodes the store then holds for each set's members
+        (see _nodes), with the set as their origin, and the clusterings."""
 
-        def work(rs: RecordSet):
-            return guarded_cluster(rs, self.gateway, self.index, self.config.max_regen)
+        def work(item: tuple[RecordSet, np.ndarray | None]):
+            return guarded_cluster(*item, self.gateway, self.config.max_regen)
 
-        if self.parallelism == 1 or len(record_sets) <= 1:
-            results = [work(rs) for rs in record_sets]
+        if self.parallelism == 1 or len(asked) <= 1:
+            results = [work(item) for item in asked]
         else:
             with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                results = list(pool.map(work, record_sets))
+                results = list(pool.map(work, asked))
         nodes: list[ClusterNode] = []
         for record_set, clustering, stats in results:
             self.report.guardrail.add(stats)
-            new, warnings = apply_clustering(
-                self.store, record_set, clustering, self.index
+            self.report.guardrail.conflict_warnings += apply_clustering(
+                self.store, record_set, clustering
             )
-            self.report.guardrail.conflict_warnings += warnings
-            nodes.extend(new)
+            nodes.extend(self._nodes(record_set.members, record_set.set_id))
         return nodes, [clustering for _, clustering, _ in results]
 
-    def _nodes(self, ids) -> list[ClusterNode]:
-        """One node per entity among ``ids``, as the constraint store knows
-        it, in order of first appearance."""
-        groups: dict[str, list[str]] = {}
-        for rid in ids:
-            groups.setdefault(self.store.root(rid), []).append(rid)
-        return [
-            ClusterNode(frozenset(g), self.index.representative(g))
-            for g in groups.values()
-        ]
+    def _nodes(self, nodes, origin: str | None = None) -> list[ClusterNode]:
+        """One node per entity among ``nodes``, as the constraint store knows
+        it, in order of first appearance, each with origin set ``origin``. An
+        entity held by one of the nodes keeps its members and representative;
+        the representative of any other is computed from its members."""
+        groups: dict[str, list[ClusterNode]] = {}
+        for node in nodes:
+            groups.setdefault(self.store.root(node.representative), []).append(node)
+        out = []
+        for first, *rest in groups.values():
+            members = first.members.union(*(node.members for node in rest))
+            rep = self.index.representative(members) if rest else first.representative
+            out.append(ClusterNode(members, rep, origin))
+        return out
 
     def _count_level(self, level: int, n_sets: int) -> None:
         counts = self.report.level_set_counts
         counts.extend([0] * (level + 1 - len(counts)))
         counts[level] += n_sets
 
-    def _level0_sets(self, block: Block) -> list[RecordSet]:
+    def _level0_sets(self, block: Block) -> list[tuple[RecordSet, np.ndarray | None]]:
         """Draw the block's level-0 sets from one pre-clustering of the
-        whole block; a block that fits one set needs none."""
+        whole block; a block that fits one set needs none. Each set comes
+        with the similarity matrix of its records, in set order; a
+        one-record set, which is never asked, with None."""
         remaining = set(block.members)
         cluster_of = (
             pre_clusters(remaining, self.config, self.index)
             if len(remaining) > self.config.set_size
             else None
         )
-        sets: list[RecordSet] = []
+        sets: list[tuple[RecordSet, np.ndarray | None]] = []
         while remaining:
             ids = next_record_set(
                 remaining, self.config, self.index, cluster_of, turn=len(sets)
             )
             remaining.difference_update(ids)
-            sets.append(
-                RecordSet(
-                    f"{block.block_id}.L0.{len(sets):04d}",
-                    tuple(ClusterNode.singleton(rid) for rid in ids),
-                )
+            record_set = RecordSet(
+                f"{block.block_id}.L0.{len(sets):04d}",
+                tuple(ClusterNode.singleton(rid) for rid in ids),
             )
+            sets.append((record_set, self.index.sims(ids) if len(ids) > 1 else None))
         return sets
 
     def _resolve_block(self, block: Block) -> None:
@@ -628,7 +628,7 @@ class Resolver:
                 self._count_level(level, len(asked))
                 prefix = f"{block.block_id}.L{level}"
                 new_nodes, clusterings = self._round([
-                    RecordSet(f"{prefix}.{k:04d}", tuple(nodes[i] for i in groups[k]))
+                    _asked(f"{prefix}.{k:04d}", nodes, sims, groups[k])
                     for k in sorted(asked)
                 ])
                 nodes = new_nodes + [
@@ -645,16 +645,14 @@ class Resolver:
                 break
             wave += 1
             sets = [
-                RecordSet(
-                    f"{block.block_id}.F.{counter + k:04d}", tuple(nodes[i] for i in g)
-                )
+                _asked(f"{block.block_id}.F.{counter + k:04d}", nodes, sims, g)
                 for k, g in enumerate(groups)
             ]
             counter += len(sets)
             self.report.final_check_sets += len(sets)
             self.report.final_check_rounds = max(self.report.final_check_rounds, wave)
             _, clusterings = self._round(sets)
-            nodes = self._nodes(block.members)
+            nodes = self._nodes(nodes)
             if all(map(_is_fallback, clusterings)):
                 break
         self.report.max_levels_hits += capped
@@ -682,7 +680,8 @@ class Resolver:
         self.report.blocks = len(blocks)
         for block in pack_blocks(blocks, self.config.set_size):
             self._resolve_block(block)
-        partition = Partition(self._nodes(sorted(self.records)))
+        singletons = map(ClusterNode.singleton, sorted(self.records))
+        partition = Partition(self._nodes(singletons))
         partition.validate(self.records)
         self.report.ledger = self.ledger.snapshot()
         return partition, self.ledger, self.report

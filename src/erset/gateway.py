@@ -23,6 +23,8 @@ from .model import (
 )
 
 RETRY_REMINDER = "Answer ONLY with one line per cluster, comma-separated labels."
+# an unparseable reply is asked again up to this many times, then falls back
+MAX_RETRIES = 3
 
 _SYSTEM_TEXT = (
     "You are an expert at entity resolution. You group data records that "
@@ -346,7 +348,7 @@ class LlmGateway:
 
     One call clusters one record set; a backend's complete(prompt,
     record_sets) receives it as a one-element list. Parse failures are
-    retried (with a format reminder appended) up to max_retries; after
+    retried (with a format reminder appended) up to MAX_RETRIES times; after
     exhaustion the clustering falls back to all singletons and is flagged
     "fallback-singletons". Every backend attempt is ledgered.
     """
@@ -354,7 +356,6 @@ class LlmGateway:
     backend: object
     records: dict[str, Record]
     ledger: CostLedger = field(default_factory=CostLedger)
-    max_retries: int = 3
 
     def __post_init__(self):
         self._ledger_lock = threading.Lock()
@@ -380,7 +381,7 @@ class LlmGateway:
         fallbacks and gateway self time on it."""
         (record_set,) = record_sets
         prompt = build_prompt(record_set, self.records)
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             text = self._call(prompt, record_sets)
             try:
                 clusterings = parse_batch(text, record_sets)

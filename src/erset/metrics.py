@@ -54,27 +54,31 @@ def fp_measure(pred: dict, truth: dict) -> float:
     return 2.0 / (1.0 / purity + 1.0 / inverse_purity)
 
 
+def _entropy(counts: np.ndarray, n: int) -> float:
+    """Entropy of the nonzero counts over n, summed with math.fsum: the
+    correctly rounded sum, whatever the order of the counts."""
+    p = counts[counts > 0] / n
+    return -math.fsum((p * np.log(p)).tolist())
+
+
 def nmi(pred: dict, truth: dict) -> float:
     """Normalized mutual information, natural log.
 
     Degenerate conventions: 1.0 when both entropies are zero, 0.0 when
-    exactly one is.
+    exactly one is. Mutual information is ha + hb - hab, each entropy an
+    order-free sum, so one partition under two labelings scores exactly 1.0;
+    it is floored at 0.0, which rounding can undershoot for independent
+    partitions.
     """
     table = contingency(pred, truth)
-    n = table.sum()
-    pa = table.sum(axis=1) / n
-    pb = table.sum(axis=0) / n
-    ha = -sum(p * math.log(p) for p in pa if p > 0)
-    hb = -sum(p * math.log(p) for p in pb if p > 0)
+    n = int(table.sum())
+    ha = _entropy(table.sum(axis=1), n)
+    hb = _entropy(table.sum(axis=0), n)
     if ha + hb == 0.0:
         return 1.0
     if ha == 0.0 or hb == 0.0:
         return 0.0
-    # the nonzero cells in row-major order, summed left to right as a loop
-    # over the cells would sum them
-    i, j = np.nonzero(table)
-    pij = table[i, j] / n
-    mi = sum((pij * np.log(pij / (pa[i] * pb[j]))).tolist())
+    mi = max(ha + hb - _entropy(table, n), 0.0)
     return 2.0 * mi / (ha + hb)
 
 

@@ -21,7 +21,7 @@ from erset.engine import (
     regenerate_set,
     repair_clustering,
 )
-from erset.gateway import LlmGateway, OracleConfig, SimulatedOracle
+from erset.gateway import MAX_RETRIES, LlmGateway, OracleConfig, SimulatedOracle
 from erset.model import (
     Attribute,
     ClusterNode,
@@ -35,11 +35,11 @@ from erset.model import (
 from erset.similarity import SimilarityIndex
 from erset.synth import generate_dataset, planted_embeddings
 
-from .fakes import TableIndex
+from .fakes import TableIndex, embedding_index
 
 
 def _sims(rs, table):
-    return TableIndex(table).sims(n.representative for n in rs.members)
+    return _rep_sims(TableIndex(table), rs.members)
 
 
 def _rep_sims(index, nodes):
@@ -108,12 +108,13 @@ class TestRegenerateSet:
     def test_fixpoint_when_clean(self):
         rs = _set_of("abc")
         c = SetClustering("s0", ((0,), (1,), (2,)))
-        assert regenerate_set(rs, c, _sims(rs, ABC_SIMS)).members == rs.members
+        out, _ = regenerate_set(rs, c, _sims(rs, ABC_SIMS))
+        assert out.members == rs.members
 
     def test_relocates_after_target_group(self):
         rs = _set_of("abc")
         c = SetClustering("s0", ((0, 1), (2,)))
-        out = regenerate_set(rs, c, _sims(rs, ABC_SIMS))
+        out, _ = regenerate_set(rs, c, _sims(rs, ABC_SIMS))
         assert [n.representative for n in out.members] == ["b", "c", "a"]
 
     def test_two_misclustered_sequential(self):
@@ -128,7 +129,7 @@ class TestRegenerateSet:
         }
         rs = _set_of("abcd")
         c = SetClustering("s0", ((0, 2), (1, 3)))
-        out = regenerate_set(rs, c, _sims(rs, sims))
+        out, _ = regenerate_set(rs, c, _sims(rs, sims))
         # a moves after its most similar group {b,d} -> after d, giving
         # [b,c,d,a]; then b moves after {a,c}'s last member a -> [c,d,a,b]
         assert [n.representative for n in out.members] == ["c", "d", "a", "b"]
@@ -136,8 +137,23 @@ class TestRegenerateSet:
     def test_preserves_multiset(self):
         rs = _set_of("abc")
         c = SetClustering("s0", ((0, 1), (2,)))
-        out = regenerate_set(rs, c, _sims(rs, ABC_SIMS))
+        out, _ = regenerate_set(rs, c, _sims(rs, ABC_SIMS))
         assert sorted(n.representative for n in out.members) == ["a", "b", "c"]
+
+    def test_matrix_follows_the_reordered_set(self):
+        """The returned matrix is the one a fresh read of the reordered set
+        gives, entry for entry."""
+        emb = planted_embeddings(
+            {f"r{k:02d}": f"e{k % 3}" for k in range(9)}, noise=0.3, seed=4
+        )
+        index = embedding_index(emb)
+        rs = _set_of(sorted(emb))
+        sims = _rep_sims(index, rs.members)
+        c = SetClustering("s0", ((0, 3, 6, 1), (4, 7, 2), (5, 8)))
+        assert not mdg_check(c, sims)
+        out, permuted = regenerate_set(rs, c, sims)
+        assert out.members != rs.members
+        assert np.array_equal(permuted, _rep_sims(index, out.members))
 
 
 class _ScriptedBackend:
@@ -188,7 +204,7 @@ class TestGuardedCluster:
         gateway = _gateway(["R1\nR2\nR3"])
         rs = _set_of("abc")
         out_rs, clustering, stats = guarded_cluster(
-            rs, gateway, TableIndex(ABC_SIMS), max_regen=2
+            rs, _sims(rs, ABC_SIMS), gateway, max_regen=2
         )
         assert gateway.ledger.api_calls == 1
         assert stats.checks_failed == 0
@@ -200,7 +216,7 @@ class TestGuardedCluster:
         gateway = _gateway(["R1,R2,R4\nR3", "R1\nR2,R3\nR4"], "abcd")
         rs = _set_of("abcd")
         out_rs, clustering, stats = guarded_cluster(
-            rs, gateway, TableIndex(STUCK_SIMS), max_regen=2
+            rs, _sims(rs, STUCK_SIMS), gateway, max_regen=2
         )
         assert gateway.ledger.api_calls == 2
         assert stats.regenerations == 1
@@ -215,7 +231,7 @@ class TestGuardedCluster:
         gateway = _gateway(bad, "abcd")
         rs = _set_of("abcd")
         _, clustering, stats = guarded_cluster(
-            rs, gateway, TableIndex(STUCK_SIMS), max_regen=2
+            rs, _sims(rs, STUCK_SIMS), gateway, max_regen=2
         )
         assert gateway.ledger.api_calls == 3
         assert stats.exhausted == 1
@@ -226,7 +242,7 @@ class TestGuardedCluster:
         gateway = _gateway(["R1,R2\nR3"])
         rs = _set_of("abc")
         out_rs, clustering, stats = guarded_cluster(
-            rs, gateway, TableIndex(ABC_SIMS), max_regen=2
+            rs, _sims(rs, ABC_SIMS), gateway, max_regen=2
         )
         assert gateway.ledger.api_calls == 1
         assert stats.regenerations == 0
@@ -238,9 +254,7 @@ class TestGuardedCluster:
     def test_one_member_set_costs_no_call(self):
         gateway = _gateway([])
         rs = _set_of("a")
-        out_rs, clustering, stats = guarded_cluster(
-            rs, gateway, TableIndex(ABC_SIMS), max_regen=2
-        )
+        out_rs, clustering, stats = guarded_cluster(rs, None, gateway, max_regen=2)
         assert gateway.ledger.api_calls == 0
         assert out_rs is rs
         assert clustering.groups == ((0,),) and not clustering.flags
@@ -249,13 +263,13 @@ class TestGuardedCluster:
     def test_fallback_is_not_checked(self):
         # a reply that never parses falls back to singletons; with these
         # similarities {a},{b},{c} would not pass the check (a-b above 1.0)
-        gateway = _gateway(["?"] * 4)
+        gateway = _gateway(["?"] * (MAX_RETRIES + 1))
         rs = _set_of("abc")
         sims = {("a", "b"): 1.5, ("a", "c"): 0.5, ("b", "c"): 0.1}
         _, clustering, stats = guarded_cluster(
-            rs, gateway, TableIndex(sims), max_regen=2
+            rs, _sims(rs, sims), gateway, max_regen=2
         )
-        assert gateway.ledger.api_calls == 4
+        assert gateway.ledger.api_calls == MAX_RETRIES + 1
         assert clustering.flags == ("fallback-singletons",)
         assert stats.fallbacks == 1
         assert stats.checks_failed == 0
@@ -264,7 +278,7 @@ class TestGuardedCluster:
         gateway = _gateway(["R1,R2\nR3"])
         rs = _set_of("abc")
         _, clustering, stats = guarded_cluster(
-            rs, gateway, TableIndex(ABC_SIMS), max_regen=0
+            rs, _sims(rs, ABC_SIMS), gateway, max_regen=0
         )
         assert gateway.ledger.api_calls == 1
         assert stats.repaired == 0
@@ -272,72 +286,79 @@ class TestGuardedCluster:
         assert clustering.groups == ((0, 1), (2,))
 
 
-def _index_for(ids):
-    records = {
-        i: Record(i, (Attribute("name", f"item {i}"),)) for i in ids
-    }
-    return SimilarityIndex(records)
-
-
 class TestApplyClustering:
     def test_separate_groups_get_cannot_link(self):
         store = ConstraintStore(["a", "b"])
-        rs = _set_of("ab")
-        nodes, warnings = apply_clustering(
-            store, rs, SetClustering("s0", ((0,), (1,))), _index_for("ab")
+        warnings = apply_clustering(
+            store, _set_of("ab"), SetClustering("s0", ((0,), (1,)))
         )
         assert store.cannot_link("a", "b")
+        assert not store.same_entity("a", "b")
         assert warnings == 0
-        assert len(nodes) == 2
 
     def test_group_merges(self):
-        store = ConstraintStore(["a", "b"])
-        nodes, _ = apply_clustering(
-            store, _set_of("ab"), SetClustering("s0", ((0, 1),)), _index_for("ab")
+        store = ConstraintStore(["a", "b", "c"])
+        warnings = apply_clustering(
+            store, _set_of("abc"), SetClustering("s0", ((0, 1), (2,)))
         )
         assert store.same_entity("a", "b")
-        assert len(nodes) == 1
-        assert nodes[0].members == frozenset("ab")
+        assert store.cannot_link("a", "c") and store.cannot_link("b", "c")
+        assert warnings == 0
 
     def test_fallback_adds_no_cannot_links(self):
         store = ConstraintStore(["a", "b", "c"])
         fallback = SetClustering("s0", ((0,), (1,), (2,)), ("fallback-singletons",))
-        nodes, warnings = apply_clustering(
-            store, _set_of("abc"), fallback, _index_for("abc")
-        )
+        warnings = apply_clustering(store, _set_of("abc"), fallback)
         assert not store.has_cannot_links("abc")
-        assert warnings == 0 and len(nodes) == 3
+        assert len(store.components()) == 3
+        assert warnings == 0
 
     def test_single_member_set_adds_nothing(self):
         store = ConstraintStore(["a"])
-        nodes, warnings = apply_clustering(
-            store, _set_of("a"), SetClustering("s0", ((0,),)), _index_for("a")
-        )
-        assert warnings == 0 and len(nodes) == 1
+        warnings = apply_clustering(store, _set_of("a"), SetClustering("s0", ((0,),)))
+        assert not store.has_cannot_links("a")
+        assert warnings == 0
 
     def test_conflicting_group_split_with_warning(self):
         store = ConstraintStore(["a", "b", "c"])
         store.add_cannot_link("a", "b")
-        nodes, warnings = apply_clustering(
-            store,
-            _set_of("abc"),
-            SetClustering("s0", ((0, 1, 2),)),
-            _index_for("abc"),
+        warnings = apply_clustering(
+            store, _set_of("abc"), SetClustering("s0", ((0, 1, 2),))
         )
-        assert warnings >= 1
-        # earlier evidence wins: a and b stay apart, c joins one of them
+        assert warnings == 1
+        # earlier evidence wins: a and b stay apart, c joins the first of them
         assert not store.same_entity("a", "b")
-        assert len(nodes) == 2
+        assert store.same_entity("a", "c")
+        assert store.cannot_link("b", "c")
+
+    def test_link_between_one_entity_is_a_warning(self):
+        """Two nodes of one entity answered apart: no cannot-link is added
+        inside the entity, and the contradiction is counted."""
+        store = ConstraintStore(["a", "b"])
+        store.merge("a", "b")
+        warnings = apply_clustering(
+            store, _set_of("ab"), SetClustering("s0", ((0,), (1,)))
+        )
+        assert store.same_entity("a", "b")
+        assert not store.cannot_link("a", "b")
+        assert warnings == 1
+
+
+class TestNodes:
+    def _resolver(self, ids):
+        records = {i: Record(i, (Attribute("name", f"item {i}"),)) for i in ids}
+        return Resolver(records, backend=None)
 
     def test_unchanged_nodes_keep_their_representative(self):
-        """An all-singletons reply over multi-record nodes changes no node's
-        members, so no representative is computed again."""
+        """After an all-singletons reply over multi-record nodes, each node is
+        still a whole entity: no representative is computed again, and every
+        node takes the set as its origin."""
         ids = [f"{side}{i}" for side in "abc" for i in range(3)]
-        store = ConstraintStore(ids)
+        resolver = self._resolver(ids)
+        store = resolver.store
         for k in (0, 3, 6):
             store.merge(ids[k], ids[k + 1])
             store.merge(ids[k], ids[k + 2])
-        index = _index_for(ids)
         rs = RecordSet(
             "s1",
             tuple(
@@ -346,23 +367,40 @@ class TestApplyClustering:
             ),
         )
         asked = []
-        representative = index.representative
+        representative = resolver.index.representative
 
         def counting(members):
             asked.append(sorted(members))
             return representative(members)
 
-        index.representative = counting
-        nodes, _ = apply_clustering(
-            store, rs, SetClustering("s1", ((0,), (1,), (2,))), index
-        )
+        resolver.index.representative = counting
+        apply_clustering(store, rs, SetClustering("s1", ((0,), (1,), (2,))))
+        nodes = resolver._nodes(rs.members, rs.set_id)
         assert asked == []
         assert [(n.members, n.representative) for n in nodes] == [
             (n.members, n.representative) for n in rs.members
         ]
         assert {n.origin_set for n in nodes} == {"s1"}
-        apply_clustering(store, rs, SetClustering("s1", ((0, 1), (2,))), index)
-        assert asked == []  # (0, 1) contradicts the cannot-link: split back
+        # (0, 1) contradicts the cannot-link: split back, nothing merges
+        apply_clustering(store, rs, SetClustering("s1", ((0, 1), (2,))))
+        assert len(resolver._nodes(rs.members, rs.set_id)) == 3
+        assert asked == []
+
+    def test_merged_nodes_become_one_node(self):
+        """Nodes the store has joined become one node over their members, in
+        order of first appearance, with the representative of those members."""
+        ids = ["a", "b", "c", "d"]
+        resolver = self._resolver(ids)
+        resolver.store.merge("a", "c")
+        nodes = resolver._nodes(
+            [ClusterNode.singleton(rid, "s0") for rid in ["c", "b", "a", "d"]], "s1"
+        )
+        assert [n.members for n in nodes] == [
+            frozenset("ac"), frozenset("b"), frozenset("d")
+        ]
+        assert nodes[0].representative == resolver.index.representative("ac")
+        assert {n.origin_set for n in nodes} == {"s1"}
+        assert [n.origin_set for n in resolver._nodes(nodes)] == [None] * 3
 
 
 class TestMergeRound:
@@ -782,7 +820,7 @@ class TestResolve:
         _, ledger, report = resolver.resolve([block])
         assert not resolver.store.has_cannot_links(records)
         fallback_sets = sum(report.level_set_counts) + report.final_check_sets
-        attempts = resolver.gateway.max_retries + 1
+        attempts = MAX_RETRIES + 1
         assert report.guardrail.fallbacks == fallback_sets > 0
         assert ledger.api_calls == attempts * fallback_sets
         assert report.as_dict()["fallbacks"] == fallback_sets
@@ -927,6 +965,39 @@ class TestResolve:
             assert a == "round" or a != b
         reads = [e for e in events if e != "round"]
         assert len(reads) == len(report.level_set_counts) + report.final_check_rounds
+
+    @pytest.mark.parametrize("error_rate", [0.0, 0.3])
+    def test_rounds_read_no_similarities(self, monkeypatch, error_rate):
+        """Every asked set carries its matrix from the read that built it,
+        and regeneration permutes that matrix: a round, guardrail and
+        regenerations included, reads no similarities."""
+        records, truth = generate_dataset(40, 5, seed=1)
+        emb = planted_embeddings(truth, noise=0.05, seed=1)
+        block = Block("b0", tuple(sorted(records)))
+        inside, reads = [], []
+        round_, sims = Resolver._round, SimilarityIndex.sims
+
+        def asking(resolver, asked):
+            inside.append(True)
+            try:
+                return round_(resolver, asked)
+            finally:
+                inside.pop()
+
+        def reading(index, *args, **kwargs):
+            reads.append(bool(inside))
+            return sims(index, *args, **kwargs)
+
+        monkeypatch.setattr(Resolver, "_round", asking)
+        monkeypatch.setattr(SimilarityIndex, "sims", reading)
+        resolver = Resolver(
+            records, SimulatedOracle(OracleConfig(truth, error_rate, 1)),
+            config=SetConfig(seed=1), embeddings=emb,
+        )
+        _, _, report = resolver.resolve([block])
+        assert reads and not any(reads)
+        if error_rate:
+            assert report.guardrail.checks_failed > 0
 
     def test_a_resolver_resolves_once(self):
         """A second resolve() on the same Resolver would start from the first
@@ -1266,7 +1337,8 @@ def test_level0_pre_clusters_each_block_once(monkeypatch):
     """A block larger than one set runs the elbow once, k = 1..set_diversity
     + 2, and every level-0 set is drawn from that one pre-clustering; a block
     that fits one set runs no k-means. Each block's level-0 sets partition
-    it."""
+    it, and each comes with the similarity matrix of its records (None for
+    a one-record set)."""
     ks = []
     kmeans = setbuilder.kmeans
 
@@ -1302,10 +1374,15 @@ def test_level0_pre_clusters_each_block_once(monkeypatch):
     assert drawn["small"][0] == 0
     for block in (big, small):
         members = [
-            rid for rs in drawn[block.block_id][1] for node in rs.members
+            rid for rs, _ in drawn[block.block_id][1] for node in rs.members
             for rid in node.members
         ]
         assert sorted(members) == sorted(block.members)
+        for rs, sims in drawn[block.block_id][1]:
+            if len(rs) == 1:
+                assert sims is None
+            else:
+                assert np.array_equal(sims, _rep_sims(resolver.index, rs.members))
 
 
 def test_planted_block_resolves_as_pinned():

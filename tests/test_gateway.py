@@ -3,6 +3,7 @@ import random
 import pytest
 
 from erset.gateway import (
+    MAX_RETRIES,
     RETRY_REMINDER,
     DuplicateMember,
     HttpProvider,
@@ -206,12 +207,12 @@ class TestGateway:
 
     def test_retry_appends_reminder_then_fallback(self):
         records = _records(3)
-        backend = _GarbageBackend(["nonsense"] * 4)
-        gateway = LlmGateway(backend, records, ledger=CostLedger(), max_retries=3)
+        backend = _GarbageBackend(["nonsense"] * (MAX_RETRIES + 1))
+        gateway = LlmGateway(backend, records, ledger=CostLedger())
         clustering = gateway.cluster_records(_record_set(records))
         assert clustering.groups == ((0,), (1,), (2,))
         assert "fallback-singletons" in clustering.flags
-        assert gateway.ledger.api_calls == 4
+        assert gateway.ledger.api_calls == MAX_RETRIES + 1
         assert RETRY_REMINDER not in backend.prompts[0].user_text
         assert all(RETRY_REMINDER in p.user_text for p in backend.prompts[1:])
 

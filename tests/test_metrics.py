@@ -67,6 +67,17 @@ class TestNmi:
             0.3437, abs=1e-4
         )
 
+    @pytest.mark.parametrize("rows", range(1, 9))
+    def test_independent_grids_stay_in_bounds(self, rows):
+        """Records on a rows x cols grid, labelled by row and by column: the
+        two partitions are independent, and rounding must not take their
+        score below 0.0."""
+        for cols in range(1, 9):
+            cells = [(r, c) for r in range(rows) for c in range(cols)]
+            by_row = {f"r{r}.{c}": r for r, c in cells}
+            by_col = {f"r{r}.{c}": c for r, c in cells}
+            assert 0.0 <= nmi(by_row, by_col) <= 1.0
+
     def test_degenerate_conventions(self):
         one_cluster = _labels("abcd")
         assert nmi(one_cluster, one_cluster) == 1.0
@@ -168,6 +179,29 @@ def test_relabeling_invariance(pair):
     assert fp_measure(pred, truth) == pytest.approx(fp_measure(relabeled, truth))
     assert nmi(pred, truth) == pytest.approx(nmi(relabeled, truth))
     assert ari(pred, truth) == pytest.approx(ari(relabeled, truth))
+
+
+@st.composite
+def relabelled_partitions(draw):
+    """One random partition under its own labels and under renamed,
+    shuffled ones."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pred = {f"r{i}": rng.randrange(k) for i in range(n)}
+    names = rng.sample(range(k), k)
+    return pred, {rid: f"x{names[label]}" for rid, label in pred.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_partitions())
+def test_nmi_of_one_partition_is_exactly_one(pair):
+    """Each entropy is an order-free sum, so the mutual information of a
+    partition with itself equals its entropy to the last bit."""
+    pred, relabelled = pair
+    score = nmi(pred, relabelled)
+    assert type(score) is float
+    assert score == 1.0
 
 
 @settings(max_examples=200)
