@@ -194,6 +194,10 @@ def _is_fallback(clustering: SetClustering) -> bool:
     return "fallback-singletons" in clustering.flags
 
 
+def _all_fell_back(answered: list[tuple[RecordSet, SetClustering]]) -> bool:
+    return all(_is_fallback(clustering) for _, clustering in answered)
+
+
 def apply_clustering(
     store: ConstraintStore, record_set: RecordSet, clustering: SetClustering
 ) -> int:
@@ -525,11 +529,12 @@ class Resolver:
 
     def _round(
         self, asked: list[tuple[RecordSet, np.ndarray | None]]
-    ) -> tuple[list[ClusterNode], list[SetClustering]]:
+    ) -> list[tuple[RecordSet, SetClustering]]:
         """Guarded-cluster each set with its similarity matrix (concurrently),
         then fold the results into the store in the order the sets were
-        built. Returns the nodes the store then holds for each set's members
-        (see _nodes), with the set as their origin, and the clusterings."""
+        built. Returns each set as it was last asked (regeneration reorders
+        it) with its clustering; a caller that reads the new nodes builds
+        them with _answered_nodes."""
 
         def work(item: tuple[RecordSet, np.ndarray | None]):
             return guarded_cluster(*item, self.gateway, self.config.max_regen)
@@ -539,14 +544,25 @@ class Resolver:
         else:
             with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
                 results = list(pool.map(work, asked))
-        nodes: list[ClusterNode] = []
         for record_set, clustering, stats in results:
             self.report.guardrail.add(stats)
             self.report.guardrail.conflict_warnings += apply_clustering(
                 self.store, record_set, clustering
             )
-            nodes.extend(self._nodes(record_set.members, record_set.set_id))
-        return nodes, [clustering for _, clustering, _ in results]
+        return [(record_set, clustering) for record_set, clustering, _ in results]
+
+    def _answered_nodes(
+        self, answered: list[tuple[RecordSet, SetClustering]]
+    ) -> list[ClusterNode]:
+        """The nodes the store holds for each answered set's members (see
+        _nodes), with that set as their origin. A round's sets are disjoint,
+        so building them after the whole round is folded in gives the nodes
+        each set had right after its own reply."""
+        return [
+            node
+            for record_set, _ in answered
+            for node in self._nodes(record_set.members, record_set.set_id)
+        ]
 
     def _nodes(self, nodes, origin: str | None = None) -> list[ClusterNode]:
         """One node per entity among ``nodes``, as the constraint store knows
@@ -596,6 +612,14 @@ class Resolver:
         """Level 0, then one loop that reads each level once (see _level):
         merge rounds while evidence can still change, then the final sweep.
 
+        A one-record block is one level-0 set that is never asked: it is
+        counted and ends there, with no set draw, read or node. A block
+        drawn as one level-0 set ends on that set's reply: a reply that did
+        not fall back must-links or cannot-links every pair in the set, so
+        no level above it holds an open pair. A fallback reply settles
+        nothing, and that block goes on into the loop, whose sweep asks
+        again.
+
         A merge round sends only the packed sets that hold an open pair (see
         open_pairs); the nodes of every other set are carried to the next
         level unchanged. A carried node keeps its own origin set, the last
@@ -608,9 +632,15 @@ class Resolver:
         A block whose hierarchy or sweep still had an open pair to ask when
         it reached ``max_levels`` counts in ``max_levels_hits``.
         """
+        if len(block) == 1:
+            self._count_level(0, 1)
+            return
         sets = self._level0_sets(block)
         self._count_level(0, len(sets))
-        nodes, _ = self._round(sets)
+        answered = self._round(sets)
+        if len(answered) == 1 and not _is_fallback(answered[0][1]):
+            return
+        nodes = self._answered_nodes(answered)
 
         merging, capped = True, False
         level = wave = counter = 0
@@ -627,14 +657,14 @@ class Resolver:
                 level += 1
                 self._count_level(level, len(asked))
                 prefix = f"{block.block_id}.L{level}"
-                new_nodes, clusterings = self._round([
+                answered = self._round([
                     _asked(f"{prefix}.{k:04d}", nodes, sims, groups[k])
                     for k in sorted(asked)
                 ])
-                nodes = new_nodes + [
+                nodes = self._answered_nodes(answered) + [
                     nodes[i] for k, g in enumerate(groups) if k not in asked for i in g
                 ]
-                merging = not all(map(_is_fallback, clusterings))
+                merging = not _all_fell_back(answered)
                 continue
 
             groups = final_check(open_, self.config.set_size)
@@ -651,9 +681,9 @@ class Resolver:
             counter += len(sets)
             self.report.final_check_sets += len(sets)
             self.report.final_check_rounds = max(self.report.final_check_rounds, wave)
-            _, clusterings = self._round(sets)
+            answered = self._round(sets)
             nodes = self._nodes(nodes)
-            if all(map(_is_fallback, clusterings)):
+            if _all_fell_back(answered):
                 break
         self.report.max_levels_hits += capped
 
@@ -669,8 +699,11 @@ class Resolver:
     def resolve(self, blocks: list[Block]) -> tuple[Partition, CostLedger, ResolveReport]:
         """Resolve every block, after packing the blocks smaller than one
         record set into shared ones (pack_blocks); ``report.blocks`` counts
-        the blocks given. A Resolver resolves once: its store, report and
-        ledger hold that run, so a second call is a RuntimeError."""
+        the blocks given. A packed block of one record, or one drawn as a
+        single level-0 set whose reply did not fall back, ends without a
+        merge round or sweep (see _resolve_block). A Resolver resolves once:
+        its store, report and ledger hold that run, so a second call is a
+        RuntimeError."""
         if self._resolved:
             raise RuntimeError(
                 "this Resolver has already resolved: its constraint store, report "

@@ -795,7 +795,7 @@ class TestResolve:
         assert len(partition.clusters) == len(records)
         assert ledger.api_calls <= 16
 
-    def test_one_record_block_costs_no_call(self):
+    def test_one_record_block_costs_no_call(self, monkeypatch):
         records, truth = generate_dataset(3, 2, seed=5)
         emb = planted_embeddings(truth, seed=5)
         ids = sorted(records)
@@ -810,6 +810,80 @@ class TestResolve:
         assert ledger_alone.api_calls == 0
         assert ledger_both.api_calls == ledger.api_calls
         assert alone.as_labels()[ids[0]] == both.as_labels()[ids[0]]
+
+        # a dataset made only of one-record blocks: each is counted as one
+        # level-0 set, and none is asked or read
+        singles = [Block(f"b{k}", (rid,)) for k, rid in enumerate(ids)]
+        reads = []
+        sims = SimilarityIndex.sims
+
+        def reading(index, *args, **kwargs):
+            reads.append(args)
+            return sims(index, *args, **kwargs)
+
+        monkeypatch.setattr(SimilarityIndex, "sims", reading)
+        partition, ledger, report = run(singles)
+        assert ledger.api_calls == 0
+        assert reads == []
+        assert report.level_set_counts == [len(singles)]
+        assert len(partition.clusters) == len(ids)
+
+    def test_one_set_block_ends_on_its_reply(self, monkeypatch):
+        """A block of nine records is one level-0 set: under an exact oracle
+        its one reply settles every pair, so no level is read and no node is
+        built, and the partition is the truth."""
+        records, truth = generate_dataset(3, 3, seed=5)
+        emb = planted_embeddings(truth, noise=0.05, seed=5)
+        block = Block("b0", tuple(sorted(records)))
+        events = []
+        resolve_block = Resolver._resolve_block
+        representative = SimilarityIndex.representative
+
+        def resolving(resolver, block):
+            events.append("block")
+            resolve_block(resolver, block)
+            events.append("end")
+
+        def reading(resolver, nodes):
+            raise AssertionError("a one-set block read a level")
+
+        def electing(index, members):
+            events.append("representative")
+            return representative(index, members)
+
+        monkeypatch.setattr(Resolver, "_resolve_block", resolving)
+        monkeypatch.setattr(Resolver, "_level", reading)
+        monkeypatch.setattr(SimilarityIndex, "representative", electing)
+        backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
+        resolver = Resolver(records, backend, embeddings=emb)
+        partition, ledger, report = resolver.resolve([block])
+        assert events[:2] == ["block", "end"]
+        assert ledger.api_calls == 1
+        assert report.level_set_counts == [1]
+        assert report.final_check_rounds == 0
+        entities = {}
+        for rid, entity in truth.items():
+            entities.setdefault(entity, set()).add(rid)
+        assert sorted(map(sorted, (n.members for n in partition.clusters))) == sorted(
+            map(sorted, entities.values())
+        )
+
+    def test_one_set_block_that_falls_back_still_sweeps(self):
+        """A reply that never parses settles nothing: the one-set block goes
+        on to the sweep, which asks again, and no cannot-link is stored."""
+        records, truth = generate_dataset(3, 3, seed=5)
+        emb = planted_embeddings(truth, noise=0.0, seed=5)
+        block = Block("b0", tuple(sorted(records)))
+        backend = _ScriptedBackend(itertools.repeat("no labels here"))
+        resolver = Resolver(records, backend, embeddings=emb)
+        _, ledger, report = resolver.resolve([block])
+        assert report.level_set_counts == [1]
+        assert report.final_check_rounds == 1
+        assert report.final_check_sets > 0
+        asked = 1 + report.final_check_sets
+        assert report.guardrail.fallbacks == asked
+        assert ledger.api_calls == (MAX_RETRIES + 1) * asked
+        assert not resolver.store.has_cannot_links(records)
 
     def test_unparseable_replies_add_no_cannot_links(self):
         records, truth = generate_dataset(6, 3, seed=4)
