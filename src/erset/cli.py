@@ -69,6 +69,16 @@ def _add_set_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-regen", type=int, default=2)
 
 
+def _add_parallelism_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--parallelism",
+        type=int,
+        default=1,
+        help="backend calls in flight at once within a round; the guardrail "
+        "runs on the calling thread, and results do not depend on it",
+    )
+
+
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", default=None, choices=["oracle", "http"])
     p.add_argument("--error-rate", type=float, default=0.0)
@@ -117,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_set_args(p)
     _add_backend_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallelism", type=int, default=1)
+    _add_parallelism_arg(p)
     p.add_argument("--partition-out", default=None)
     p.add_argument("--report-out", default=None)
 
@@ -137,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error-rates", default="0.0", help="comma-separated list")
     p.add_argument("--seeds", type=int, default=1, help="run seeds 0..N-1")
     p.add_argument("--seed", type=int, default=0, help="embedding/blocking seed")
-    p.add_argument("--parallelism", type=int, default=1)
+    _add_parallelism_arg(p)
     p.add_argument("--out", default=None, help="per-run results CSV")
     return parser
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
+import time
+from collections.abc import Callable, Iterable, Sequence
+from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -147,47 +149,65 @@ def regenerate_set(
 
 
 def guarded_cluster(
-    record_set: RecordSet,
-    sims: np.ndarray | None,
-    gateway: LlmGateway,
+    asked: Sequence[tuple[RecordSet, np.ndarray | None]],
+    ask: Callable[[list[RecordSet]], Iterable[SetClustering]],
     max_regen: int,
-) -> tuple[RecordSet, SetClustering, GuardrailStats]:
-    """Cluster with the guardrail.
+) -> tuple[list[tuple[RecordSet, SetClustering]], GuardrailStats]:
+    """Cluster a round's sets with the guardrail.
 
-    ``sims`` is the similarity matrix of the set's representatives, in set
-    order; the check and every remedy read it. When the check fails, the
-    clustering is first repaired without a call (repair_clustering); a
-    repaired clustering is accepted, flagged "guardrail-repaired". Only when
-    no move improves it is the set reordered, with its matrix
-    (regenerate_set), and clustered again, up to max_regen times; the last
-    clustering is then returned either way, flagged "guardrail-exhausted" if
-    it still fails. max_regen=0 turns off both remedies.
+    ``asked`` pairs each set with the similarity matrix of its
+    representatives, in set order; the check and every remedy read it.
+    ``ask`` maps a list of record sets to their clusterings, yielded in set
+    order (Resolver._round maps the gateway's cluster_records, through a
+    thread pool or plain ``map``). Each reply is checked as it arrives. When
+    the check fails, the clustering is first repaired without a call
+    (repair_clustering); a repaired clustering is accepted, flagged
+    "guardrail-repaired". Only when no move improves it is the set reordered,
+    with its matrix (regenerate_set), and asked again in the next wave, up to
+    max_regen times; the last clustering is then kept either way, flagged
+    "guardrail-exhausted" if it still fails. max_regen=0 turns off both
+    remedies. So each set gets the same calls, under its own set id, however
+    the round's sets are scheduled.
 
     A one-member set has one valid clustering and costs no call; its
     ``sims`` may be None. A "fallback-singletons" clustering is no answer,
-    so it is not checked; it is returned as is and counted in ``fallbacks``.
+    so it is not checked; it is kept as is and counted in ``fallbacks``.
+    Returns each set as it was last asked (regeneration reorders it) with its
+    clustering, in the order of ``asked``, and the round's counts.
     """
     stats = GuardrailStats()
-    if len(record_set) == 1:
-        return record_set, SetClustering(record_set.set_id, ((0,),)), stats
-    clustering = gateway.cluster_records(record_set)
-    while not _is_fallback(clustering) and not mdg_check(clustering, sims):
-        stats.checks_failed += 1
-        repaired = repair_clustering(clustering, sims) if max_regen else None
-        if repaired is not None:
-            stats.repaired += 1
-            clustering = repaired.with_flag("guardrail-repaired")
-            break
-        if stats.regenerations >= max_regen:
-            stats.exhausted += 1
-            clustering = clustering.with_flag("guardrail-exhausted")
-            break
-        record_set, sims = regenerate_set(record_set, clustering, sims)
-        clustering = gateway.cluster_records(record_set)
-        stats.regenerations += 1
-    if _is_fallback(clustering):
-        stats.fallbacks += 1
-    return record_set, clustering, stats
+    current = list(asked)
+    answered: list = [None] * len(current)
+    regenerations = [0] * len(current)
+    wave = []
+    for k, (record_set, _) in enumerate(current):
+        if len(record_set) == 1:
+            answered[k] = (record_set, SetClustering(record_set.set_id, ((0,),)))
+        else:
+            wave.append(k)
+    while wave:
+        again = []
+        for k, clustering in zip(wave, ask([current[k][0] for k in wave])):
+            record_set, sims = current[k]
+            if not _is_fallback(clustering) and not mdg_check(clustering, sims):
+                stats.checks_failed += 1
+                repaired = repair_clustering(clustering, sims) if max_regen else None
+                if repaired is not None:
+                    stats.repaired += 1
+                    clustering = repaired.with_flag("guardrail-repaired")
+                elif regenerations[k] < max_regen:
+                    current[k] = regenerate_set(record_set, clustering, sims)
+                    regenerations[k] += 1
+                    stats.regenerations += 1
+                    again.append(k)
+                    continue
+                else:
+                    stats.exhausted += 1
+                    clustering = clustering.with_flag("guardrail-exhausted")
+            stats.fallbacks += _is_fallback(clustering)
+            answered[k] = (record_set, clustering)
+        wave = again
+    return answered, stats
 
 
 def _is_fallback(clustering: SetClustering) -> bool:
@@ -481,6 +501,9 @@ class ResolveReport:
     final_check_sets: int = 0
     final_check_rounds: int = 0
     max_levels_hits: int = 0
+    # seconds resolve() took; ledger["wall_time"] sums the calls' latencies,
+    # which exceeds this whenever calls overlap
+    elapsed_s: float = 0.0
     guardrail: GuardrailStats = field(default_factory=GuardrailStats)
     ledger: dict = field(default_factory=dict)
 
@@ -492,7 +515,9 @@ class ResolveReport:
 
 class Resolver:
     """End-to-end driver: per-block record-set hierarchies over a shared
-    constraint store, with concurrent guarded clustering within each round.
+    constraint store. Within a round, up to ``parallelism`` backend calls are
+    in flight at once; everything else, the guardrail included, runs on the
+    thread that called resolve() (see _round).
 
     The similarity index is built from ``sim_config`` and ``embeddings``, or
     passed prebuilt as ``index``, which must cover ``records``; giving both,
@@ -530,26 +555,34 @@ class Resolver:
     def _round(
         self, asked: list[tuple[RecordSet, np.ndarray | None]]
     ) -> list[tuple[RecordSet, SetClustering]]:
-        """Guarded-cluster each set with its similarity matrix (concurrently),
-        then fold the results into the store in the order the sets were
-        built. Returns each set as it was last asked (regeneration reorders
-        it) with its clustering; a caller that reads the new nodes builds
-        them with _answered_nodes."""
+        """Guarded-cluster the sets with their similarity matrices
+        (guarded_cluster), then fold the results into the store in the order
+        the sets were built. Returns each set as it was last asked
+        (regeneration reorders it) with its clustering; a caller that reads
+        the new nodes builds them with _answered_nodes.
 
-        def work(item: tuple[RecordSet, np.ndarray | None]):
-            return guarded_cluster(*item, self.gateway, self.config.max_regen)
+        Only the backend calls run concurrently. With ``parallelism`` above 1,
+        a wave of more than one set is mapped through a pool of
+        ``parallelism`` threads, so at most that many calls are in flight;
+        the guardrail (check, repair, regeneration) and the fold run on the
+        calling thread, on each reply as it arrives in set order. The pool
+        lives for one round."""
+        cluster = self.gateway.cluster_records
+        threaded = self.parallelism > 1 and len(asked) > 1
+        with ThreadPoolExecutor(self.parallelism) if threaded else nullcontext() as pool:
 
-        if self.parallelism == 1 or len(asked) <= 1:
-            results = [work(item) for item in asked]
-        else:
-            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                results = list(pool.map(work, asked))
-        for record_set, clustering, stats in results:
-            self.report.guardrail.add(stats)
+            def ask(record_sets: list[RecordSet]) -> Iterable[SetClustering]:
+                if pool is None or len(record_sets) == 1:
+                    return map(cluster, record_sets)
+                return pool.map(cluster, record_sets)
+
+            answered, stats = guarded_cluster(asked, ask, self.config.max_regen)
+        self.report.guardrail.add(stats)
+        for record_set, clustering in answered:
             self.report.guardrail.conflict_warnings += apply_clustering(
                 self.store, record_set, clustering
             )
-        return [(record_set, clustering) for record_set, clustering, _ in results]
+        return answered
 
     def _answered_nodes(
         self, answered: list[tuple[RecordSet, SetClustering]]
@@ -701,15 +734,16 @@ class Resolver:
         record set into shared ones (pack_blocks); ``report.blocks`` counts
         the blocks given. A packed block of one record, or one drawn as a
         single level-0 set whose reply did not fall back, ends without a
-        merge round or sweep (see _resolve_block). A Resolver resolves once:
-        its store, report and ledger hold that run, so a second call is a
-        RuntimeError."""
+        merge round or sweep (see _resolve_block). ``report.elapsed_s`` is
+        the time this call took. A Resolver resolves once: its store, report
+        and ledger hold that run, so a second call is a RuntimeError."""
         if self._resolved:
             raise RuntimeError(
                 "this Resolver has already resolved: its constraint store, report "
                 "and ledger hold that run; build a new Resolver"
             )
         self._resolved = True
+        start = time.monotonic()
         self.report.blocks = len(blocks)
         for block in pack_blocks(blocks, self.config.set_size):
             self._resolve_block(block)
@@ -717,4 +751,5 @@ class Resolver:
         partition = Partition(self._nodes(singletons))
         partition.validate(self.records)
         self.report.ledger = self.ledger.snapshot()
+        self.report.elapsed_s = time.monotonic() - start
         return partition, self.ledger, self.report

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +24,13 @@ from erset.engine import (
     regenerate_set,
     repair_clustering,
 )
-from erset.gateway import MAX_RETRIES, LlmGateway, OracleConfig, SimulatedOracle
+from erset.gateway import (
+    MAX_RETRIES,
+    LlmGateway,
+    OracleConfig,
+    ProviderUnavailable,
+    SimulatedOracle,
+)
 from erset.model import (
     Attribute,
     ClusterNode,
@@ -199,11 +208,19 @@ class TestRepairClustering:
         assert repair_clustering(SetClustering("s0", ((0, 1, 3), (2,))), sims) is None
 
 
+def _guard_one(record_set, sims, gateway, max_regen):
+    """guarded_cluster over a round of one set, asked on this thread."""
+    [(out_rs, clustering)], stats = guarded_cluster(
+        [(record_set, sims)], lambda sets: map(gateway.cluster_records, sets), max_regen
+    )
+    return out_rs, clustering, stats
+
+
 class TestGuardedCluster:
     def test_pass_first_time_one_call(self):
         gateway = _gateway(["R1\nR2\nR3"])
         rs = _set_of("abc")
-        out_rs, clustering, stats = guarded_cluster(
+        out_rs, clustering, stats = _guard_one(
             rs, _sims(rs, ABC_SIMS), gateway, max_regen=2
         )
         assert gateway.ledger.api_calls == 1
@@ -215,7 +232,7 @@ class TestGuardedCluster:
         # [b,c,a,d] groups {b},{c,a},{d} (passes)
         gateway = _gateway(["R1,R2,R4\nR3", "R1\nR2,R3\nR4"], "abcd")
         rs = _set_of("abcd")
-        out_rs, clustering, stats = guarded_cluster(
+        out_rs, clustering, stats = _guard_one(
             rs, _sims(rs, STUCK_SIMS), gateway, max_regen=2
         )
         assert gateway.ledger.api_calls == 2
@@ -230,7 +247,7 @@ class TestGuardedCluster:
         bad = ["R1,R2,R4\nR3", "R1,R3,R4\nR2", "R1,R3,R4\nR2"]
         gateway = _gateway(bad, "abcd")
         rs = _set_of("abcd")
-        _, clustering, stats = guarded_cluster(
+        _, clustering, stats = _guard_one(
             rs, _sims(rs, STUCK_SIMS), gateway, max_regen=2
         )
         assert gateway.ledger.api_calls == 3
@@ -241,7 +258,7 @@ class TestGuardedCluster:
         # {a,b},{c} fails; moving a to c gives {a,c},{b}, which passes
         gateway = _gateway(["R1,R2\nR3"])
         rs = _set_of("abc")
-        out_rs, clustering, stats = guarded_cluster(
+        out_rs, clustering, stats = _guard_one(
             rs, _sims(rs, ABC_SIMS), gateway, max_regen=2
         )
         assert gateway.ledger.api_calls == 1
@@ -254,7 +271,7 @@ class TestGuardedCluster:
     def test_one_member_set_costs_no_call(self):
         gateway = _gateway([])
         rs = _set_of("a")
-        out_rs, clustering, stats = guarded_cluster(rs, None, gateway, max_regen=2)
+        out_rs, clustering, stats = _guard_one(rs, None, gateway, max_regen=2)
         assert gateway.ledger.api_calls == 0
         assert out_rs is rs
         assert clustering.groups == ((0,),) and not clustering.flags
@@ -266,7 +283,7 @@ class TestGuardedCluster:
         gateway = _gateway(["?"] * (MAX_RETRIES + 1))
         rs = _set_of("abc")
         sims = {("a", "b"): 1.5, ("a", "c"): 0.5, ("b", "c"): 0.1}
-        _, clustering, stats = guarded_cluster(
+        _, clustering, stats = _guard_one(
             rs, _sims(rs, sims), gateway, max_regen=2
         )
         assert gateway.ledger.api_calls == MAX_RETRIES + 1
@@ -277,13 +294,41 @@ class TestGuardedCluster:
     def test_no_remedy_without_regenerations(self):
         gateway = _gateway(["R1,R2\nR3"])
         rs = _set_of("abc")
-        _, clustering, stats = guarded_cluster(
+        _, clustering, stats = _guard_one(
             rs, _sims(rs, ABC_SIMS), gateway, max_regen=0
         )
         assert gateway.ledger.api_calls == 1
         assert stats.repaired == 0
         assert stats.exhausted == 1
         assert clustering.groups == ((0, 1), (2,))
+
+    def test_regenerated_sets_are_asked_in_the_next_wave(self):
+        """A round's replies are checked in set order; a set that must be
+        regenerated is asked again, under its own id, in the round's next
+        wave, and a one-member set is never asked."""
+        # s0 = [a,b,c,d] fails beyond repair, s1 = [a,b,c] passes; then the
+        # reordered s0 = [b,c,a,d] is asked alone and passes
+        gateway = _gateway(["R1,R2,R4\nR3", "R1\nR2\nR3", "R1\nR2,R3\nR4"], "abcd")
+        s0, s1, s2 = _set_of("abcd"), _set_of("abc", "s1"), _set_of("a", "s2")
+        waves = []
+
+        def ask(record_sets):
+            waves.append([rs.set_id for rs in record_sets])
+            return map(gateway.cluster_records, record_sets)
+
+        answered, stats = guarded_cluster(
+            [(s0, _sims(s0, STUCK_SIMS)), (s1, _sims(s1, ABC_SIMS)), (s2, None)],
+            ask,
+            max_regen=2,
+        )
+        assert waves == [["s0", "s1"], ["s0"]]
+        assert [rs.set_id for rs, _ in answered] == ["s0", "s1", "s2"]
+        assert [n.representative for n in answered[0][0].members] == ["b", "c", "a", "d"]
+        assert answered[0][1].groups == ((0,), (1, 2), (3,))
+        assert answered[1][0] is s1 and answered[2][0] is s2
+        assert answered[2][1].groups == ((0,),)
+        assert (stats.checks_failed, stats.regenerations, stats.exhausted) == (1, 1, 0)
+        assert gateway.ledger.api_calls == 3
 
 
 class TestApplyClustering:
@@ -1550,3 +1595,105 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
         assert report.guardrail.repaired == 24
         assert report.guardrail.regenerations == 0
         assert report.guardrail.conflict_warnings == 2
+
+
+class _InFlight:
+    """Sleeps ``latency_s`` per call, then asks the wrapped backend, counting
+    the calls in flight and their peak. A call for set ``fail`` raises
+    ProviderUnavailable instead."""
+
+    def __init__(self, inner, latency_s=0.005, fail=None):
+        self.inner = inner
+        self.latency_s = latency_s
+        self.fail = fail
+        self.in_flight = self.peak = self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, record_sets):
+        with self._lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.latency_s)
+            if record_sets[0].set_id == self.fail:
+                raise ProviderUnavailable(f"no reply for {self.fail}")
+            return self.inner.complete(prompt, record_sets)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def _noisy_block(seed=1):
+    """One 200-record planted block under an oracle that errs 30% of the
+    time: level 0 asks 23 sets, and replies get repaired and regenerated."""
+    records, truth = generate_dataset(40, 5, seed=seed)
+    emb = planted_embeddings(truth, noise=0.05, seed=seed)
+    block = Block("b0", tuple(sorted(records)))
+    return records, emb, block, SimulatedOracle(OracleConfig(truth, 0.3, seed))
+
+
+def test_only_backend_calls_leave_the_calling_thread(monkeypatch):
+    """Under three workers, the check, the call-free repair and the fold into
+    the store all run on the thread that called resolve(), at most three
+    calls are in flight at once, and the ledger counts every call, with
+    threads switching often."""
+    records, emb, block, oracle = _noisy_block()
+    threads = []
+    for name in ("mdg_check", "repair_clustering", "apply_clustering"):
+
+        def on_thread(*args, _name=name, _fn=getattr(engine, name), **kwargs):
+            threads.append((_name, threading.get_ident()))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, on_thread)
+    backend = _InFlight(oracle)
+    resolver = Resolver(
+        records, backend, config=SetConfig(seed=1), embeddings=emb, parallelism=3
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _, ledger, report = resolver.resolve([block])
+    finally:
+        sys.setswitchinterval(interval)
+    assert ledger.api_calls == backend.calls
+    assert report.guardrail.repaired > 0
+    assert {name for name, _ in threads} == {
+        "mdg_check", "repair_clustering", "apply_clustering"
+    }
+    assert {ident for _, ident in threads} == {threading.get_ident()}
+    assert backend.peak == 3
+
+
+def test_a_failed_call_leaves_no_worker_thread():
+    """A backend that gives up on one set of a multi-set round raises out of
+    resolve(), and the round's pool is shut down on the way: no worker
+    thread is left running."""
+    records, emb, block, oracle = _noisy_block()
+    backend = _InFlight(oracle, fail="b0.L0.0002")
+    resolver = Resolver(
+        records, backend, config=SetConfig(seed=1), embeddings=emb, parallelism=3
+    )
+    before = threading.active_count()
+    with pytest.raises(ProviderUnavailable, match="b0.L0.0002"):
+        resolver.resolve([block])
+    assert threading.active_count() == before
+    assert backend.calls >= 3
+
+
+def test_elapsed_time_is_wall_clock_not_summed_latency():
+    """report.elapsed_s is the time resolve() took. With three calls in
+    flight at once, the ledger's summed call latency exceeds it."""
+    records, truth = generate_dataset(6, 5, seed=1)
+    emb = planted_embeddings(truth, noise=0.05, seed=1)
+    block = Block("b0", tuple(sorted(records)))
+    backend = _InFlight(SimulatedOracle(OracleConfig(truth, 0.0, 1)), latency_s=0.1)
+    resolver = Resolver(records, backend, embeddings=emb, parallelism=3)
+    start = time.monotonic()
+    _, ledger, report = resolver.resolve([block])
+    took = time.monotonic() - start
+    assert report.level_set_counts[0] >= 3 and backend.peak == 3
+    assert 0 < report.elapsed_s <= took
+    assert report.as_dict()["elapsed_s"] == report.elapsed_s
+    assert ledger.wall_time > report.elapsed_s
