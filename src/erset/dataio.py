@@ -7,7 +7,8 @@ import csv
 import io
 import json
 import os
-import tempfile
+import secrets
+import shutil
 from dataclasses import dataclass
 
 from .blocking import Block
@@ -69,7 +70,7 @@ def ingest(
     """
     if len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, not {delimiter!r}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header = next(reader, None)
         if header is None:
@@ -121,12 +122,16 @@ def ingest(
 
 
 def atomic_write(path: str, content: str) -> None:
-    """Write a file fully or not at all (temp file + atomic rename)."""
+    """Write a file fully or not at all (temp file + atomic rename), with the
+    mode ``open(path, "w")`` gives: an existing file's, else 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(content)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -167,7 +172,7 @@ def load_labels(path: str) -> dict[str, str]:
     """Read a ``record_id,<label>`` file: a header of exactly those two
     columns, then one two-field row per record id. Blank lines are skipped;
     an error names the file line of its row."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

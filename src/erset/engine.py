@@ -149,7 +149,7 @@ def regenerate_set(
 
 
 def guarded_cluster(
-    asked: Sequence[tuple[RecordSet, np.ndarray | None]],
+    asked: Sequence[tuple[RecordSet, np.ndarray]],
     ask: Callable[[list[RecordSet]], Iterable[SetClustering]],
     max_regen: int,
 ) -> tuple[list[tuple[RecordSet, SetClustering]], GuardrailStats]:
@@ -169,9 +169,9 @@ def guarded_cluster(
     remedies. So each set gets the same calls, under its own set id, however
     the round's sets are scheduled.
 
-    A one-member set has one valid clustering and costs no call; its
-    ``sims`` may be None. A "fallback-singletons" clustering is no answer,
-    so it is not checked; it is kept as is and counted in ``fallbacks``.
+    A one-member set has one valid clustering and costs no call. A
+    "fallback-singletons" clustering is no answer, so it is not checked; it
+    is kept as is and counted in ``fallbacks``.
     Returns each set as it was last asked (regeneration reorders it) with its
     clustering, in the order of ``asked``, and the round's counts.
     """
@@ -553,7 +553,7 @@ class Resolver:
         self._resolved = False
 
     def _round(
-        self, asked: list[tuple[RecordSet, np.ndarray | None]]
+        self, asked: list[tuple[RecordSet, np.ndarray]]
     ) -> list[tuple[RecordSet, SetClustering]]:
         """Guarded-cluster the sets with their similarity matrices
         (guarded_cluster), then fold the results into the store in the order
@@ -617,20 +617,19 @@ class Resolver:
         counts.extend([0] * (level + 1 - len(counts)))
         counts[level] += n_sets
 
-    def _level0_sets(self, block: Block) -> list[tuple[RecordSet, np.ndarray | None]]:
-        """Draw the block's level-0 sets from one pre-clustering of the
-        whole block; a block that fits one set needs none. Each set comes
-        with the similarity matrix of its records, in set order; a
-        one-record set, which is never asked, with None."""
+    def _level0_sets(self, block: Block) -> list[tuple[RecordSet, np.ndarray]]:
+        """Draw the block's level-0 sets, each with the similarity matrix of
+        its records in set order (next_record_set), from one pre-clustering
+        of the whole block; a block that fits one set needs none."""
         remaining = set(block.members)
         cluster_of = (
             pre_clusters(remaining, self.config, self.index)
             if len(remaining) > self.config.set_size
             else None
         )
-        sets: list[tuple[RecordSet, np.ndarray | None]] = []
+        sets: list[tuple[RecordSet, np.ndarray]] = []
         while remaining:
-            ids = next_record_set(
+            ids, sims = next_record_set(
                 remaining, self.config, self.index, cluster_of, turn=len(sets)
             )
             remaining.difference_update(ids)
@@ -638,7 +637,7 @@ class Resolver:
                 f"{block.block_id}.L0.{len(sets):04d}",
                 tuple(ClusterNode.singleton(rid) for rid in ids),
             )
-            sets.append((record_set, self.index.sims(ids) if len(ids) > 1 else None))
+            sets.append((record_set, sims))
         return sets
 
     def _resolve_block(self, block: Block) -> None:

@@ -154,14 +154,6 @@ def similarity_chain(sims: np.ndarray, first: int) -> list[int]:
     return order
 
 
-def sequential_order(members, index) -> list:
-    """Greedy similarity chain from the lowest id (ties to the lowest id)."""
-    ids = sorted(members)
-    if not ids:
-        return []
-    return [ids[i] for i in similarity_chain(index.sims(ids), 0)]
-
-
 def pre_clusters(ids, config: SetConfig, index) -> dict:
     """The block-level k-means pre-clustering: id -> label over ``ids``, with
     k chosen by the elbow over k = 1..set_diversity + 2."""
@@ -174,85 +166,88 @@ def pre_clusters(ids, config: SetConfig, index) -> dict:
 
 def next_record_set(
     b_remain, config: SetConfig, index, cluster_of=None, turn: int = 0
-) -> list:
+) -> tuple[list, np.ndarray]:
     """Select and order the members of the next record set from a block.
 
-    Returns an ordered id list of size min(|b_remain|, set_size); the caller
-    removes them from the block. For oversized blocks, the block's k-means
-    pre-clusters (``cluster_of``, from ``pre_clusters``; computed over
-    ``b_remain`` when not given) drive diversity: floor(S_s/S_d) records per
-    sufficiently large pre-cluster, largest remaining pre-cluster first (ties
-    by label rotated by the draw number ``turn``), then fillers chosen to
-    least increase the coefficient of variation of the selected
-    pre-cluster-size profile.
+    Returns min(|b_remain|, set_size) ids in one greedy similarity chain from
+    the lowest id, and their similarity matrix in that order (the chain's
+    one read, permuted); the caller removes the ids from the block. For
+    oversized blocks, the block's k-means pre-clusters (``cluster_of``, from
+    ``pre_clusters``; computed over ``b_remain`` when not given) drive
+    diversity: floor(S_s/S_d) records per sufficiently large pre-cluster,
+    largest remaining pre-cluster first (ties by label rotated by the draw
+    number ``turn``), then fillers chosen to least increase the coefficient
+    of variation of the selected pre-cluster-size profile.
     """
     pool = sorted(b_remain)
     if not pool:
         raise EmptyInput("next_record_set on an empty block")
-    if len(pool) <= config.set_size:
-        return sequential_order(pool, index)
-    if cluster_of is None:
-        cluster_of = pre_clusters(pool, config, index)
+    if len(pool) > config.set_size:
+        if cluster_of is None:
+            cluster_of = pre_clusters(pool, config, index)
 
-    by_cluster: dict[int, list[str]] = {}
-    for rid in pool:
-        by_cluster.setdefault(cluster_of[rid], []).append(rid)
-    # rotating the tie-break spreads successive draws over equal-sized
-    # pre-clusters instead of always starting from the same one
-    n_labels = max(cluster_of.values()) + 1
-    order = sorted(
-        by_cluster, key=lambda c: (-len(by_cluster[c]), (c - turn) % n_labels)
-    )
-
-    target_size = config.set_size // config.set_diversity
-    selected: list[str] = []
-    for c in order:
-        members = by_cluster[c]
-        room = config.set_size - len(selected)
-        # order is largest first, so no later pre-cluster qualifies either
-        if room <= 0 or len(members) < target_size:
-            break
-        points = index.rows(members)
-        # seed on the centroid-nearest record (ties to the lowest id), then
-        # grow by nearest neighbour within the pre-cluster: a coherent draw
-        # keeps likely duplicates in the same record set, where a spread of
-        # centroid-nearest records from a mixed pre-cluster would rarely
-        # contain any duplicate pair
-        seed_pos = int(np.argmin(np.linalg.norm(points - points.mean(axis=0), axis=1)))
-        take = [members[seed_pos]]
-        # in id order, so argmax breaks similarity ties toward the lowest id;
-        # nearest[k] is candidate k's best similarity to the records taken,
-        # one kernel column per pick
-        candidates = members[:seed_pos] + members[seed_pos + 1 :]
-        nearest = np.full(len(candidates), -np.inf)
-        while len(take) < min(target_size, room) and candidates:
-            np.maximum(nearest, index.sims(candidates, take[-1:])[:, 0], out=nearest)
-            k = int(nearest.argmax())
-            take.append(candidates.pop(k))
-            nearest = np.delete(nearest, k)
-        selected.extend(take)
-
-    # A filler's cost depends only on its pre-cluster, so each pick scores
-    # every pre-cluster with records left once and takes the cheapest one's
-    # lowest id (cost ties to the lowest id). ``left`` holds each
-    # pre-cluster's records left, lowest id last; ``profile`` keeps its labels
-    # in order of first appearance in ``selected``, the order variation sums in.
-    taken = set(selected)
-    left = {
-        c: [rid for rid in reversed(ids) if rid not in taken]
-        for c, ids in by_cluster.items()
-    }
-    profile: dict[int, int] = {}
-    for rid in selected:
-        profile[cluster_of[rid]] = profile.get(cluster_of[rid], 0) + 1
-    while len(selected) < config.set_size and any(left.values()):
-        _, rid, c = min(
-            (variation({**profile, c: profile.get(c, 0) + 1}.values()), ids[-1], c)
-            for c, ids in left.items()
-            if ids
+        by_cluster: dict[int, list[str]] = {}
+        for rid in pool:
+            by_cluster.setdefault(cluster_of[rid], []).append(rid)
+        # rotating the tie-break spreads successive draws over equal-sized
+        # pre-clusters instead of always starting from the same one
+        n_labels = max(cluster_of.values()) + 1
+        order = sorted(
+            by_cluster, key=lambda c: (-len(by_cluster[c]), (c - turn) % n_labels)
         )
-        left[c].pop()
-        profile[c] = profile.get(c, 0) + 1
-        selected.append(rid)
 
-    return sequential_order(selected, index)
+        target_size = config.set_size // config.set_diversity
+        selected: list[str] = []
+        for c in order:
+            members = by_cluster[c]
+            room = config.set_size - len(selected)
+            # order is largest first, so no later pre-cluster qualifies either
+            if room <= 0 or len(members) < target_size:
+                break
+            points = index.rows(members)
+            # seed on the centroid-nearest record (ties to the lowest id), then
+            # grow by nearest neighbour within the pre-cluster: a coherent draw
+            # keeps likely duplicates in the same record set, where a spread of
+            # centroid-nearest records from a mixed pre-cluster would rarely
+            # contain any duplicate pair
+            spread = np.linalg.norm(points - points.mean(axis=0), axis=1)
+            seed_pos = int(np.argmin(spread))
+            take = [members[seed_pos]]
+            # in id order, so argmax breaks similarity ties toward the lowest id;
+            # nearest[k] is candidate k's best similarity to the records taken,
+            # one kernel column per pick
+            candidates = members[:seed_pos] + members[seed_pos + 1 :]
+            nearest = np.full(len(candidates), -np.inf)
+            while len(take) < min(target_size, room) and candidates:
+                np.maximum(nearest, index.sims(candidates, take[-1:])[:, 0], out=nearest)
+                k = int(nearest.argmax())
+                take.append(candidates.pop(k))
+                nearest = np.delete(nearest, k)
+            selected.extend(take)
+
+        # A filler's cost depends only on its pre-cluster, so each pick scores
+        # every pre-cluster with records left once and takes the cheapest one's
+        # lowest id (cost ties to the lowest id). ``left`` holds each
+        # pre-cluster's records left, lowest id last; ``profile`` keeps its labels
+        # in order of first appearance in ``selected``, the order variation sums in.
+        taken = set(selected)
+        left = {
+            c: [rid for rid in reversed(ids) if rid not in taken]
+            for c, ids in by_cluster.items()
+        }
+        profile: dict[int, int] = {}
+        for rid in selected:
+            profile[cluster_of[rid]] = profile.get(cluster_of[rid], 0) + 1
+        while len(selected) < config.set_size and any(left.values()):
+            _, rid, c = min(
+                (variation({**profile, c: profile.get(c, 0) + 1}.values()), ids[-1], c)
+                for c, ids in left.items()
+                if ids
+            )
+            left[c].pop()
+            profile[c] = profile.get(c, 0) + 1
+            selected.append(rid)
+        pool = sorted(selected)
+    sims = index.sims(pool)
+    chain = similarity_chain(sims, 0)
+    return [pool[k] for k in chain], sims[np.ix_(chain, chain)]

@@ -164,7 +164,7 @@ def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
     twice, or a row of zeros (it has no direction), is an error. A row's
     error names its file line."""
     out: dict[str, np.ndarray] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not header or header[0] != "id":

@@ -182,7 +182,7 @@ def test_criterion_07_nrs_conformance():
     truth = {f"r{i:03d}": f"e{i % 4}" for i in range(40)}
     emb = planted_embeddings(truth, noise=0.05, seed=5)
     index = embedding_index(emb)
-    ids = next_record_set(sorted(truth), SetConfig(seed=0), index)
+    ids, _ = next_record_set(sorted(truth), SetConfig(seed=0), index)
     assert len(ids) == 9
     counts = {}
     for rid in ids:

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -90,10 +91,45 @@ class TestDataio:
         assert target.read_text() == "hello"
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_atomic_write_gives_a_new_file_the_umask_mode(self, tmp_path):
+        """A new file gets 0o666 less the umask, as open(path, "w") gives."""
+        target = tmp_path / "out.txt"
+        umask = os.umask(0o022)
+        try:
+            dataio.atomic_write(target, "hello")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_atomic_write_keeps_an_existing_files_mode(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        target.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            dataio.atomic_write(target, "hello")
+        finally:
+            os.umask(umask)
+        assert target.read_text() == "hello"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_ingest_skips_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,name\nr1,ann\n")
+        ds = dataio.ingest(path)
+        assert [(a.name, a.value) for a in ds.records["r1"].attributes] == [
+            ("name", "ann")
+        ]
+
     def test_labels_roundtrip(self, tmp_path):
         path = tmp_path / "labels.csv"
         dataio.save_labels(path, {"a": "1", "b": "2"}, "cluster_id")
         assert dataio.load_labels(path) == {"a": "1", "b": "2"}
+
+    def test_load_labels_skips_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"\xef\xbb\xbfrecord_id,entity_id\nr1,e1\n")
+        assert dataio.load_labels(path) == {"r1": "e1"}
 
     @pytest.mark.parametrize(
         "text, line",

@@ -41,7 +41,7 @@ from erset.model import (
     SetClustering,
     SetConfig,
 )
-from erset.similarity import SimilarityIndex
+from erset.similarity import SimilarityConfig, SimilarityIndex
 from erset.synth import generate_dataset, planted_embeddings
 
 from .fakes import TableIndex, embedding_index
@@ -317,7 +317,11 @@ class TestGuardedCluster:
             return map(gateway.cluster_records, record_sets)
 
         answered, stats = guarded_cluster(
-            [(s0, _sims(s0, STUCK_SIMS)), (s1, _sims(s1, ABC_SIMS)), (s2, None)],
+            [
+                (s0, _sims(s0, STUCK_SIMS)),
+                (s1, _sims(s1, ABC_SIMS)),
+                (s2, _sims(s2, ABC_SIMS)),
+            ],
             ask,
             max_regen=2,
         )
@@ -1456,8 +1460,8 @@ def test_level0_pre_clusters_each_block_once(monkeypatch):
     """A block larger than one set runs the elbow once, k = 1..set_diversity
     + 2, and every level-0 set is drawn from that one pre-clustering; a block
     that fits one set runs no k-means. Each block's level-0 sets partition
-    it, and each comes with the similarity matrix of its records (None for
-    a one-record set)."""
+    it, and each comes with the similarity matrix of its records, a
+    one-record set too."""
     ks = []
     kmeans = setbuilder.kmeans
 
@@ -1498,10 +1502,7 @@ def test_level0_pre_clusters_each_block_once(monkeypatch):
         ]
         assert sorted(members) == sorted(block.members)
         for rs, sims in drawn[block.block_id][1]:
-            if len(rs) == 1:
-                assert sims is None
-            else:
-                assert np.array_equal(sims, _rep_sims(resolver.index, rs.members))
+            assert np.array_equal(sims, _rep_sims(resolver.index, rs.members))
 
 
 def test_planted_block_resolves_as_pinned():
@@ -1595,6 +1596,33 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
         assert report.guardrail.repaired == 24
         assert report.guardrail.regenerations == 0
         assert report.guardrail.conflict_warnings == 2
+
+
+def test_jaccard_block_resolves_as_pinned():
+    """One 160-record block under token Jaccard similarity and an oracle
+    that errs 30% of the time: every failed check is repaired and conflict
+    warnings happen. Refactors of the engine keep this run byte-identical,
+    with one worker or two."""
+    records, truth = generate_dataset(40, 4, seed=2)
+    block = Block("b0", tuple(sorted(records)))
+    for parallelism in (1, 2):
+        resolver = Resolver(
+            records,
+            SimulatedOracle(OracleConfig(truth, 0.3, 2)),
+            config=SetConfig(seed=2, b_t=0.3),
+            sim_config=SimilarityConfig(measure="jaccard"),
+            parallelism=parallelism,
+        )
+        partition, ledger, report = resolver.resolve([block])
+        assert _partition_digest(partition) == (
+            "eacca736039f39bc1fa7000ac732bd65e00edaff649b2d509ca5878e46a3da96"
+        )
+        assert ledger.api_calls == 42
+        assert report.level_set_counts == [18, 11, 6, 3, 1]
+        assert report.final_check_sets == 3
+        assert report.guardrail.repaired == 36
+        assert report.guardrail.regenerations == 0
+        assert report.guardrail.conflict_warnings == 13
 
 
 class _InFlight:

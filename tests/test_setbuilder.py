@@ -15,7 +15,7 @@ from erset.setbuilder import (
     elbow_k,
     kmeans,
     next_record_set,
-    sequential_order,
+    similarity_chain,
     variation,
 )
 from erset.synth import planted_embeddings
@@ -242,16 +242,26 @@ class TestElbow:
 
 
 class TestSequentialOrder:
+    """A set drawn whole from a pool of at most set_size records is chained
+    by similarity from the lowest id, and comes with its matrix in set
+    order."""
+
+    def _drawn(self, pool, index):
+        ids, sims = next_record_set(pool, SetConfig(), index)
+        assert np.array_equal(sims, index.sims(ids))
+        return ids
+
     def test_chains_by_similarity(self):
         sims = TableIndex({("a", "b"): 0.1, ("a", "c"): 0.9, ("b", "c"): 0.2})
-        assert sequential_order(["a", "b", "c"], sims) == ["a", "c", "b"]
+        assert self._drawn(["a", "b", "c"], sims) == ["a", "c", "b"]
 
     def test_ties_break_to_lower_id(self):
         sims = TableIndex(default=0.5)
-        assert sequential_order(["c", "a", "b"], sims) == ["a", "b", "c"]
+        assert self._drawn(["c", "a", "b"], sims) == ["a", "b", "c"]
 
     def test_empty(self):
-        assert sequential_order([], TableIndex(default=0.0)) == []
+        with pytest.raises(EmptyInput):
+            next_record_set(set(), SetConfig(), TableIndex(default=0.0))
 
 
 class TestNextRecordSet:
@@ -269,14 +279,14 @@ class TestNextRecordSet:
 
     def test_small_block_returned_whole(self):
         truth, index = self._planted(2, 3)
-        ids = next_record_set(sorted(truth), SetConfig(), index)
+        ids, _ = next_record_set(sorted(truth), SetConfig(), index)
         assert sorted(ids) == sorted(truth)
 
     def test_target_size_per_precluster(self):
         """On a 40-record block with 4 planted pre-clusters the set has 9
         members with floor(9/4)=2 drawn from each pre-cluster before filling."""
         truth, index = self._planted(4, 10)
-        ids = next_record_set(sorted(truth), SetConfig(seed=0), index)
+        ids, _ = next_record_set(sorted(truth), SetConfig(seed=0), index)
         assert len(ids) == 9
         counts = {}
         for rid in ids:
@@ -285,7 +295,7 @@ class TestNextRecordSet:
 
     def test_sequential_adjacency(self):
         truth, index = self._planted(4, 10)
-        ids = next_record_set(sorted(truth), SetConfig(seed=0), index)
+        ids, _ = next_record_set(sorted(truth), SetConfig(seed=0), index)
         adjacent_same = sum(
             1 for a, b in zip(ids, ids[1:]) if truth[a] == truth[b]
         )
@@ -320,14 +330,14 @@ class TestNextRecordSet:
         index = embedding_index(planted_embeddings(truth, noise=0.05, seed=1))
         cluster_of = {rid: int(rid[1]) for rid in truth}
         config = SetConfig(set_size=4, set_diversity=2)
-        ids = next_record_set(sorted(truth), config, index, cluster_of, turn=turn)
+        ids, _ = next_record_set(sorted(truth), config, index, cluster_of, turn=turn)
         drawn = sorted(cluster_of[rid] for rid in ids)
         assert drawn == sorted([0, 0, second, second])
 
     def test_deterministic(self):
         truth, index = self._planted(4, 10)
-        a = next_record_set(sorted(truth), SetConfig(seed=2), index)
-        b = next_record_set(sorted(truth), SetConfig(seed=2), index)
+        a, _ = next_record_set(sorted(truth), SetConfig(seed=2), index)
+        b, _ = next_record_set(sorted(truth), SetConfig(seed=2), index)
         assert a == b
 
     @settings(max_examples=30, deadline=None)
@@ -335,7 +345,7 @@ class TestNextRecordSet:
     def test_returns_subset_of_requested_size(self, n_clusters, per_cluster, seed):
         truth, index = self._planted(n_clusters, per_cluster, seed=seed)
         pool = sorted(truth)
-        ids = next_record_set(pool, SetConfig(seed=seed), index)
+        ids, _ = next_record_set(pool, SetConfig(seed=seed), index)
         assert len(ids) == min(len(pool), 9)
         assert len(set(ids)) == len(ids)
         assert set(ids) <= set(pool)
@@ -387,7 +397,8 @@ def _reference_next_record_set(pool, config, index, cluster_of, turn):
         best = min(remaining, key=lambda rid: (filler_cost(rid), rid))
         remaining.remove(best)
         selected.append(best)
-    return sequential_order(selected, index)
+    ids = sorted(selected)
+    return [ids[k] for k in similarity_chain(index.sims(ids), 0)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -413,6 +424,6 @@ def test_fillers_match_the_per_record_reference(set_size, data, turn, seed):
     }
     index = embedding_index(emb)
     config = SetConfig(set_size=set_size, set_diversity=diversity)
-    assert next_record_set(ids, config, index, cluster_of, turn) == (
-        _reference_next_record_set(ids, config, index, cluster_of, turn)
-    )
+    drawn, sims = next_record_set(ids, config, index, cluster_of, turn)
+    assert drawn == _reference_next_record_set(ids, config, index, cluster_of, turn)
+    assert np.array_equal(sims, index.sims(drawn))

@@ -107,6 +107,13 @@ def test_embedding_roundtrip(tmp_path):
     assert np.allclose(loaded["a"], emb["a"]) and np.allclose(loaded["b"], emb["b"])
 
 
+def test_load_embeddings_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_bytes(b"\xef\xbb\xbfid,d0,d1\na,1.0,2.0\nb,3.0,4.0\n")
+    loaded = load_embeddings(path, ["a", "b"])
+    assert loaded["a"].tolist() == [1.0, 2.0] and loaded["b"].tolist() == [3.0, 4.0]
+
+
 def test_load_embeddings_rejects_a_repeated_id_by_file_line(tmp_path):
     path = tmp_path / "emb.csv"
     path.write_text("id,d0,d1\na,1.0,2.0\n\nb,3.0,4.0\na,5.0,6.0\n")
@@ -263,16 +270,16 @@ def test_index_sim_raises_zero_vector_at_call():
         idx.sim("c", "a")
 
 
-def _kernel_index(planted):
-    """38 hashed TF-IDF (or planted) records; r_dup0 and r_dup1 repeat the
-    text of the first record exactly."""
+def _kernel_index(planted, measure="cosine"):
+    """38 hashed TF-IDF (or planted) records under ``measure``; r_dup0 and
+    r_dup1 repeat the text of the first record exactly."""
     records, truth = generate_dataset(12, 3, seed=4)
     first = records[min(records)]
     for rid in ("r_dup0", "r_dup1"):
         records[rid] = Record(rid, first.attributes)
         truth[rid] = truth[first.id]
     emb = planted_embeddings(truth, noise=0.1, seed=4) if planted else None
-    return SimilarityIndex(records, embeddings=emb)
+    return SimilarityIndex(records, SimilarityConfig(measure=measure), emb)
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -310,8 +317,9 @@ def test_sims_rectangular_and_empty_shapes(measure):
     assert idx.sims([]).shape == (0, 0)
 
 
-def test_sims_of_permuted_ids_are_the_permuted_matrix():
-    idx = _kernel_index(planted=False)
+@pytest.mark.parametrize("measure", ["cosine", "jaccard"])
+def test_sims_of_permuted_ids_are_the_permuted_matrix(measure):
+    idx = _kernel_index(planted=False, measure=measure)
     ids = sorted(idx.embeddings)
     perm = np.random.default_rng(0).permutation(len(ids))
     permuted = idx.sims(ids[k] for k in perm)
