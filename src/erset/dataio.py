@@ -215,9 +215,10 @@ def save_report(path: str, report: dict) -> None:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Parse a flat key=value config file; '#' starts a comment line."""
+    """Parse a flat key=value config file; '#' starts a comment line. A
+    leading UTF-8 byte-order mark is dropped, as the CSV readers drop it."""
     out: dict[str, str] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -158,8 +158,9 @@ def guarded_cluster(
     ``asked`` pairs each set with the similarity matrix of its
     representatives, in set order; the check and every remedy read it.
     ``ask`` maps a list of record sets to their clusterings, yielded in set
-    order (Resolver._round maps the gateway's cluster_records, through a
-    thread pool or plain ``map``). Each reply is checked as it arrives. When
+    order (Resolver._round packs them into shared prompts and maps the
+    gateway's cluster_records over those, through a thread pool or plain
+    ``map``). Each clustering is checked as it arrives. When
     the check fails, the clustering is first repaired without a call
     (repair_clustering); a repaired clustering is accepted, flagged
     "guardrail-repaired". Only when no move improves it is the set reordered,
@@ -489,6 +490,98 @@ def pack_blocks(blocks: Sequence[Block], set_size: int) -> list[Block]:
     return sorted(out, key=lambda b: b.block_id)
 
 
+def pack_sets(sizes: Sequence[int], blocks: Sequence, set_size: int) -> list[list[int]]:
+    """Group a wave's record sets into prompts, so that sets smaller than one
+    prompt share a call instead of each paying for its own.
+
+    ``sizes`` and ``blocks`` give each set's member count and the block it
+    comes from. Sets of 2 to ``set_size - 1`` members are packed
+    first-fit-decreasing (size descending, then wave order) into prompts of
+    at most ``set_size`` members, never two sets of one block in a prompt;
+    one-member and full sets get a prompt of their own. Returns each
+    prompt's set indices ascending, prompts ordered by their first set, so
+    replies taken in prompt order answer the sets in wave order. Bins are
+    found through buckets of free room, as in pack_blocks; a bucket's bins
+    that already hold the set's block are passed over, so a wave costs up to
+    the square of its largest block's set count, and a wave of one block,
+    whose sets can share nothing, is returned at once.
+    """
+    if len(set(blocks)) < 2:
+        return [[k] for k in range(len(sizes))]
+    small = sorted(
+        (k for k, n in enumerate(sizes) if 2 <= n < set_size),
+        key=lambda k: (-sizes[k], k),
+    )
+    bins: list[list[int]] = []
+    room: list[int] = []
+    held: list[set] = []
+    # free[r]: heap of the bins left with r free places; a bin whose room has
+    # since shrunk is dropped from the heap when it surfaces
+    free: list[list[int]] = [[] for _ in range(set_size)]
+    for k in small:
+        size, block = sizes[k], blocks[k]
+        fit = None
+        for r in range(size, set_size):
+            heap, passed = free[r], []
+            while heap and (room[heap[0]] != r or block in held[heap[0]]):
+                b = heapq.heappop(heap)
+                if room[b] == r:
+                    passed.append(b)
+            if heap and (fit is None or heap[0] < fit):
+                fit = heap[0]
+            for b in passed:
+                heapq.heappush(heap, b)
+        if fit is None:
+            fit = len(bins)
+            bins.append([])
+            room.append(set_size)
+            held.append(set())
+        bins[fit].append(k)
+        held[fit].add(block)
+        room[fit] -= size
+        if room[fit] >= 2:
+            heapq.heappush(free[room[fit]], fit)
+    shared = {k for group in bins for k in group}
+    prompts = [sorted(group) for group in bins]
+    prompts += [[k] for k in range(len(sizes)) if k not in shared]
+    return sorted(prompts)
+
+
+def share_prompt(record_sets: Sequence[RecordSet]) -> RecordSet:
+    """The record set of one prompt shared by ``record_sets``: their members
+    in order, under their set ids joined by "+" (one set keeps its own)."""
+    return RecordSet(
+        "+".join(rs.set_id for rs in record_sets),
+        tuple(node for rs in record_sets for node in rs.members),
+    )
+
+
+def split_clustering(
+    clustering: SetClustering, record_sets: Sequence[RecordSet]
+) -> list[SetClustering]:
+    """Each set's clustering from a reply to the prompt they shared
+    (share_prompt): every group restricted to the set's positions, renumbered
+    from 0, groups left empty dropped; the reply's flags are kept, so a
+    fallback reply falls back for every set it held."""
+    out, start = [], 0
+    for rs in record_sets:
+        end = start + len(rs)
+        kept = [[p - start for p in g if start <= p < end] for g in clustering.groups]
+        groups = tuple(tuple(g) for g in kept if g)
+        out.append(SetClustering(rs.set_id, groups, clustering.flags))
+        start = end
+    return out
+
+
+def _advance(step: Generator, answered: list | None = None) -> list | None:
+    """Send a block's step its round's answers; its next round's sets, or
+    None once the block is resolved."""
+    try:
+        return step.send(answered)
+    except StopIteration:
+        return None
+
+
 def _asked(set_id: str, nodes: list, sims: np.ndarray, group: list[int]):
     """The record set of a level's nodes at ``group``, with its block of ``sims``."""
     return RecordSet(set_id, tuple(nodes[i] for i in group)), sims[np.ix_(group, group)]
@@ -496,6 +589,12 @@ def _asked(set_id: str, nodes: list, sims: np.ndarray, group: list[int]):
 
 @dataclass
 class ResolveReport:
+    """Counters of one resolve(). ``level_set_counts[k]`` counts the record
+    sets of level k over all blocks and ``final_check_sets`` the sweep's:
+    both count sets, not calls. A one-record set costs no call, and sets of
+    different blocks may share one (Resolver._round); the ledger counts
+    calls."""
+
     blocks: int = 0
     level_set_counts: list[int] = field(default_factory=list)
     final_check_sets: int = 0
@@ -515,9 +614,10 @@ class ResolveReport:
 
 class Resolver:
     """End-to-end driver: per-block record-set hierarchies over a shared
-    constraint store. Within a round, up to ``parallelism`` backend calls are
-    in flight at once; everything else, the guardrail included, runs on the
-    thread that called resolve() (see _round).
+    constraint store, advanced together one round across blocks at a time.
+    Within a round, up to ``parallelism`` backend calls are in flight at
+    once; everything else, the guardrail included, runs on the thread that
+    called resolve() (see _round).
 
     The similarity index is built from ``sim_config`` and ``embeddings``, or
     passed prebuilt as ``index``, which must cover ``records``; giving both,
@@ -553,28 +653,53 @@ class Resolver:
         self._resolved = False
 
     def _round(
-        self, asked: list[tuple[RecordSet, np.ndarray]]
-    ) -> list[tuple[RecordSet, SetClustering]]:
-        """Guarded-cluster the sets with their similarity matrices
+        self, steps: list[list[tuple[RecordSet, np.ndarray]]]
+    ) -> list[list[tuple[RecordSet, SetClustering]]]:
+        """One round across blocks: ``steps`` holds each live block's sets,
+        each with its similarity matrix. Guarded-cluster all of them
         (guarded_cluster), then fold the results into the store in the order
-        the sets were built. Returns each set as it was last asked
-        (regeneration reorders it) with its clustering; a caller that reads
-        the new nodes builds them with _answered_nodes.
+        the sets were given. Returns each block's sets as they were last
+        asked (regeneration reorders them) with their clusterings; a caller
+        that reads the new nodes builds them with _answered_nodes.
+
+        Each wave's sets are packed into prompts (pack_sets): sets smaller
+        than one prompt, of different blocks, share a call, and each reply is
+        split back into one clustering per set (split_clustering). So the
+        guardrail, the remedies and the fold each still see one set with its
+        own matrix; under an exact backend only the calls and tokens change.
 
         Only the backend calls run concurrently. With ``parallelism`` above 1,
-        a wave of more than one set is mapped through a pool of
+        a wave of more than one prompt is mapped through a pool of
         ``parallelism`` threads, so at most that many calls are in flight;
         the guardrail (check, repair, regeneration) and the fold run on the
-        calling thread, on each reply as it arrives in set order. The pool
-        lives for one round."""
+        calling thread, on each set as its reply arrives, in set order. The
+        pool lives for one round."""
+        asked = [item for step in steps for item in step]
+        block_of = {rs.set_id: b for b, step in enumerate(steps) for rs, _ in step}
         cluster = self.gateway.cluster_records
         threaded = self.parallelism > 1 and len(asked) > 1
         with ThreadPoolExecutor(self.parallelism) if threaded else nullcontext() as pool:
 
-            def ask(record_sets: list[RecordSet]) -> Iterable[SetClustering]:
-                if pool is None or len(record_sets) == 1:
-                    return map(cluster, record_sets)
-                return pool.map(cluster, record_sets)
+            def ask(record_sets: list[RecordSet]) -> Iterator[SetClustering]:
+                prompts = pack_sets(
+                    [len(rs) for rs in record_sets],
+                    [block_of[rs.set_id] for rs in record_sets],
+                    self.config.set_size,
+                )
+                held = [[record_sets[k] for k in prompt] for prompt in prompts]
+                shared = map(share_prompt, held)
+                if pool is None or len(prompts) == 1:
+                    replies = map(cluster, shared)
+                else:
+                    replies = pool.map(cluster, shared)
+                # prompts come in order of their first set, so the reply a
+                # set waits for is the next one or has already arrived
+                split = zip(prompts, map(split_clustering, replies, held))
+                answers: dict[int, SetClustering] = {}
+                for k in range(len(record_sets)):
+                    if k not in answers:
+                        answers.update(zip(*next(split)))
+                    yield answers.pop(k)
 
             answered, stats = guarded_cluster(asked, ask, self.config.max_regen)
         self.report.guardrail.add(stats)
@@ -582,7 +707,11 @@ class Resolver:
             self.report.guardrail.conflict_warnings += apply_clustering(
                 self.store, record_set, clustering
             )
-        return answered
+        out, start = [], 0
+        for step in steps:
+            out.append(answered[start : start + len(step)])
+            start += len(step)
+        return out
 
     def _answered_nodes(
         self, answered: list[tuple[RecordSet, SetClustering]]
@@ -640,8 +769,13 @@ class Resolver:
             sets.append((record_set, sims))
         return sets
 
-    def _resolve_block(self, block: Block) -> None:
-        """Level 0, then one loop that reads each level once (see _level):
+    def _resolve_block(self, block: Block) -> Generator[list, list, None]:
+        """The block's rounds, as a generator: it yields each round's sets,
+        each with its similarity matrix, and is sent back the sets as last
+        asked with their clusterings (see _round), once that round is folded
+        into the store. resolve() runs the rounds of all blocks together.
+
+        Level 0, then one loop that reads each level once (see _level):
         merge rounds while evidence can still change, then the final sweep.
 
         A one-record block is one level-0 set that is never asked: it is
@@ -669,7 +803,7 @@ class Resolver:
             return
         sets = self._level0_sets(block)
         self._count_level(0, len(sets))
-        answered = self._round(sets)
+        answered = yield sets
         if len(answered) == 1 and not _is_fallback(answered[0][1]):
             return
         nodes = self._answered_nodes(answered)
@@ -689,10 +823,10 @@ class Resolver:
                 level += 1
                 self._count_level(level, len(asked))
                 prefix = f"{block.block_id}.L{level}"
-                answered = self._round([
+                answered = yield [
                     _asked(f"{prefix}.{k:04d}", nodes, sims, groups[k])
                     for k in sorted(asked)
-                ])
+                ]
                 nodes = self._answered_nodes(answered) + [
                     nodes[i] for k, g in enumerate(groups) if k not in asked for i in g
                 ]
@@ -713,7 +847,7 @@ class Resolver:
             counter += len(sets)
             self.report.final_check_sets += len(sets)
             self.report.final_check_rounds = max(self.report.final_check_rounds, wave)
-            answered = self._round(sets)
+            answered = yield sets
             nodes = self._nodes(nodes)
             if _all_fell_back(answered):
                 break
@@ -731,7 +865,10 @@ class Resolver:
     def resolve(self, blocks: list[Block]) -> tuple[Partition, CostLedger, ResolveReport]:
         """Resolve every block, after packing the blocks smaller than one
         record set into shared ones (pack_blocks); ``report.blocks`` counts
-        the blocks given. A packed block of one record, or one drawn as a
+        the blocks given. The blocks' hierarchies advance together: each
+        round asks the current sets of every block still going, in block
+        order, through one _round, so sets of different blocks share prompts
+        and calls. A packed block of one record, or one drawn as a
         single level-0 set whose reply did not fall back, ends without a
         merge round or sweep (see _resolve_block). ``report.elapsed_s`` is
         the time this call took. A Resolver resolves once: its store, report
@@ -744,8 +881,15 @@ class Resolver:
         self._resolved = True
         start = time.monotonic()
         self.report.blocks = len(blocks)
-        for block in pack_blocks(blocks, self.config.set_size):
-            self._resolve_block(block)
+        steps = map(self._resolve_block, pack_blocks(blocks, self.config.set_size))
+        live = [(step, sets) for step in steps if (sets := _advance(step))]
+        while live:
+            answered = self._round([sets for _, sets in live])
+            live = [
+                (step, sets)
+                for (step, _), done in zip(live, answered)
+                if (sets := _advance(step, done))
+            ]
         singletons = map(ClusterNode.singleton, sorted(self.records))
         partition = Partition(self._nodes(singletons))
         partition.validate(self.records)

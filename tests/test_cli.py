@@ -501,6 +501,21 @@ class TestCli:
         assert type(args.set_size) is int and args.set_size == 5
         assert type(args.b_t) is float and args.b_t == 0.4
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        """A config file saved with a UTF-8 byte-order mark reads its first
+        key as written, as the same file without the mark does."""
+        data = tmp_path / "d.csv"
+        main(["synth", "--entities", "4", "--dupes", "2", "--out", str(data)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b-t = 0.3\nbackend = oracle\n", encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+        capsys.readouterr()
+        argv = ["--config", str(cfg), "resolve", "--input", str(data),
+                "--truth-column", "entity_id"]
+        assert main(argv) == 0
+        assert "config error" not in capsys.readouterr().err
+        assert _apply_config_file(build_parser(), argv).b_t == 0.3
+
     @pytest.mark.parametrize(
         "line", ["set-sise = 3", "batch-size = 2", "b-s = 0.8"]
     )

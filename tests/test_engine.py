@@ -21,8 +21,11 @@ from erset.engine import (
     merge_round,
     open_pairs,
     pack_blocks,
+    pack_sets,
     regenerate_set,
     repair_clustering,
+    share_prompt,
+    split_clustering,
 )
 from erset.gateway import (
     MAX_RETRIES,
@@ -724,6 +727,136 @@ class TestPackBlocks:
         assert packed[0].members == tuple(sorted(blocks[0].members + blocks[3].members))
 
 
+@st.composite
+def _wave(draw):
+    """A wave's set sizes (1 to set_size) and blocks, and a set size."""
+    set_size = draw(st.integers(2, 9))
+    n = draw(st.integers(0, 40))
+    sizes = draw(st.lists(st.integers(1, set_size), min_size=n, max_size=n))
+    block = st.integers(0, draw(st.integers(0, 8)))
+    blocks = draw(st.lists(block, min_size=n, max_size=n))
+    return sizes, blocks, set_size
+
+
+def _shared_sets(sizes):
+    """Disjoint record sets of the given sizes, ids s0, s1, ..."""
+    ids = (f"r{k:03d}" for k in itertools.count())
+    return [
+        _set_of([next(ids) for _ in range(size)], f"s{k}")
+        for k, size in enumerate(sizes)
+    ]
+
+
+class TestPromptSharing:
+    @settings(max_examples=300, deadline=None)
+    @given(_wave())
+    def test_pack_sets_properties(self, wave):
+        """Every set in exactly one prompt; a prompt holds at most set_size
+        records and at most one set per block; one-member and full sets are
+        never shared; prompts come in order of their first set."""
+        sizes, blocks, set_size = wave
+        prompts = pack_sets(sizes, blocks, set_size)
+        assert sorted(k for p in prompts for k in p) == list(range(len(sizes)))
+        assert prompts == sorted(prompts)
+        for p in prompts:
+            assert p == sorted(p)
+            assert sum(sizes[k] for k in p) <= set_size
+            assert len({blocks[k] for k in p}) == len(p)
+            if len(p) > 1:
+                assert all(2 <= sizes[k] < set_size for k in p)
+
+    def test_pack_sets_first_fit_decreasing_by_hand(self):
+        # a's 3 may not join a's 4, so it opens a second prompt; b's 3 and
+        # c's 2 fill the first; the full set and the one-member set go alone
+        sizes = [4, 3, 3, 2, 9, 1]
+        blocks = ["a", "a", "b", "c", "d", "e"]
+        assert pack_sets(sizes, blocks, 9) == [[0, 2, 3], [1], [4], [5]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_wave(), st.integers(0, 2**32 - 1))
+    def test_split_is_an_exact_cover_of_each_set(self, wave, seed):
+        """A reply to a shared prompt, split back, gives each set an exact
+        cover of its own positions, under its own id: two of its members
+        share a group exactly when the reply grouped them together."""
+        sizes, _, _ = wave
+        record_sets = _shared_sets(sizes)
+        if not record_sets:
+            return
+        shared = share_prompt(record_sets)
+        assert shared.set_id.split("+")[0] == record_sets[0].set_id
+        rng = random.Random(seed)
+        labels = [rng.randrange(4) for _ in range(len(shared))]
+        groups = tuple(
+            tuple(p for p, lab in enumerate(labels) if lab == g)
+            for g in sorted(set(labels))
+        )
+        reply = SetClustering(shared.set_id, groups, ("note",))
+        split = split_clustering(reply, record_sets)
+        start = 0
+        for rs, clustering in zip(record_sets, split, strict=True):
+            clustering.validate(rs)
+            assert clustering.source == rs.set_id and clustering.flags == ("note",)
+            together = {
+                (a, b) for g in clustering.groups for a in g for b in g
+            }
+            for a in range(len(rs)):
+                for b in range(len(rs)):
+                    same = labels[start + a] == labels[start + b]
+                    assert ((a, b) in together) == same
+            start += len(rs)
+
+    def test_a_fallback_reply_flags_every_set_it_held(self):
+        """A shared prompt whose replies never parse falls back once for the
+        whole prompt, and every set it held gets all singletons, flagged."""
+        record_sets = _shared_sets([3, 2, 4])
+        ids = [node.representative for rs in record_sets for node in rs.members]
+        gateway = _gateway(["?"] * (MAX_RETRIES + 1), ids)
+        reply = gateway.cluster_records(share_prompt(record_sets))
+        assert gateway.ledger.api_calls == MAX_RETRIES + 1
+        for rs, clustering in zip(record_sets, split_clustering(reply, record_sets)):
+            assert clustering.flags == ("fallback-singletons",)
+            assert clustering.groups == tuple((p,) for p in range(len(rs)))
+
+    def test_each_set_is_asked_once_per_wave(self, monkeypatch):
+        """Through the Resolver's rounds, under a noisy oracle: every wave
+        asks each of its sets once, in prompts that hold several sets, and a
+        regenerated set is asked again only in a later wave, under its own
+        id."""
+        records, truth = generate_dataset(48, 3, seed=4)
+        emb = planted_embeddings(truth, noise=0.05, seed=4)
+        waves = []
+        guarded = engine.guarded_cluster
+
+        def recording(asked, ask, max_regen):
+            def asking(record_sets):
+                waves.append([rs.set_id for rs in record_sets])
+                return ask(record_sets)
+
+            return guarded(asked, asking, max_regen)
+
+        monkeypatch.setattr(engine, "guarded_cluster", recording)
+        backend = _Prompts(SimulatedOracle(OracleConfig(truth, 0.3, 4)))
+        resolver = Resolver(records, backend, config=SetConfig(seed=4), embeddings=emb)
+        _, _, report = resolver.resolve(_entity_blocks(records, truth, 4))
+        asked = [set_id for prompt, _ in backend.asked for set_id in prompt.split("+")]
+        assert sorted(asked) == sorted(set_id for wave in waves for set_id in wave)
+        assert all(len(wave) == len(set(wave)) for wave in waves)
+        assert report.guardrail.regenerations > 0
+        assert len(asked) > len(set(asked))
+        assert len(backend.asked) < len(asked)
+
+
+def _entity_blocks(records, truth, per_block):
+    """Blocks of ``per_block`` whole entities each, in entity order."""
+    entities = sorted(set(truth.values()))
+    blocks = []
+    for k in range(0, len(entities), per_block):
+        part = set(entities[k : k + per_block])
+        ids = sorted(r for r in records if truth[r] in part)
+        blocks.append(Block(f"b{k // per_block:05d}", tuple(ids)))
+    return blocks
+
+
 def _record_levels(monkeypatch):
     """Record the nodes of each level the Resolver reads, in the order the
     packers index them."""
@@ -890,7 +1023,7 @@ class TestResolve:
 
         def resolving(resolver, block):
             events.append("block")
-            resolve_block(resolver, block)
+            yield from resolve_block(resolver, block)
             events.append("end")
 
         def reading(resolver, nodes):
@@ -1564,12 +1697,9 @@ def test_800_record_block_resolves_as_pinned():
     assert report.max_levels_hits == 0
 
 
-def test_noisy_lsh_blocks_resolve_as_pinned():
-    """33 LSH blocks (the largest 40 records) over hashed TF-IDF under an
-    oracle that errs 30% of the time: repairs and conflict
-    warnings happen. The 15 blocks of 3-6 records are packed into 8, so
-    level 0 asks 36 sets. Refactors of the engine keep this run
-    byte-identical, with one worker or two."""
+def _lsh_fixture():
+    """40 entities of 5 records cut into 33 LSH blocks over hashed TF-IDF,
+    the largest of 40 records."""
     records, truth = generate_dataset(40, 5, seed=1)
     index = SimilarityIndex(records)
     blocks = make_blocks(
@@ -1577,6 +1707,30 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
         BlockingParams(b_t=0.2, seed=1),
     )
     assert (len(blocks), max(len(b) for b in blocks)) == (33, 40)
+    return records, truth, index, blocks
+
+
+class _Prompts:
+    """Asks the wrapped backend, recording each prompt's set id and size."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = []
+
+    def complete(self, prompt, record_sets):
+        (record_set,) = record_sets
+        self.asked.append((record_set.set_id, len(record_set)))
+        return self.inner.complete(prompt, record_sets)
+
+
+def test_noisy_lsh_blocks_resolve_as_pinned():
+    """The 33 LSH blocks under an oracle that errs 30% of the time: repairs
+    and conflict warnings happen. The 15 blocks of 3-6 records are packed
+    into 8, so level 0 asks 36 sets. Sets of different blocks share prompts,
+    and the oracle's random stream follows the prompt, so this partition is
+    not the one of one call per set. Refactors of the engine keep this run
+    byte-identical, with one worker or two."""
+    records, truth, index, blocks = _lsh_fixture()
     for parallelism in (1, 2):
         resolver = Resolver(
             records,
@@ -1588,14 +1742,47 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
         )
         partition, ledger, report = resolver.resolve(blocks)
         assert _partition_digest(partition) == (
-            "1a1baaacd20dfaa72b6df0cf3bb4a1c5a5d63a292b7468761aa0df14e22f741d"
+            "b30d8c2bf13ae19e0385c5f2574296bf427533a27316449ba664fe970c95082c"
         )
-        assert ledger.api_calls == 43
-        assert report.level_set_counts == [36, 15, 2, 1]
-        assert report.final_check_sets == 1
-        assert report.guardrail.repaired == 24
+        assert ledger.api_calls == 30
+        assert report.level_set_counts == [36, 14, 2, 1]
+        assert report.final_check_sets == 0
+        assert report.guardrail.repaired == 23
         assert report.guardrail.regenerations == 0
-        assert report.guardrail.conflict_warnings == 2
+        assert report.guardrail.conflict_warnings == 3
+
+
+def test_exact_lsh_blocks_share_prompts_as_pinned():
+    """The 33 LSH blocks under an exact oracle: the 40 sets asked, one call
+    each when blocks ran one after another, share 29 calls, and the
+    partition is the one of one call per set. A prompt holds at most one
+    set of a block and at most set_size records; every set is asked
+    once."""
+    records, truth, index, blocks = _lsh_fixture()
+    for parallelism in (1, 2):
+        backend = _Prompts(SimulatedOracle(OracleConfig(truth, 0.0, 1)))
+        resolver = Resolver(
+            records,
+            backend,
+            config=SetConfig(seed=1),
+            sim_config=index.config,
+            embeddings=index.embeddings,
+            parallelism=parallelism,
+        )
+        partition, ledger, report = resolver.resolve(blocks)
+        assert _partition_digest(partition) == (
+            "880ffc1037c3a218069b30c3bbcc7c9fbc9f74fd1f4b668879b456e7bc23391b"
+        )
+        assert report.level_set_counts == [36, 14, 1, 1]
+        assert report.guardrail == type(report.guardrail)()
+        assert ledger.api_calls == len(backend.asked) == 29
+        held = [set_id.split("+") for set_id, _ in backend.asked]
+        asked = [set_id for ids in held for set_id in ids]
+        assert len(asked) == len(set(asked)) == 40
+        assert sum(len(ids) > 1 for ids in held) == 8
+        for ids, (_, size) in zip(held, backend.asked):
+            assert size <= resolver.config.set_size
+            assert len({set_id.split(".")[0] for set_id in ids}) == len(ids)
 
 
 def test_jaccard_block_resolves_as_pinned():
@@ -1692,6 +1879,58 @@ def test_only_backend_calls_leave_the_calling_thread(monkeypatch):
     }
     assert {ident for _, ident in threads} == {threading.get_ident()}
     assert backend.peak == 3
+
+
+def test_small_blocks_keep_three_calls_in_flight():
+    """Twelve blocks of nine records, each one level-0 set: their sets are
+    asked in one round across blocks, so three workers keep three calls in
+    flight (one at a time when each block ran its own rounds), and one
+    worker or three give the same partition and report counters."""
+    records, truth = generate_dataset(36, 3, seed=3)
+    emb = planted_embeddings(truth, noise=0.05, seed=3)
+    blocks = _entity_blocks(records, truth, 3)
+    assert len(blocks) == 12 and {len(b) for b in blocks} == {9}
+    runs = []
+    for parallelism in (1, 3):
+        backend = _InFlight(SimulatedOracle(OracleConfig(truth, 0.3, 3)))
+        resolver = Resolver(
+            records, backend, config=SetConfig(seed=3), embeddings=emb,
+            parallelism=parallelism,
+        )
+        partition, ledger, report = resolver.resolve(blocks)
+        counters = report.as_dict()
+        counters.pop("elapsed_s")
+        counters["ledger"].pop("wall_time")
+        runs.append((backend.peak, _partition_digest(partition), counters))
+        assert ledger.api_calls == backend.calls
+    (peak_1, digest_1, counters_1), (peak_3, digest_3, counters_3) = runs
+    assert (peak_1, peak_3) == (1, 3)
+    assert digest_1 == digest_3 and counters_1 == counters_3
+    assert counters_1["repaired"] + counters_1["regenerations"] > 0
+
+
+def test_replies_reach_the_guardrail_as_they_arrive(monkeypatch):
+    """With one worker, each set is checked as soon as its prompt's reply
+    arrives, before the round's next prompt is sent."""
+    records, truth = generate_dataset(48, 3, seed=4)
+    emb = planted_embeddings(truth, noise=0.05, seed=4)
+    events = []
+    oracle = SimulatedOracle(OracleConfig(truth, 0.0, 4))
+    check = engine.mdg_check
+
+    class Calling:
+        def complete(self, prompt, record_sets):
+            events.append("call")
+            return oracle.complete(prompt, record_sets)
+
+    def checking(clustering, sims):
+        events.append("check")
+        return check(clustering, sims)
+
+    monkeypatch.setattr(engine, "mdg_check", checking)
+    resolver = Resolver(records, Calling(), config=SetConfig(seed=4), embeddings=emb)
+    resolver.resolve(_entity_blocks(records, truth, 4))
+    assert events[:3] == ["call", "check", "call"]
 
 
 def test_a_failed_call_leaves_no_worker_thread():
