@@ -6,7 +6,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
+from collections.abc import Callable, Generator, Iterable, Sequence
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -153,28 +153,28 @@ def guarded_cluster(
     ask: Callable[[list[RecordSet]], Iterable[SetClustering]],
     max_regen: int,
 ) -> tuple[list[tuple[RecordSet, SetClustering]], GuardrailStats]:
-    """Cluster a round's sets with the guardrail.
+    """Cluster a round's prompts with the guardrail.
 
-    ``asked`` pairs each set with the similarity matrix of its
-    representatives, in set order; the check and every remedy read it.
-    ``ask`` maps a list of record sets to their clusterings, yielded in set
-    order (Resolver._round packs them into shared prompts and maps the
-    gateway's cluster_records over those, through a thread pool or plain
-    ``map``). Each clustering is checked as it arrives. When
+    ``asked`` pairs each prompt, a record set, with the similarity matrix of
+    its representatives, in prompt order; the check and every remedy read
+    it. ``ask`` maps a list of record sets to their clusterings, yielded in
+    that order (Resolver._round maps the gateway's cluster_records over
+    them, through a thread pool or plain ``map``). Each clustering is
+    checked as it arrives. When
     the check fails, the clustering is first repaired without a call
     (repair_clustering); a repaired clustering is accepted, flagged
-    "guardrail-repaired". Only when no move improves it is the set reordered,
-    with its matrix (regenerate_set), and asked again in the next wave, up to
-    max_regen times; the last clustering is then kept either way, flagged
-    "guardrail-exhausted" if it still fails. max_regen=0 turns off both
-    remedies. So each set gets the same calls, under its own set id, however
-    the round's sets are scheduled.
+    "guardrail-repaired". Only when no move improves it is the prompt
+    reordered, with its matrix (regenerate_set), and asked again whole in
+    the next wave, up to max_regen times; the last clustering is then kept
+    either way, flagged "guardrail-exhausted" if it still fails.
+    max_regen=0 turns off both remedies. So each prompt gets the same calls,
+    under its own id, however the round's prompts are scheduled.
 
     A one-member set has one valid clustering and costs no call. A
     "fallback-singletons" clustering is no answer, so it is not checked; it
     is kept as is and counted in ``fallbacks``.
-    Returns each set as it was last asked (regeneration reorders it) with its
-    clustering, in the order of ``asked``, and the round's counts.
+    Returns each prompt as it was last asked (regeneration reorders it) with
+    its clustering, in the order of ``asked``, and the round's counts.
     """
     stats = GuardrailStats()
     current = list(asked)
@@ -444,67 +444,20 @@ def final_check(open_: np.ndarray, set_size: int) -> list[list[int]]:
     return out
 
 
-def pack_blocks(blocks: Sequence[Block], set_size: int) -> list[Block]:
-    """Pack the blocks smaller than one record set into shared blocks, so that
-    their level-0 sets fill a prompt instead of each paying for its own.
-
-    Blocks of 2 to ``set_size - 1`` records are packed first-fit-decreasing
-    (size descending, then block id) into bins of at most ``set_size``
-    records. A bin's members are the sorted union of its blocks and its id is
-    the id of the first block placed in it. One-record blocks cost no call
-    and blocks of ``set_size`` records or more fill their own sets, so both
-    come back unchanged. Returned in block id order.
-
-    Blocking only presumes that records of different blocks are distinct;
-    a reply is a direct answer, so one that groups records of two source
-    blocks is applied like any other reply. Bins are found through buckets
-    of free room, so packing costs O(blocks * set_size).
-    """
-    out = [b for b in blocks if not 2 <= len(b) < set_size]
-    small = sorted(
-        (b for b in blocks if 2 <= len(b) < set_size),
-        key=lambda b: (-len(b), b.block_id),
-    )
-    bins: list[list[Block]] = []
-    room: list[int] = []
-    # free[r]: heap of the open bins with exactly r free places; the first
-    # fit is the lowest bin over free[size:], one heap top per room
-    free: list[list[int]] = [[] for _ in range(set_size)]
-    for block in small:
-        size = len(block)
-        fits = [free[r][0] for r in range(size, set_size) if free[r]]
-        if fits:
-            k = min(fits)
-            heapq.heappop(free[room[k]])
-            bins[k].append(block)
-        else:
-            k = len(bins)
-            bins.append([block])
-            room.append(set_size)
-        room[k] -= size
-        if room[k]:
-            heapq.heappush(free[room[k]], k)
-    for group in bins:
-        members = sorted(rid for b in group for rid in b.members)
-        out.append(Block(group[0].block_id, tuple(members)))
-    return sorted(out, key=lambda b: b.block_id)
-
-
 def pack_sets(sizes: Sequence[int], blocks: Sequence, set_size: int) -> list[list[int]]:
-    """Group a wave's record sets into prompts, so that sets smaller than one
+    """Group a round's record sets into prompts, so that sets smaller than one
     prompt share a call instead of each paying for its own.
 
     ``sizes`` and ``blocks`` give each set's member count and the block it
     comes from. Sets of 2 to ``set_size - 1`` members are packed
-    first-fit-decreasing (size descending, then wave order) into prompts of
+    first-fit-decreasing (size descending, then round order) into prompts of
     at most ``set_size`` members, never two sets of one block in a prompt;
     one-member and full sets get a prompt of their own. Returns each
-    prompt's set indices ascending, prompts ordered by their first set, so
-    replies taken in prompt order answer the sets in wave order. Bins are
-    found through buckets of free room, as in pack_blocks; a bucket's bins
-    that already hold the set's block are passed over, so a wave costs up to
-    the square of its largest block's set count, and a wave of one block,
-    whose sets can share nothing, is returned at once.
+    prompt's set indices ascending, prompts ordered by their first set. Bins
+    are found through buckets of free room; a bucket's bins that already
+    hold the set's block are passed over, so a round costs up to the square
+    of its largest block's set count, and a round of one block, whose sets
+    can share nothing, is returned at once.
     """
     if len(set(blocks)) < 2:
         return [[k] for k in range(len(sizes))]
@@ -557,20 +510,32 @@ def share_prompt(record_sets: Sequence[RecordSet]) -> RecordSet:
 
 
 def split_clustering(
-    clustering: SetClustering, record_sets: Sequence[RecordSet]
+    clustering: SetClustering, prompt: RecordSet, record_sets: Sequence[RecordSet]
 ) -> list[SetClustering]:
-    """Each set's clustering from a reply to the prompt they shared
-    (share_prompt): every group restricted to the set's positions, renumbered
-    from 0, groups left empty dropped; the reply's flags are kept, so a
-    fallback reply falls back for every set it held."""
-    out, start = [], 0
-    for rs in record_sets:
-        end = start + len(rs)
-        kept = [[p - start for p in g if start <= p < end] for g in clustering.groups]
-        groups = tuple(tuple(g) for g in kept if g)
-        out.append(SetClustering(rs.set_id, groups, clustering.flags))
-        start = end
-    return out
+    """Each set's clustering cut from a clustering of the prompt they shared
+    (share_prompt). Members are found by node, since regeneration may have
+    reordered the prompt and interleaved its sets: every group restricted to
+    the set's members, in the group's order, at their positions in the set,
+    groups left empty dropped, so a group that spans two sets is never
+    applied across them. The flags are kept, so a fallback reply falls back
+    for every set it held."""
+    where = {
+        node.representative: (k, pos)
+        for k, rs in enumerate(record_sets)
+        for pos, node in enumerate(rs.members)
+    }
+    groups: list[list[tuple[int, ...]]] = [[] for _ in record_sets]
+    for group in clustering.groups:
+        parts: dict[int, list[int]] = {}
+        for p in group:
+            k, pos = where[prompt.members[p].representative]
+            parts.setdefault(k, []).append(pos)
+        for k, part in parts.items():
+            groups[k].append(tuple(part))
+    return [
+        SetClustering(rs.set_id, tuple(g), clustering.flags)
+        for rs, g in zip(record_sets, groups)
+    ]
 
 
 def _advance(step: Generator, answered: list | None = None) -> list | None:
@@ -593,7 +558,7 @@ class ResolveReport:
     sets of level k over all blocks and ``final_check_sets`` the sweep's:
     both count sets, not calls. A one-record set costs no call, and sets of
     different blocks may share one (Resolver._round); the ledger counts
-    calls."""
+    calls. The guardrail checks each prompt, so its counts count prompts."""
 
     blocks: int = 0
     level_set_counts: list[int] = field(default_factory=list)
@@ -656,53 +621,49 @@ class Resolver:
         self, steps: list[list[tuple[RecordSet, np.ndarray]]]
     ) -> list[list[tuple[RecordSet, SetClustering]]]:
         """One round across blocks: ``steps`` holds each live block's sets,
-        each with its similarity matrix. Guarded-cluster all of them
-        (guarded_cluster), then fold the results into the store in the order
-        the sets were given. Returns each block's sets as they were last
-        asked (regeneration reorders them) with their clusterings; a caller
-        that reads the new nodes builds them with _answered_nodes.
+        each with its similarity matrix. Returns each block's sets, as given,
+        with their clusterings, once all of them are folded into the store in
+        the order the sets were given; a caller that reads the new nodes
+        builds them with _answered_nodes.
 
-        Each wave's sets are packed into prompts (pack_sets): sets smaller
-        than one prompt, of different blocks, share a call, and each reply is
-        split back into one clustering per set (split_clustering). So the
-        guardrail, the remedies and the fold each still see one set with its
-        own matrix; under an exact backend only the calls and tokens change.
+        The round's sets are packed into prompts once (pack_sets): sets
+        smaller than one prompt, of different blocks, share a call. A prompt
+        of one set is that set with its matrix; a shared prompt is
+        share_prompt of its sets, with one read of its representatives'
+        similarities, so the guardrail (guarded_cluster) judges the clustering
+        of the records the backend was shown. Each set's clustering is then
+        cut from its prompt's (split_clustering), so a group that spans two
+        blocks is never applied, as blocking presumes.
 
         Only the backend calls run concurrently. With ``parallelism`` above 1,
         a wave of more than one prompt is mapped through a pool of
         ``parallelism`` threads, so at most that many calls are in flight;
-        the guardrail (check, repair, regeneration) and the fold run on the
-        calling thread, on each set as its reply arrives, in set order. The
-        pool lives for one round."""
-        asked = [item for step in steps for item in step]
-        block_of = {rs.set_id: b for b, step in enumerate(steps) for rs, _ in step}
+        the guardrail (check, repair, regeneration) runs on the calling
+        thread, on each prompt as its reply arrives, in prompt order, and so
+        does the fold. The pool lives for one round."""
+        given = [item for step in steps for item in step]
+        packed = pack_sets(
+            [len(rs) for rs, _ in given],
+            [b for b, step in enumerate(steps) for _ in step],
+            self.config.set_size,
+        )
+        prompts = [self._prompt([given[k] for k in prompt]) for prompt in packed]
         cluster = self.gateway.cluster_records
-        threaded = self.parallelism > 1 and len(asked) > 1
+        threaded = self.parallelism > 1 and len(prompts) > 1
         with ThreadPoolExecutor(self.parallelism) if threaded else nullcontext() as pool:
 
-            def ask(record_sets: list[RecordSet]) -> Iterator[SetClustering]:
-                prompts = pack_sets(
-                    [len(rs) for rs in record_sets],
-                    [block_of[rs.set_id] for rs in record_sets],
-                    self.config.set_size,
-                )
-                held = [[record_sets[k] for k in prompt] for prompt in prompts]
-                shared = map(share_prompt, held)
-                if pool is None or len(prompts) == 1:
-                    replies = map(cluster, shared)
-                else:
-                    replies = pool.map(cluster, shared)
-                # prompts come in order of their first set, so the reply a
-                # set waits for is the next one or has already arrived
-                split = zip(prompts, map(split_clustering, replies, held))
-                answers: dict[int, SetClustering] = {}
-                for k in range(len(record_sets)):
-                    if k not in answers:
-                        answers.update(zip(*next(split)))
-                    yield answers.pop(k)
+            def ask(record_sets: list[RecordSet]) -> Iterable[SetClustering]:
+                if pool is None or len(record_sets) == 1:
+                    return map(cluster, record_sets)
+                return pool.map(cluster, record_sets)
 
-            answered, stats = guarded_cluster(asked, ask, self.config.max_regen)
+            guarded, stats = guarded_cluster(prompts, ask, self.config.max_regen)
         self.report.guardrail.add(stats)
+        answered: list = [None] * len(given)
+        for prompt, (shared, clustering) in zip(packed, guarded):
+            sets = [given[k][0] for k in prompt]
+            for k, cut in zip(prompt, split_clustering(clustering, shared, sets)):
+                answered[k] = (given[k][0], cut)
         for record_set, clustering in answered:
             self.report.guardrail.conflict_warnings += apply_clustering(
                 self.store, record_set, clustering
@@ -712,6 +673,16 @@ class Resolver:
             out.append(answered[start : start + len(step)])
             start += len(step)
         return out
+
+    def _prompt(
+        self, held: list[tuple[RecordSet, np.ndarray]]
+    ) -> tuple[RecordSet, np.ndarray]:
+        """The prompt that asks ``held``'s sets, with its matrix: one set
+        with its own, or several sets' share_prompt with one read."""
+        if len(held) == 1:
+            return held[0]
+        shared = share_prompt([rs for rs, _ in held])
+        return shared, self.index.sims(node.representative for node in shared.members)
 
     def _answered_nodes(
         self, answered: list[tuple[RecordSet, SetClustering]]
@@ -771,9 +742,9 @@ class Resolver:
 
     def _resolve_block(self, block: Block) -> Generator[list, list, None]:
         """The block's rounds, as a generator: it yields each round's sets,
-        each with its similarity matrix, and is sent back the sets as last
-        asked with their clusterings (see _round), once that round is folded
-        into the store. resolve() runs the rounds of all blocks together.
+        each with its similarity matrix, and is sent back those sets with
+        their clusterings (see _round), once that round is folded into the
+        store. resolve() runs the rounds of all blocks together.
 
         Level 0, then one loop that reads each level once (see _level):
         merge rounds while evidence can still change, then the final sweep.
@@ -863,16 +834,16 @@ class Resolver:
         return nodes, sims, open_pairs(nodes, self.store, self.config, sims)
 
     def resolve(self, blocks: list[Block]) -> tuple[Partition, CostLedger, ResolveReport]:
-        """Resolve every block, after packing the blocks smaller than one
-        record set into shared ones (pack_blocks); ``report.blocks`` counts
-        the blocks given. The blocks' hierarchies advance together: each
-        round asks the current sets of every block still going, in block
-        order, through one _round, so sets of different blocks share prompts
-        and calls. A packed block of one record, or one drawn as a
-        single level-0 set whose reply did not fall back, ends without a
-        merge round or sweep (see _resolve_block). ``report.elapsed_s`` is
-        the time this call took. A Resolver resolves once: its store, report
-        and ledger hold that run, so a second call is a RuntimeError."""
+        """Resolve every block; ``report.blocks`` counts the blocks given.
+        The blocks' hierarchies advance together: each round asks the
+        current sets of every block still going, in block order, through one
+        _round, so sets of different blocks smaller than one prompt share
+        calls, a small block's level-0 set among them. A block of one
+        record, or one drawn as a single level-0 set whose reply did not
+        fall back, ends without a merge round or sweep (see
+        _resolve_block). ``report.elapsed_s`` is the time this call took. A
+        Resolver resolves once: its store, report and ledger hold that run,
+        so a second call is a RuntimeError."""
         if self._resolved:
             raise RuntimeError(
                 "this Resolver has already resolved: its constraint store, report "
@@ -881,7 +852,7 @@ class Resolver:
         self._resolved = True
         start = time.monotonic()
         self.report.blocks = len(blocks)
-        steps = map(self._resolve_block, pack_blocks(blocks, self.config.set_size))
+        steps = map(self._resolve_block, blocks)
         live = [(step, sets) for step in steps if (sets := _advance(step))]
         while live:
             answered = self._round([sets for _, sets in live])

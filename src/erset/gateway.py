@@ -168,9 +168,10 @@ class SimulatedOracle:
     """Test backend: the ground-truth clustering of each set, perturbed by a
     seeded per-member displacement probability.
 
-    Each record set gets its own random stream derived from (seed, set_id),
-    consumed across repeated calls for the same set, so results do not depend
-    on scheduling order across sets.
+    Each prompt gets its own random stream derived from (seed, set_id), the
+    id of the record set asked (a shared prompt's is its sets' ids joined by
+    "+"), consumed across repeated calls for the same prompt, so results do
+    not depend on scheduling order across prompts.
     """
 
     def __init__(self, config: OracleConfig):

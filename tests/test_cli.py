@@ -372,9 +372,9 @@ class TestCli:
         assert main(argv) == 0
         assert len(built) == 1
         assert json.loads(capsys.readouterr().out) == {
-            "mean_acc": 0.8541666666666666,
+            "mean_acc": 0.8645833333333334,
             "mean_api_calls": 3.0,
-            "mean_fp_measure": 0.9163837931532572,
+            "mean_fp_measure": 0.9264638293960842,
             "runs": 4,
         }
 

@@ -20,7 +20,6 @@ from erset.engine import (
     mdg_check,
     merge_round,
     open_pairs,
-    pack_blocks,
     pack_sets,
     regenerate_set,
     repair_clustering,
@@ -642,91 +641,6 @@ def _one_direction_embeddings(ids):
     return out
 
 
-def _reference_pack(blocks, set_size):
-    """First-fit-decreasing by a scan over every open bin, kept as the
-    reference for pack_blocks."""
-    small = sorted(
-        (b for b in blocks if 2 <= len(b) < set_size),
-        key=lambda b: (-len(b), b.block_id),
-    )
-    bins = []
-    for block in small:
-        for group in bins:
-            if sum(map(len, group)) + len(block) <= set_size:
-                group.append(block)
-                break
-        else:
-            bins.append([block])
-    out = [b for b in blocks if not 2 <= len(b) < set_size]
-    for group in bins:
-        members = sorted(rid for b in group for rid in b.members)
-        out.append(Block(group[0].block_id, tuple(members)))
-    return sorted(out, key=lambda b: b.block_id)
-
-
-def _random_blocks(rng, set_size):
-    """Blocks of 1 to set_size + 2 records over disjoint sorted ids, in
-    shuffled order."""
-    sizes = [rng.randint(1, set_size + 2) for _ in range(rng.randint(0, 60))]
-    ids = [f"r{k:04d}" for k in range(sum(sizes))]
-    rng.shuffle(ids)
-    blocks, k = [], 0
-    for i, size in enumerate(sizes):
-        blocks.append(Block(f"b{i:05d}", tuple(sorted(ids[k : k + size]))))
-        k += size
-    rng.shuffle(blocks)
-    return blocks
-
-
-class TestPackBlocks:
-    @pytest.mark.parametrize("set_size", [2, 3, 9])
-    def test_matches_first_fit_decreasing(self, set_size):
-        rng = random.Random(set_size)
-        for _ in range(40):
-            blocks = _random_blocks(rng, set_size)
-            assert pack_blocks(blocks, set_size) == _reference_pack(blocks, set_size)
-
-    @pytest.mark.parametrize("set_size", [2, 3, 9])
-    def test_bins_cover_every_record_once(self, set_size):
-        rng = random.Random(100 + set_size)
-        for _ in range(40):
-            blocks = _random_blocks(rng, set_size)
-            packed = pack_blocks(blocks, set_size)
-            ids = [b.block_id for b in packed]
-            assert len(ids) == len(set(ids))
-            assert not any("." in block_id for block_id in ids)
-            assert set(ids) <= {b.block_id for b in blocks}
-            covered = sorted(rid for b in packed for rid in b.members)
-            assert covered == sorted(rid for b in blocks for rid in b.members)
-            given = {b.block_id: b for b in blocks}
-            for b in packed:
-                if b not in blocks:  # a bin of several blocks
-                    assert 2 <= len(given[b.block_id]) < len(b) <= set_size
-            for b in blocks:
-                if not 2 <= len(b) < set_size:
-                    assert b in packed
-
-    def test_same_for_any_input_order(self):
-        rng = random.Random(7)
-        blocks = _random_blocks(rng, 9)
-        expected = pack_blocks(blocks, 9)
-        for _ in range(5):
-            rng.shuffle(blocks)
-            assert pack_blocks(blocks, 9) == expected
-
-    def test_first_fit_decreasing_by_hand(self):
-        blocks = [
-            Block(name, tuple(f"{name}r{k}" for k in range(size)))
-            for name, size in [("a", 6), ("b", 1), ("c", 4), ("d", 3), ("e", 5),
-                               ("f", 9), ("g", 2), ("h", 4)]
-        ]
-        packed = pack_blocks(blocks, 9)
-        assert [(b.block_id, len(b)) for b in packed] == [
-            ("a", 9), ("b", 1), ("e", 9), ("f", 9), ("h", 6)
-        ]  # a+d, e+c, h+g: c fits beside e (room 4), not beside a (room 3)
-        assert packed[0].members == tuple(sorted(blocks[0].members + blocks[3].members))
-
-
 @st.composite
 def _wave(draw):
     """A wave's set sizes (1 to set_size) and blocks, and a set size."""
@@ -773,11 +687,13 @@ class TestPromptSharing:
         assert pack_sets(sizes, blocks, 9) == [[0, 2, 3], [1], [4], [5]]
 
     @settings(max_examples=300, deadline=None)
-    @given(_wave(), st.integers(0, 2**32 - 1))
-    def test_split_is_an_exact_cover_of_each_set(self, wave, seed):
+    @given(_wave(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_split_is_an_exact_cover_of_each_set(self, wave, seed, reordered):
         """A reply to a shared prompt, split back, gives each set an exact
         cover of its own positions, under its own id: two of its members
-        share a group exactly when the reply grouped them together."""
+        share a group exactly when the reply grouped them together. Members
+        are found by node, so this holds for a prompt that regeneration has
+        reordered, its sets interleaved."""
         sizes, _, _ = wave
         record_sets = _shared_sets(sizes)
         if not record_sets:
@@ -785,25 +701,29 @@ class TestPromptSharing:
         shared = share_prompt(record_sets)
         assert shared.set_id.split("+")[0] == record_sets[0].set_id
         rng = random.Random(seed)
-        labels = [rng.randrange(4) for _ in range(len(shared))]
+        members = list(shared.members)
+        if reordered:
+            rng.shuffle(members)
+        prompt = RecordSet(shared.set_id, tuple(members))
+        labels = [rng.randrange(4) for _ in range(len(prompt))]
+        label_of = {n.representative: lab for n, lab in zip(members, labels)}
         groups = tuple(
             tuple(p for p, lab in enumerate(labels) if lab == g)
             for g in sorted(set(labels))
         )
-        reply = SetClustering(shared.set_id, groups, ("note",))
-        split = split_clustering(reply, record_sets)
-        start = 0
+        reply = SetClustering(prompt.set_id, groups, ("note",))
+        split = split_clustering(reply, prompt, record_sets)
         for rs, clustering in zip(record_sets, split, strict=True):
             clustering.validate(rs)
             assert clustering.source == rs.set_id and clustering.flags == ("note",)
             together = {
                 (a, b) for g in clustering.groups for a in g for b in g
             }
+            reps = [n.representative for n in rs.members]
             for a in range(len(rs)):
                 for b in range(len(rs)):
-                    same = labels[start + a] == labels[start + b]
+                    same = label_of[reps[a]] == label_of[reps[b]]
                     assert ((a, b) in together) == same
-            start += len(rs)
 
     def test_a_fallback_reply_flags_every_set_it_held(self):
         """A shared prompt whose replies never parse falls back once for the
@@ -811,25 +731,34 @@ class TestPromptSharing:
         record_sets = _shared_sets([3, 2, 4])
         ids = [node.representative for rs in record_sets for node in rs.members]
         gateway = _gateway(["?"] * (MAX_RETRIES + 1), ids)
-        reply = gateway.cluster_records(share_prompt(record_sets))
+        shared = share_prompt(record_sets)
+        reply = gateway.cluster_records(shared)
         assert gateway.ledger.api_calls == MAX_RETRIES + 1
-        for rs, clustering in zip(record_sets, split_clustering(reply, record_sets)):
+        split = split_clustering(reply, shared, record_sets)
+        for rs, clustering in zip(record_sets, split):
             assert clustering.flags == ("fallback-singletons",)
             assert clustering.groups == tuple((p,) for p in range(len(rs)))
 
     def test_each_set_is_asked_once_per_wave(self, monkeypatch):
-        """Through the Resolver's rounds, under a noisy oracle: every wave
-        asks each of its sets once, in prompts that hold several sets, and a
-        regenerated set is asked again only in a later wave, under its own
-        id."""
+        """Through the Resolver's rounds, under a noisy oracle: a round packs
+        its sets into prompts once, some shared by several sets, and its
+        first wave asks each set once. A regenerated prompt is asked again
+        whole, under its own id and with the same records, in a later wave
+        of its round."""
         records, truth = generate_dataset(48, 3, seed=4)
         emb = planted_embeddings(truth, noise=0.05, seed=4)
-        waves = []
+        rounds = []
         guarded = engine.guarded_cluster
 
         def recording(asked, ask, max_regen):
+            waves = []
+            rounds.append(waves)
+
             def asking(record_sets):
-                waves.append([rs.set_id for rs in record_sets])
+                waves.append({
+                    rs.set_id: {n.representative for n in rs.members}
+                    for rs in record_sets
+                })
                 return ask(record_sets)
 
             return guarded(asked, asking, max_regen)
@@ -838,12 +767,23 @@ class TestPromptSharing:
         backend = _Prompts(SimulatedOracle(OracleConfig(truth, 0.3, 4)))
         resolver = Resolver(records, backend, config=SetConfig(seed=4), embeddings=emb)
         _, _, report = resolver.resolve(_entity_blocks(records, truth, 4))
-        asked = [set_id for prompt, _ in backend.asked for set_id in prompt.split("+")]
-        assert sorted(asked) == sorted(set_id for wave in waves for set_id in wave)
-        assert all(len(wave) == len(set(wave)) for wave in waves)
-        assert report.guardrail.regenerations > 0
-        assert len(asked) > len(set(asked))
-        assert len(backend.asked) < len(asked)
+        waves = [wave for waves in rounds for wave in waves]
+        assert sorted(backend.asked) == sorted(
+            (set_id, len(members)) for wave in waves for set_id, members in wave.items()
+        )
+        again = []
+        for first, *later in (waves for waves in rounds if waves):
+            sets = [set_id for prompt in first for set_id in prompt.split("+")]
+            assert len(sets) == len(set(sets))
+            for wave in later:
+                for set_id, members in wave.items():
+                    assert first[set_id] == members
+                    again.append(set_id)
+        assert len(again) == report.guardrail.regenerations > 0
+        assert any("+" in set_id for set_id in again)
+        assert len(backend.asked) < sum(
+            len(prompt.split("+")) for wave in waves for prompt in wave
+        )
 
 
 def _entity_blocks(records, truth, per_block):
@@ -874,8 +814,9 @@ def _record_levels(monkeypatch):
 
 class TestResolve:
     def test_small_blocks_share_level0_sets(self):
-        """Twelve 3-record blocks, one entity each, share four level-0 sets:
-        an exact oracle resolves them exactly in 4 calls, not 12."""
+        """Twelve 3-record blocks, one entity each, draw one level-0 set each,
+        and the twelve sets share four prompts: an exact oracle resolves them
+        exactly in 4 calls, not 12."""
         records, truth = generate_dataset(12, 3, seed=6)
         emb = planted_embeddings(truth, noise=0.05, seed=6)
         by_entity = {}
@@ -893,7 +834,7 @@ class TestResolve:
         assert len(set(labels.values())) == 12
         assert all(len({labels[rid] for rid in b.members}) == 1 for b in blocks)
         assert ledger.api_calls == 4
-        assert report.level_set_counts == [4]
+        assert report.level_set_counts == [12]
         assert report.blocks == 12
 
     def test_exact_on_small_dataset(self):
@@ -923,6 +864,60 @@ class TestResolve:
         block = Block("b0", tuple(sorted(records)))
         partition, _, _ = Resolver(records, backend, embeddings=emb).resolve([block])
         assert set(partition.as_labels()) == set(records)
+
+    def test_a_shared_prompt_is_checked_as_asked(self):
+        """Two blocks of 4 entities (12 records each) share four prompts: one
+        at level 0 and three in the merge round. A backend that is exact,
+        except that in a shared prompt it puts the first record with the last
+        record's group, joins records of two blocks: the guardrail judges the
+        prompt it answered, so each such reply fails the check and is
+        repaired, and the partition is exact."""
+
+        class MovesFirstRecord(SimulatedOracle):
+            def clustering_for(self, record_set):
+                groups = super().clustering_for(record_set)
+                if "+" in record_set.set_id:
+                    last = len(record_set) - 1
+                    next(g for g in groups if 0 in g).remove(0)
+                    next(g for g in groups if last in g).append(0)
+                return [sorted(g) for g in groups if g]
+
+        records, truth = generate_dataset(8, 3, seed=6)
+        emb = planted_embeddings(truth, noise=0.05, seed=6)
+        blocks = _entity_blocks(records, truth, 4)
+        assert [len(b) for b in blocks] == [12, 12]
+        backend = _Prompts(MovesFirstRecord(OracleConfig(truth, 0.0, 0)))
+        resolver = Resolver(records, backend, embeddings=emb)
+        partition, _, report = resolver.resolve(blocks)
+        shared = [set_id for set_id, _ in backend.asked if "+" in set_id]
+        assert len(shared) == 4  # the blocks' 3-record level-0 sets, then 3 merge sets
+        assert report.guardrail.checks_failed == report.guardrail.repaired == 4
+        labels = partition.as_labels()
+        assert all((labels[a] == labels[b]) == (truth[a] == truth[b])
+                   for a in records for b in records)
+
+    def test_no_cluster_spans_two_blocks(self):
+        """Blocking presumes records of different blocks distinct, and a
+        shared prompt's reply is cut back into its sets: a backend that puts
+        every prompt's records in one group still leaves no cluster across
+        two of the 33 LSH blocks."""
+
+        class OneGroup:
+            def complete(self, prompt, record_sets):
+                (record_set,) = record_sets
+                return ",".join(f"R{p + 1}" for p in range(len(record_set))), None
+
+        records, _, index, blocks = _lsh_fixture()
+        resolver = Resolver(
+            records, OneGroup(), config=SetConfig(seed=1),
+            sim_config=index.config, embeddings=index.embeddings,
+        )
+        partition, _, _ = resolver.resolve(blocks)
+        block_of = {rid: b.block_id for b in blocks for rid in b.members}
+        assert all(
+            len({block_of[rid] for rid in node.members}) == 1
+            for node in partition.clusters
+        )
 
     def test_blocks_never_compared(self):
         records, truth = generate_dataset(4, 3, seed=23)
@@ -1725,11 +1720,12 @@ class _Prompts:
 
 def test_noisy_lsh_blocks_resolve_as_pinned():
     """The 33 LSH blocks under an oracle that errs 30% of the time: repairs
-    and conflict warnings happen. The 15 blocks of 3-6 records are packed
-    into 8, so level 0 asks 36 sets. Sets of different blocks share prompts,
-    and the oracle's random stream follows the prompt, so this partition is
-    not the one of one call per set. Refactors of the engine keep this run
-    byte-identical, with one worker or two."""
+    and conflict warnings happen. Each block of two or more records draws
+    its own level-0 sets, 43 in all. Sets of different blocks share prompts,
+    the guardrail checks each prompt, and the oracle's random stream follows
+    the prompt, so this partition is not the one of one call per set.
+    Refactors of the engine keep this run byte-identical, with one worker or
+    two."""
     records, truth, index, blocks = _lsh_fixture()
     for parallelism in (1, 2):
         resolver = Resolver(
@@ -1742,22 +1738,20 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
         )
         partition, ledger, report = resolver.resolve(blocks)
         assert _partition_digest(partition) == (
-            "b30d8c2bf13ae19e0385c5f2574296bf427533a27316449ba664fe970c95082c"
+            "ed23088252bbe26d928988e59dfe06f439889e54c16a6d4acea08950206bc19d"
         )
-        assert ledger.api_calls == 30
-        assert report.level_set_counts == [36, 14, 2, 1]
+        assert ledger.api_calls == 29
+        assert report.level_set_counts == [43, 15, 2]
         assert report.final_check_sets == 0
-        assert report.guardrail.repaired == 23
+        assert report.guardrail.repaired == 22
         assert report.guardrail.regenerations == 0
-        assert report.guardrail.conflict_warnings == 3
+        assert report.guardrail.conflict_warnings == 1
 
 
 def test_exact_lsh_blocks_share_prompts_as_pinned():
-    """The 33 LSH blocks under an exact oracle: the 40 sets asked, one call
-    each when blocks ran one after another, share 29 calls, and the
-    partition is the one of one call per set. A prompt holds at most one
-    set of a block and at most set_size records; every set is asked
-    once."""
+    """The 33 LSH blocks under an exact oracle: the 47 sets asked share 29
+    calls, 15 of them shared prompts. A prompt holds at most one set of a
+    block and at most set_size records; every set is asked once."""
     records, truth, index, blocks = _lsh_fixture()
     for parallelism in (1, 2):
         backend = _Prompts(SimulatedOracle(OracleConfig(truth, 0.0, 1)))
@@ -1773,13 +1767,13 @@ def test_exact_lsh_blocks_share_prompts_as_pinned():
         assert _partition_digest(partition) == (
             "880ffc1037c3a218069b30c3bbcc7c9fbc9f74fd1f4b668879b456e7bc23391b"
         )
-        assert report.level_set_counts == [36, 14, 1, 1]
+        assert report.level_set_counts == [43, 14, 1, 1]
         assert report.guardrail == type(report.guardrail)()
         assert ledger.api_calls == len(backend.asked) == 29
         held = [set_id.split("+") for set_id, _ in backend.asked]
         asked = [set_id for ids in held for set_id in ids]
-        assert len(asked) == len(set(asked)) == 40
-        assert sum(len(ids) > 1 for ids in held) == 8
+        assert len(asked) == len(set(asked)) == 47
+        assert sum(len(ids) > 1 for ids in held) == 15
         for ids, (_, size) in zip(held, backend.asked):
             assert size <= resolver.config.set_size
             assert len({set_id.split(".")[0] for set_id in ids}) == len(ids)
