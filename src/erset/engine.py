@@ -95,18 +95,15 @@ def repair_clustering(
     labels = _labels(clustering, len(sims))
     bad = int(_misclustered_mask(labels[None, :], sims).sum())
     while bad:
-        groups = np.unique(labels)
-        fresh = groups[-1] + 1
-        moves = []
-        for pos, own in enumerate(labels):
-            targets = [g for g in groups if g != own]
-            if np.count_nonzero(labels == own) > 1:
-                targets.append(fresh)
-            for target in targets:
-                moved = labels.copy()
-                moved[pos] = target
-                moves.append(moved)
-        candidates = np.array(moves)
+        groups, own, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        targets = np.append(groups, groups[-1] + 1)
+        # allowed[p, t]: record p may move to targets[t]; row-major order is
+        # the move order (position, then group, a new group last)
+        allowed = targets != labels[:, None]
+        allowed[:, -1] = sizes[own] > 1
+        moved, to = np.nonzero(allowed)
+        candidates = np.repeat(labels[None, :], len(moved), axis=0)
+        candidates[np.arange(len(moved)), moved] = targets[to]
         counts = _misclustered_mask(candidates, sims).sum(axis=1)
         best = int(np.argmin(counts))
         if counts[best] >= bad:
@@ -269,76 +266,96 @@ def apply_clustering(
     return warnings
 
 
+def _ranked(codes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``codes`` ordered by similarity descending, then code ascending."""
+    keys = -values[codes]
+    rank = np.argsort(keys)
+    # the sort is not stable: put each run of equal similarities back in code
+    # order, the row-major order of a masked argmax
+    keys = keys[rank]
+    tie = np.flatnonzero(keys[1:] == keys[:-1])
+    if tie.size:
+        mask = np.zeros(len(keys), dtype=bool)
+        mask[tie] = mask[tie + 1] = True
+        tied = np.flatnonzero(mask)
+        rank[tied] = rank[tied][np.lexsort((rank[tied], keys[tied]))]
+    return codes[rank]
+
+
 class _RankedPairs:
     """The cross-origin upper-triangle pairs of a round's similarity matrix,
-    ranked once: similarity descending, then row, then column. That is the
-    order in which a row-major argmax over the matrix, masked to the pairs of
-    available nodes, finds its first maximum, so the first ranked pair whose
-    two nodes are available is that argmax.
+    ranked once: open pairs (see open_pairs) before settled ones, and within
+    each group similarity descending, then row, then column. Within a group
+    that is the order in which a row-major argmax over the matrix, masked to
+    the group's pairs of available nodes, finds its first maximum.
 
     Pairs are kept as flat matrix codes. Every pair before ``head`` holds a
     node already selected this round; each search scans from it in chunks
     that double in length."""
 
-    def __init__(self, sims: np.ndarray, origin: np.ndarray):
+    def __init__(self, sims: np.ndarray, origin: np.ndarray, open_: np.ndarray):
         self.width = len(origin)
         self.values = sims.ravel()
-        codes = np.flatnonzero(np.triu(origin[:, None] != origin, 1))
-        keys = -self.values[codes]
-        rank = np.argsort(keys)
-        # the sort is not stable: put each run of equal similarities back in
-        # code order, the row-major order of the masked argmax
-        keys = keys[rank]
-        tie = np.flatnonzero(keys[1:] == keys[:-1])
-        if tie.size:
-            mask = np.zeros(len(keys), dtype=bool)
-            mask[tie] = mask[tie + 1] = True
-            tied = np.flatnonzero(mask)
-            rank[tied] = rank[tied][np.lexsort((rank[tied], keys[tied]))]
-        self.codes = codes[rank]
+        cross = np.triu(origin[:, None] != origin, 1)
+        opened = _ranked(np.flatnonzero(cross & open_), self.values)
+        settled = _ranked(np.flatnonzero(cross & ~open_), self.values)
+        self.codes = np.concatenate([opened, settled])
+        self.opened = len(opened)
         self.head = 0
 
     def first(
         self, available: np.ndarray, floor: float, restart: bool
     ) -> tuple[int, int] | None:
-        """The first ranked pair of two available nodes, if its similarity is
-        above ``floor``. On a wave's first search (``restart``) every
-        unselected node is available, so the pairs before the one found hold
-        a selected node: ``head`` moves to it."""
-        start, size = self.head, 64
-        while start < len(self.codes) and self.values[self.codes[start]] > floor:
-            codes = self.codes[start : start + size]
-            rows, cols = np.divmod(codes, self.width)
-            hits = np.flatnonzero(available[rows] & available[cols])
-            if hits.size:
-                k = hits[0]
-                if restart:
-                    self.head = start + k
-                if self.values[codes[k]] > floor:
+        """The first ranked pair of two available nodes whose similarity is
+        above ``floor``: the best open pair, or, failing that, the best
+        settled one. Each group is scanned from ``head`` until its
+        similarities fall to ``floor``. On a wave's first search
+        (``restart``) ``floor`` is -inf and every unselected node is
+        available, so the pairs before the one found hold a selected node:
+        ``head`` moves to it."""
+        for start, end in (
+            (self.head, self.opened),
+            (max(self.head, self.opened), len(self.codes)),
+        ):
+            size = 64
+            while start < end and self.values[self.codes[start]] > floor:
+                codes = self.codes[start : min(start + size, end)]
+                rows, cols = np.divmod(codes, self.width)
+                hits = np.flatnonzero(available[rows] & available[cols])
+                if hits.size:
+                    k = hits[0]
+                    if self.values[codes[k]] <= floor:
+                        break
+                    if restart:
+                        self.head = start + k
                     return int(rows[k]), int(cols[k])
-                return None
-            start += size
-            size *= 2
+                start += size
+                size *= 2
         if restart:
             self.head = len(self.codes)
         return None
 
 
-def merge_round(origin: np.ndarray, sims: np.ndarray, set_size: int) -> list[list[int]]:
+def merge_round(
+    origin: np.ndarray, sims: np.ndarray, set_size: int, open_: np.ndarray
+) -> list[list[int]]:
     """One CMR round: pack a level's clusters into next-level record sets.
 
     Waves of greedy packing over the whole level: each wave seeds a new
-    record set with the cluster holding the strongest cross-origin match
-    still available, then repeatedly appends the unselected cluster most
-    similar to the growing set, up to min(S_s, origin sets) members. Every
-    cluster is selected exactly once per round and two clusters from the same
-    origin set are never co-packed (their separation is already known), so a
-    wave takes at most one cluster per origin set. Each wave's clusters are
-    chained so that similar ones sit adjacent (greedy sequential order).
+    record set with the best open cross-origin pair of two available
+    clusters, or, once no open pair is left, the best settled one; then it
+    repeatedly appends the unselected cluster most similar to the growing
+    set, or a pair of clusters more similar than that (open pairs first),
+    up to min(S_s, origin sets) members. Every cluster is selected
+    exactly once per round and two clusters from the same origin set are
+    never co-packed (their separation is already known), so a wave takes at
+    most one cluster per origin set. Each wave's clusters are chained so
+    that similar ones sit adjacent (greedy sequential order).
 
-    ``origin`` holds the clusters' origin-set labels and ``sims`` their
-    similarity matrix, both in representative order; returns each wave's
-    chained cluster indices. A level of one origin set packs nothing.
+    ``origin`` holds the clusters' origin-set labels, ``sims`` their
+    similarity matrix and ``open_`` their open pairs (see open_pairs), all
+    in representative order; returns each
+    wave's chained cluster indices. A level of one origin set packs nothing.
     Candidate pairs are ranked once per round (_RankedPairs), so a round
     costs O(c² log c) for c clusters, not O(c²) per pick.
     """
@@ -350,19 +367,20 @@ def merge_round(origin: np.ndarray, sims: np.ndarray, set_size: int) -> list[lis
     # Pairs a wave may seed with. Index order is representative order, so of
     # several equal pairs the first ranked has the lowest smaller
     # representative, then the lowest larger one.
-    ranked = _RankedPairs(sims, origin)
+    ranked = _RankedPairs(sims, origin, open_)
 
     selected = np.zeros(c, dtype=bool)
     groups: list[list[int]] = []
     while not selected.all():
         # Build one output set. Each step adds either the best remaining
-        # cross-origin pair (two clusters from two unused origin sets) or
-        # the single cluster best matching the picks so far, whichever has
-        # the higher similarity — joins win ties so entities complete. This
-        # packs several likely-duplicate pairs into one set instead of
-        # burning origin-set capacity on arbitrary fillers that would block
-        # a twin from entering the wave. Join ties, and a seed without a
-        # pair, go to the lowest representative.
+        # cross-origin pair (two clusters from two unused origin sets; the
+        # best open pair, else the best settled one) or the single cluster
+        # best matching the picks so far, whichever has the higher
+        # similarity — joins win ties so entities complete. This packs several
+        # likely-duplicate pairs into one set instead of burning origin-set
+        # capacity on arbitrary fillers that would block a twin from entering
+        # the wave. Join ties, and a seed without a pair, go to the lowest
+        # representative.
         picks: list[int] = []
         available = ~selected
         join = np.full(c, -np.inf)  # best similarity to the picks so far
@@ -757,15 +775,21 @@ class Resolver:
         nothing, and that block goes on into the loop, whose sweep asks
         again.
 
-        A merge round sends only the packed sets that hold an open pair (see
-        open_pairs); the nodes of every other set are carried to the next
-        level unchanged. A carried node keeps its own origin set, the last
-        set that answered about it: a set never asked gives no node its
-        origin. The sweep starts on the read of the first level that packs no
-        set with an open pair, or after a round whose replies all fell back
-        (no answer, so asking again would only repeat). A sweep set may
-        reuse a node, so each wave ends by rebuilding one node per entity to
-        keep the level's nodes disjoint; an all-fallback wave ends the sweep.
+        A merge round seeds its waves with open pairs first (merge_round,
+        given the level's open pairs) and sends only the packed sets that
+        hold an open pair (see open_pairs); the nodes of every other set are
+        carried to the next level unchanged. A carried node keeps its own
+        origin set, the last set that answered about it: a set never asked
+        gives no node its origin. The sweep starts on the read of the first
+        level that packs no set with an open pair, or after a round whose
+        replies merged no two clusters: open-first seeding puts an open pair
+        in every set it can, so a level that still packs one may have no
+        merge left to find, and the sweep covers the open pairs left with
+        fewer calls. A round whose replies all fell back merges nothing, so
+        it ends merging too (no answer, so asking again would only repeat).
+        A sweep set may reuse a node, so each wave ends by rebuilding one
+        node per entity to keep the level's nodes disjoint; an all-fallback
+        wave ends the sweep.
         A block whose hierarchy or sweep still had an open pair to ask when
         it reached ``max_levels`` counts in ``max_levels_hits``.
         """
@@ -786,7 +810,7 @@ class Resolver:
             if merging:
                 labels = [node.origin_set or "" for node in nodes]
                 origin = np.unique(labels, return_inverse=True)[1]
-                groups = merge_round(origin, sims, self.config.set_size)
+                groups = merge_round(origin, sims, self.config.set_size, open_)
                 asked = {k for k, g in enumerate(groups) if open_[np.ix_(g, g)].any()}
                 capped = bool(asked) and level == self.max_levels
                 merging = bool(asked) and not capped
@@ -798,10 +822,11 @@ class Resolver:
                     _asked(f"{prefix}.{k:04d}", nodes, sims, groups[k])
                     for k in sorted(asked)
                 ]
+                before = len(nodes)
                 nodes = self._answered_nodes(answered) + [
                     nodes[i] for k, g in enumerate(groups) if k not in asked for i in g
                 ]
-                merging = not _all_fell_back(answered)
+                merging = len(nodes) < before
                 continue
 
             groups = final_check(open_, self.config.set_size)

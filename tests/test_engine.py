@@ -74,11 +74,15 @@ def _named(prefix, nodes, groups, start=0):
     ]
 
 
-def _merge_sets(nodes, config, index, prefix="L1"):
-    """merge_round over the nodes, its groups as record sets."""
+def _merge_sets(nodes, config, index, prefix="L1", store=None):
+    """merge_round over the nodes and their open pairs in ``store`` (by
+    default a store that knows nothing), its groups as record sets."""
     nodes, sims = _in_rep_order(nodes, index)
+    if store is None:
+        store = ConstraintStore(r for n in nodes for r in sorted(n.members))
     origin = np.unique([n.origin_set or "" for n in nodes], return_inverse=True)[1]
-    return _named(prefix, nodes, merge_round(origin, sims, config.set_size))
+    open_ = open_pairs(nodes, store, config, sims)
+    return _named(prefix, nodes, merge_round(origin, sims, config.set_size, open_))
 
 
 def _sweep_sets(nodes, store, config, index, prefix="F", start=0):
@@ -208,6 +212,52 @@ class TestRepairClustering:
         rs = _set_of("abcd")
         sims = _sims(rs, STUCK_SIMS)
         assert repair_clustering(SetClustering("s0", ((0, 1, 3), (2,))), sims) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 9), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matches_the_loop_reference(self, n, k, seed):
+        """Similarities in 0.1 steps, so tied moves are common: the same
+        result as the loop that builds one candidate per move."""
+        rng = np.random.default_rng(seed)
+        sims = np.triu(rng.integers(0, 11, (n, n)) / 10, 1)
+        sims = sims + sims.T + np.eye(n)
+        labels = rng.integers(0, k, n)
+        groups = tuple(
+            tuple(int(p) for p in np.flatnonzero(labels == g)) for g in np.unique(labels)
+        )
+        clustering = SetClustering("s0", groups)
+        assert repair_clustering(clustering, sims) == _reference_repair(clustering, sims)
+
+
+def _reference_repair(clustering, sims):
+    """repair_clustering as a loop over the moves, one labels copy each: the
+    reference for its array code."""
+    labels = np.empty(len(sims), dtype=int)
+    for gi, group in enumerate(clustering.groups):
+        labels[list(group)] = gi
+    bad = int(engine._misclustered_mask(labels[None, :], sims).sum())
+    while bad:
+        groups = np.unique(labels)
+        fresh = groups[-1] + 1
+        moves = []
+        for pos, own in enumerate(labels):
+            targets = [g for g in groups if g != own]
+            if np.count_nonzero(labels == own) > 1:
+                targets.append(fresh)
+            for target in targets:
+                moved = labels.copy()
+                moved[pos] = target
+                moves.append(moved)
+        candidates = np.array(moves)
+        counts = engine._misclustered_mask(candidates, sims).sum(axis=1)
+        best = int(np.argmin(counts))
+        if counts[best] >= bad:
+            return None
+        labels, bad = candidates[best], int(counts[best])
+    members = {}
+    for pos, label in enumerate(labels.tolist()):
+        members.setdefault(label, []).append(pos)
+    return SetClustering(clustering.source, tuple(tuple(g) for g in members.values()))
 
 
 def _guard_one(record_set, sims, gateway, max_regen):
@@ -517,17 +567,46 @@ class TestMergeRound:
         assert sorted(seen) == sorted(ids)
 
     def test_cannot_linked_pairs_may_copack(self):
-        """Packing never reads the constraint store, so a known cannot-link
-        does not keep two clusters apart: co-placing a settled pair wastes a
-        slot at worst, and filtering them fragments the sets and stalls the
-        hierarchy's descent."""
+        """A known cannot-link does not keep two clusters apart: with no open
+        pair left, a settled pair still seeds a wave. Co-placing it wastes a
+        slot at worst, and filtering settled pairs fragments the sets and
+        stalls the hierarchy's descent."""
         nodes = [
             ClusterNode.singleton("a1", origin_set="sa"),
             ClusterNode.singleton("b1", origin_set="sb"),
         ]
-        out = _merge_sets(nodes, SetConfig(), TableIndex(default=0.9))
+        store = ConstraintStore(["a1", "b1"])
+        store.add_cannot_link("a1", "b1")
+        out = _merge_sets(nodes, SetConfig(), TableIndex(default=0.9), store=store)
         assert len(out) == 1
         assert sorted(n.representative for n in out[0].members) == ["a1", "b1"]
+
+    def test_a_wave_is_seeded_by_an_open_pair_first(self):
+        """The most similar cross-origin pair, 0-1, is settled, and 0-2 is
+        open: the first wave is seeded by the open pair, so the round asks
+        it. Were every pair open, 0-1 would seed the first wave."""
+        origin = np.array([0, 1, 2])
+        sims = np.array([[1.0, 0.9, 0.5], [0.9, 1.0, 0.1], [0.5, 0.1, 1.0]])
+        open_ = np.zeros((3, 3), dtype=bool)
+        open_[0, 2] = open_[2, 0] = True
+        assert merge_round(origin, sims, 2, open_) == [[0, 2], [1]]
+        assert merge_round(origin, sims, 2, np.ones((3, 3), bool)) == [[0, 1], [2]]
+
+    def test_a_settled_pair_beats_a_join_below_it(self):
+        """Five origins, sets of four, and only 0-1 open: 0-1 seeds the
+        wave. The best join, 4 at 0.5, loses to the settled pair 2-3 at 0.8:
+        an open pair is tried first, but no open pair beats the join. An open
+        pair 2-4 at 0.3, below the join, does not hide the settled pair."""
+        origin = np.arange(5)
+        sims = np.full((5, 5), 0.1)
+        sims[0, 1] = sims[1, 0] = 0.9
+        sims[2, 3] = sims[3, 2] = 0.8
+        sims[[0, 1], 4] = sims[4, [0, 1]] = 0.5
+        sims[2, 4] = sims[4, 2] = 0.3
+        np.fill_diagonal(sims, 1.0)
+        open_ = np.zeros((5, 5), dtype=bool)
+        open_[0, 1] = open_[1, 0] = open_[2, 4] = open_[4, 2] = True
+        assert merge_round(origin, sims, 4, open_) == [[0, 1, 2, 3], [4]]
 
 
 ALL_CLOSE = TableIndex(default=1.0)
@@ -1150,8 +1229,8 @@ class TestResolve:
         levels = _record_levels(monkeypatch)
         rounds = []
 
-        def packing(origin, sims, set_size):
-            groups = merge_round(origin, sims, set_size)
+        def packing(origin, sims, set_size, open_):
+            groups = merge_round(origin, sims, set_size, open_)
             nodes = levels[-1]
             packed = _named(f"b0.L{len(rounds) + 1}", nodes, groups)
             flags = [
@@ -1297,13 +1376,21 @@ class neg_key:
         return self.value == other.value
 
 
-def _reference_merge_round(nodes, config, table, set_id_prefix):
+def _reference_merge_round(nodes, config, table, set_id_prefix, store):
     origins = {node.origin_set or "" for node in nodes}
     if len(origins) < 2:
         return []
 
     def sim(a, b):
         return table[tuple(sorted((a.representative, b.representative)))]
+
+    def is_open(a, b):
+        ra, rb = a.representative, b.representative
+        return (
+            sim(a, b) >= config.b_t
+            and not store.same_entity(ra, rb)
+            and not store.cannot_link(ra, rb)
+        )
 
     unselected = sorted(nodes, key=lambda n: n.representative)
     size_cap = min(config.set_size, len(origins))
@@ -1333,23 +1420,29 @@ def _reference_merge_round(nodes, config, table, set_id_prefix):
                     ),
                     key=lambda t: t[:2],
                 )
+            # the best open pair if it beats the join, else the best
+            # settled pair if it does
             best_pair = None
-            if len(picks) + 2 <= size_cap:
+            for opened in (True, False) if len(picks) + 2 <= size_cap else ():
+                best = None
                 # candidates are in representative order, so p < q
                 for i, p in enumerate(candidates):
                     for q in candidates[i + 1 :]:
                         if (p.origin_set or "") == (q.origin_set or ""):
+                            continue
+                        if is_open(p, q) != opened:
                             continue
                         key = (
                             sim(p, q),
                             neg_key(p.representative),
                             neg_key(q.representative),
                         )
-                        if best_pair is None or key > best_pair[:3]:
-                            best_pair = (*key, p, q)
-            if best_pair is not None and (
-                best_join is None or best_pair[0] > best_join[0]
-            ):
+                        if best is None or key > best[:3]:
+                            best = (*key, p, q)
+                if best is not None and (best_join is None or best[0] > best_join[0]):
+                    best_pair = best
+                    break
+            if best_pair is not None:
                 take(best_pair[3])
                 take(best_pair[4])
             elif best_join is not None:
@@ -1462,6 +1555,18 @@ def _merge_state(seed):
     return nodes, _quantised_table(rng, ids)
 
 
+def _merge_store(seed, nodes):
+    """A store over the nodes' records with some pairs merged and some
+    cannot-linked, so that a round sees open and settled pairs above b_t."""
+    rng = random.Random(2000 + seed)
+    ids = sorted(n.representative for n in nodes)
+    store = ConstraintStore(ids)
+    for _ in range(len(ids) // 8):
+        store.merge(*rng.sample(ids, 2))
+    _cannot_link_some(rng, store, ids, rng.choice([0.0, 0.1, 0.5]))
+    return store
+
+
 def _large_merge_state(seed):
     """20-60 origin sets of up to 200 nodes over a quantised table: waves
     run long, and many pairs tie."""
@@ -1501,8 +1606,10 @@ class TestMatchesReference:
     @pytest.mark.parametrize("unlabelled", [False, True])
     @pytest.mark.parametrize("config", _CONFIGS, ids=["size2", "size9"])
     def test_merge_round(self, config, unlabelled):
-        """With ``unlabelled``, the nodes of one origin set carry no origin:
-        they share the origin "" and are still never co-packed."""
+        """Over a store with merged and cannot-linked pairs, so waves are
+        seeded by open pairs and fall back to settled ones. With
+        ``unlabelled``, the nodes of one origin set carry no origin: they
+        share the origin "" and are still never co-packed."""
         states = [_merge_state(seed) for seed in range(40)]
         states += [_large_merge_state(seed) for seed in range(3)]
         for seed, (nodes, table) in enumerate(states):
@@ -1514,8 +1621,9 @@ class TestMatchesReference:
                     else n
                     for n in nodes
                 ]
-            expected = _reference_merge_round(nodes, config, table, "b.L1")
-            got = _merge_sets(nodes, config, TableIndex(table), "b.L1")
+            store = _merge_store(seed, nodes)
+            expected = _reference_merge_round(nodes, config, table, "b.L1", store)
+            got = _merge_sets(nodes, config, TableIndex(table), "b.L1", store)
             assert got == expected, seed
 
     @pytest.mark.parametrize("config", _CONFIGS, ids=["size2", "size9"])
@@ -1552,8 +1660,8 @@ class TestPackerProperties:
     def test_merge_round_packs_each_index_once(self, level):
         """Every index in exactly one group, no two equal origins in a group,
         and no group above min(set size, origins); one origin packs nothing."""
-        origin, sims, _, set_size = level
-        groups = merge_round(origin, sims, set_size)
+        origin, sims, open_, set_size = level
+        groups = merge_round(origin, sims, set_size, open_)
         origins = len(set(origin.tolist()))
         if origins < 2:
             assert groups == []
@@ -1562,6 +1670,25 @@ class TestPackerProperties:
         for g in groups:
             assert len(set(origin[g].tolist())) == len(g)
             assert 1 <= len(g) <= min(set_size, origins)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_level_arrays())
+    def test_merge_round_seeds_waves_with_open_pairs(self, level):
+        """Each wave begun while two unselected indices of different origins
+        share an open pair is seeded by the best such pair (similarity
+        descending, then row, then column): the group starts at its row and
+        holds its column."""
+        origin, sims, open_, set_size = level
+        groups = merge_round(origin, sims, set_size, open_)
+        unselected = np.ones(len(origin), dtype=bool)
+        for g in groups:
+            seeds = np.triu(open_ & (origin[:, None] != origin), 1)
+            seeds &= unselected[:, None] & unselected
+            rows, cols = np.nonzero(seeds)
+            if rows.size:
+                best = min(zip(-sims[rows, cols], rows, cols))
+                assert g[0] == best[1] and best[2] in g
+            unselected[g] = False
 
     @settings(max_examples=200, deadline=None)
     @given(_level_arrays())
@@ -1738,7 +1865,7 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
         )
         partition, ledger, report = resolver.resolve(blocks)
         assert _partition_digest(partition) == (
-            "ed23088252bbe26d928988e59dfe06f439889e54c16a6d4acea08950206bc19d"
+            "6e0dcfeef1df5d3d32b432793533cc9f4865bc8de5f4524ab7b0ee6eabc69d33"
         )
         assert ledger.api_calls == 29
         assert report.level_set_counts == [43, 15, 2]
@@ -1796,14 +1923,14 @@ def test_jaccard_block_resolves_as_pinned():
         )
         partition, ledger, report = resolver.resolve([block])
         assert _partition_digest(partition) == (
-            "eacca736039f39bc1fa7000ac732bd65e00edaff649b2d509ca5878e46a3da96"
+            "56933a20bc7f016eaa033b22d3871be9df6df4a141900de4df4cf5f997b7ccae"
         )
-        assert ledger.api_calls == 42
-        assert report.level_set_counts == [18, 11, 6, 3, 1]
-        assert report.final_check_sets == 3
-        assert report.guardrail.repaired == 36
+        assert ledger.api_calls == 41
+        assert report.level_set_counts == [18, 11, 5, 4, 3]
+        assert report.final_check_sets == 0
+        assert report.guardrail.repaired == 37
         assert report.guardrail.regenerations == 0
-        assert report.guardrail.conflict_warnings == 13
+        assert report.guardrail.conflict_warnings == 14
 
 
 class _InFlight:
