@@ -9,7 +9,7 @@ import time
 from collections.abc import Callable, Generator, Iterable, Sequence
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -565,9 +565,19 @@ def _advance(step: Generator, answered: list | None = None) -> list | None:
         return None
 
 
-def _asked(set_id: str, nodes: list, sims: np.ndarray, group: list[int]):
-    """The record set of a level's nodes at ``group``, with its block of ``sims``."""
-    return RecordSet(set_id, tuple(nodes[i] for i in group)), sims[np.ix_(group, group)]
+def _check_blocks(blocks: Sequence[Block], records: dict[str, Record]) -> None:
+    block_ids: set[str] = set()
+    placed: set[str] = set()
+    for block in blocks:
+        if block.block_id in block_ids:
+            raise ValueError(f"block id {block.block_id!r} is repeated")
+        block_ids.add(block.block_id)
+        for rid in block.members:
+            if rid not in records:
+                raise ValueError(f"unknown record {rid!r} in block {block.block_id!r}")
+            if rid in placed:
+                raise ValueError(f"record {rid!r} is in two blocks or twice in one")
+            placed.add(rid)
 
 
 @dataclass
@@ -576,13 +586,13 @@ class ResolveReport:
     sets of level k over all blocks and ``final_check_sets`` the sweep's:
     both count sets, not calls. A one-record set costs no call, and sets of
     different blocks may share one (Resolver._round); the ledger counts
-    calls. The guardrail checks each prompt, so its counts count prompts."""
+    calls. The guardrail checks each prompt, so its counts count prompts.
+    ``final_check_rounds`` is the most sweep waves any block took."""
 
     blocks: int = 0
     level_set_counts: list[int] = field(default_factory=list)
     final_check_sets: int = 0
     final_check_rounds: int = 0
-    max_levels_hits: int = 0
     # seconds resolve() took; ledger["wall_time"] sums the calls' latencies,
     # which exceeds this whenever calls overlap
     elapsed_s: float = 0.0
@@ -600,11 +610,17 @@ class Resolver:
     constraint store, advanced together one round across blocks at a time.
     Within a round, up to ``parallelism`` backend calls are in flight at
     once; everything else, the guardrail included, runs on the thread that
-    called resolve() (see _round).
+    called resolve() (see _round). Each block's hierarchy stops on evidence,
+    never on a level count (see _resolve_block).
 
     The similarity index is built from ``sim_config`` and ``embeddings``, or
-    passed prebuilt as ``index``, which must cover ``records``; giving both,
-    or a ``parallelism`` below 1, is a ValueError."""
+    passed prebuilt as ``index``, which must cover ``records``. Giving both,
+    an index without some record, or a ``parallelism`` below 1, is a
+    ValueError."""
+
+    # read only by bench/run.py, for its engine.blocks_at_max_levels metric;
+    # the bench change of ROADMAP item 1 drops it
+    max_levels = 50
 
     def __init__(
         self,
@@ -615,7 +631,6 @@ class Resolver:
         embeddings: dict[str, np.ndarray] | None = None,
         parallelism: int = 1,
         ledger: CostLedger | None = None,
-        max_levels: int = 50,
         index: SimilarityIndex | None = None,
     ):
         if index is not None and (sim_config is not None or embeddings is not None):
@@ -626,11 +641,13 @@ class Resolver:
         self.config = config or SetConfig()
         if index is None:
             index = SimilarityIndex(records, sim_config, embeddings)
+        missing = [rid for rid in records if rid not in index.embeddings]
+        if missing:
+            raise ValueError(f"the similarity index has no record {missing[0]!r}")
         self.index = index
         self.ledger = ledger if ledger is not None else CostLedger()
         self.gateway = LlmGateway(backend, records, ledger=self.ledger)
         self.parallelism = parallelism
-        self.max_levels = max_levels
         self.store = ConstraintStore(sorted(records))
         self.report = ResolveReport()
         self._resolved = False
@@ -641,8 +658,8 @@ class Resolver:
         """One round across blocks: ``steps`` holds each live block's sets,
         each with its similarity matrix. Returns each block's sets, as given,
         with their clusterings, once all of them are folded into the store in
-        the order the sets were given; a caller that reads the new nodes
-        builds them with _answered_nodes.
+        the order the sets were given; a caller rebuilds its level's nodes
+        from them with _nodes.
 
         The round's sets are packed into prompts once (pack_sets): sets
         smaller than one prompt, of different blocks, share a call. A prompt
@@ -702,32 +719,30 @@ class Resolver:
         shared = share_prompt([rs for rs, _ in held])
         return shared, self.index.sims(node.representative for node in shared.members)
 
-    def _answered_nodes(
-        self, answered: list[tuple[RecordSet, SetClustering]]
-    ) -> list[ClusterNode]:
-        """The nodes the store holds for each answered set's members (see
-        _nodes), with that set as their origin. A round's sets are disjoint,
-        so building them after the whole round is folded in gives the nodes
-        each set had right after its own reply."""
-        return [
-            node
-            for record_set, _ in answered
-            for node in self._nodes(record_set.members, record_set.set_id)
-        ]
-
-    def _nodes(self, nodes, origin: str | None = None) -> list[ClusterNode]:
+    def _nodes(self, nodes, answered=()) -> list[ClusterNode]:
         """One node per entity among ``nodes``, as the constraint store knows
-        it, in order of first appearance, each with origin set ``origin``. An
-        entity held by one of the nodes keeps its members and representative;
-        the representative of any other is computed from its members."""
+        it, in order of first appearance. Its origin set is the ``answered``
+        set (see _round) that held its first node, or else that node's own.
+        An entity held by one of the nodes keeps its members and
+        representative, and is that node itself if its origin is unchanged;
+        the representative of any other is computed from its members.
+
+        A merge round's sets are disjoint, and a reply only joins nodes of
+        its own set, so rebuilding after the whole round is folded in gives
+        each set's nodes as they were right after its own reply."""
+        held = {n.representative: rs.set_id for rs, _ in answered for n in rs.members}
         groups: dict[str, list[ClusterNode]] = {}
         for node in nodes:
             groups.setdefault(self.store.root(node.representative), []).append(node)
         out = []
         for first, *rest in groups.values():
-            members = first.members.union(*(node.members for node in rest))
-            rep = self.index.representative(members) if rest else first.representative
-            out.append(ClusterNode(members, rep, origin))
+            origin = held.get(first.representative, first.origin_set)
+            if rest:
+                members = first.members.union(*(node.members for node in rest))
+                first = ClusterNode(members, self.index.representative(members), origin)
+            elif origin != first.origin_set:
+                first = replace(first, origin_set=origin)
+            out.append(first)
         return out
 
     def _count_level(self, level: int, n_sets: int) -> None:
@@ -764,34 +779,26 @@ class Resolver:
         their clusterings (see _round), once that round is folded into the
         store. resolve() runs the rounds of all blocks together.
 
-        Level 0, then one loop that reads each level once (see _level):
-        merge rounds while evidence can still change, then the final sweep.
-
         A one-record block is one level-0 set that is never asked: it is
-        counted and ends there, with no set draw, read or node. A block
-        drawn as one level-0 set ends on that set's reply: a reply that did
-        not fall back must-links or cannot-links every pair in the set, so
-        no level above it holds an open pair. A fallback reply settles
-        nothing, and that block goes on into the loop, whose sweep asks
-        again.
+        counted and ends there. A block drawn as one level-0 set ends on a
+        reply that did not fall back, which settles every pair in the set.
 
-        A merge round seeds its waves with open pairs first (merge_round,
-        given the level's open pairs) and sends only the packed sets that
-        hold an open pair (see open_pairs); the nodes of every other set are
-        carried to the next level unchanged. A carried node keeps its own
-        origin set, the last set that answered about it: a set never asked
-        gives no node its origin. The sweep starts on the read of the first
-        level that packs no set with an open pair, or after a round whose
-        replies merged no two clusters: open-first seeding puts an open pair
-        in every set it can, so a level that still packs one may have no
-        merge left to find, and the sweep covers the open pairs left with
-        fewer calls. A round whose replies all fell back merges nothing, so
-        it ends merging too (no answer, so asking again would only repeat).
-        A sweep set may reuse a node, so each wave ends by rebuilding one
-        node per entity to keep the level's nodes disjoint; an all-fallback
-        wave ends the sweep.
-        A block whose hierarchy or sweep still had an open pair to ask when
-        it reached ``max_levels`` counts in ``max_levels_hits``.
+        After level 0, each round reads the level once (see _level), asks its
+        groups and rebuilds its nodes (_nodes). While merging, the groups are
+        merge_round's sets that hold an open pair (see open_pairs), named by
+        their index in the round (``<block>.L<k>.<i>``). Merging stops on a
+        level that packs no such set, or after a round that merged no two
+        clusters, as one whose replies all fell back: the sweep covers the
+        open pairs left with fewer calls. Then each round is a sweep wave of
+        final_check's sets, numbered on across waves (``<block>.F.<i>``),
+        until no open pair is left or a wave's replies all fell back.
+
+        So the block stops by proof, not by a level cap. Every asked set
+        holds an open pair and a reply that did not fall back settles every
+        pair in its set, so a round lowers the block's count of unsettled
+        pairs (distinct roots, no cannot-link) unless all its replies fell
+        back, and such a round ends merging or the sweep: a block of n
+        records takes at most C(n, 2) + 3 rounds, level 0 included.
         """
         if len(block) == 1:
             self._count_level(0, 1)
@@ -801,53 +808,42 @@ class Resolver:
         answered = yield sets
         if len(answered) == 1 and not _is_fallback(answered[0][1]):
             return
-        nodes = self._answered_nodes(answered)
+        nodes = self._nodes([n for rs, _ in answered for n in rs.members], answered)
 
-        merging, capped = True, False
-        level = wave = counter = 0
+        merging = True
+        level = wave = swept = 0
         while len(nodes) >= 2:
             nodes, sims, open_ = self._level(nodes)
             if merging:
                 labels = [node.origin_set or "" for node in nodes]
                 origin = np.unique(labels, return_inverse=True)[1]
                 groups = merge_round(origin, sims, self.config.set_size, open_)
-                asked = {k for k, g in enumerate(groups) if open_[np.ix_(g, g)].any()}
-                capped = bool(asked) and level == self.max_levels
-                merging = bool(asked) and not capped
+                asked = [k for k, g in enumerate(groups) if open_[np.ix_(g, g)].any()]
+                merging = bool(asked)
             if merging:
                 level += 1
                 self._count_level(level, len(asked))
-                prefix = f"{block.block_id}.L{level}"
-                answered = yield [
-                    _asked(f"{prefix}.{k:04d}", nodes, sims, groups[k])
-                    for k in sorted(asked)
-                ]
-                before = len(nodes)
-                nodes = self._answered_nodes(answered) + [
-                    nodes[i] for k, g in enumerate(groups) if k not in asked for i in g
-                ]
-                merging = len(nodes) < before
-                continue
-
-            groups = final_check(open_, self.config.set_size)
-            if not groups:
-                break
-            if wave == self.max_levels:
-                capped = True
-                break
-            wave += 1
-            sets = [
-                _asked(f"{block.block_id}.F.{counter + k:04d}", nodes, sims, g)
-                for k, g in enumerate(groups)
+                ids = [f"{block.block_id}.L{level}.{k:04d}" for k in asked]
+                groups = [groups[k] for k in asked]
+            else:
+                groups = final_check(open_, self.config.set_size)
+                if not groups:
+                    break
+                wave += 1
+                ids = [f"{block.block_id}.F.{swept + k:04d}" for k in range(len(groups))]
+                swept += len(groups)
+                self.report.final_check_sets += len(groups)
+                self.report.final_check_rounds = max(self.report.final_check_rounds, wave)
+            before = len(nodes)
+            answered = yield [
+                (RecordSet(i, tuple(nodes[k] for k in g)), sims[np.ix_(g, g)])
+                for i, g in zip(ids, groups)
             ]
-            counter += len(sets)
-            self.report.final_check_sets += len(sets)
-            self.report.final_check_rounds = max(self.report.final_check_rounds, wave)
-            answered = yield sets
-            nodes = self._nodes(nodes)
-            if _all_fell_back(answered):
+            nodes = self._nodes(nodes, answered)
+            if merging:
+                merging = len(nodes) < before
+            elif _all_fell_back(answered):
                 break
-        self.report.max_levels_hits += capped
 
     def _level(
         self, nodes: list[ClusterNode]
@@ -868,7 +864,10 @@ class Resolver:
         fall back, ends without a merge round or sweep (see
         _resolve_block). ``report.elapsed_s`` is the time this call took. A
         Resolver resolves once: its store, report and ledger hold that run,
-        so a second call is a RuntimeError."""
+        so a second call is a RuntimeError. A record in two blocks (or twice
+        in one), an id not in ``records`` or a repeated block id is a
+        ValueError, raised before any call."""
+        _check_blocks(blocks, self.records)
         if self._resolved:
             raise RuntimeError(
                 "this Resolver has already resolved: its constraint store, report "

@@ -231,7 +231,6 @@ class TestCli:
         ) == 0
         out = json.loads(report.read_text())
         assert out["metrics"]["acc"] == 1.0
-        assert out["max_levels_hits"] == 0
         ds = dataio.ingest(data, truth_column="entity_id")
         dataio.save_labels(truth_file, ds.ground_truth, "entity_id")
         capsys.readouterr()

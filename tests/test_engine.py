@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import sys
 import threading
@@ -475,16 +476,18 @@ class TestNodes:
             return representative(members)
 
         resolver.index.representative = counting
-        apply_clustering(store, rs, SetClustering("s1", ((0,), (1,), (2,))))
-        nodes = resolver._nodes(rs.members, rs.set_id)
+        apart = SetClustering("s1", ((0,), (1,), (2,)))
+        apply_clustering(store, rs, apart)
+        nodes = resolver._nodes(rs.members, [(rs, apart)])
         assert asked == []
         assert [(n.members, n.representative) for n in nodes] == [
             (n.members, n.representative) for n in rs.members
         ]
         assert {n.origin_set for n in nodes} == {"s1"}
         # (0, 1) contradicts the cannot-link: split back, nothing merges
-        apply_clustering(store, rs, SetClustering("s1", ((0, 1), (2,))))
-        assert len(resolver._nodes(rs.members, rs.set_id)) == 3
+        joined = SetClustering("s1", ((0, 1), (2,)))
+        apply_clustering(store, rs, joined)
+        assert len(resolver._nodes(rs.members, [(rs, joined)])) == 3
         assert asked == []
 
     def test_merged_nodes_become_one_node(self):
@@ -493,15 +496,35 @@ class TestNodes:
         ids = ["a", "b", "c", "d"]
         resolver = self._resolver(ids)
         resolver.store.merge("a", "c")
-        nodes = resolver._nodes(
-            [ClusterNode.singleton(rid, "s0") for rid in ["c", "b", "a", "d"]], "s1"
-        )
+        level = [ClusterNode.singleton(rid, "s0") for rid in ["c", "b", "a", "d"]]
+        rs = RecordSet("s1", tuple(level))
+        nodes = resolver._nodes(level, [(rs, SetClustering("s1", ((0, 2), (1,), (3,))))])
         assert [n.members for n in nodes] == [
             frozenset("ac"), frozenset("b"), frozenset("d")
         ]
         assert nodes[0].representative == resolver.index.representative("ac")
         assert {n.origin_set for n in nodes} == {"s1"}
-        assert [n.origin_set for n in resolver._nodes(nodes)] == [None] * 3
+        # with no answered set, a node keeps its origin: a lone one is itself
+        again = resolver._nodes(nodes)
+        assert [n.origin_set for n in again] == ["s1"] * 3
+        assert all(a is b for a, b in zip(again, nodes))
+
+    def test_only_answered_nodes_take_a_new_origin(self):
+        """A level rebuilt after a round: each node held by an answered set
+        takes that set as its origin, merged or not, and every other node
+        keeps its own, as the same object."""
+        ids = ["a", "b", "c", "d", "e"]
+        resolver = self._resolver(ids)
+        level = [ClusterNode.singleton(rid, f"s{rid}") for rid in ids]
+        rs = RecordSet("t", (level[0], level[1], level[2]))
+        clustering = SetClustering("t", ((0, 1), (2,)))
+        apply_clustering(resolver.store, rs, clustering)
+        nodes = resolver._nodes(level, [(rs, clustering)])
+        assert [(sorted(n.members), n.origin_set) for n in nodes] == [
+            (["a", "b"], "t"), (["c"], "t"), (["d"], "sd"), (["e"], "se")
+        ]
+        assert nodes[1] is not level[2] and nodes[1].representative == "c"
+        assert nodes[2] is level[3] and nodes[3] is level[4]
 
 
 class TestMergeRound:
@@ -1158,9 +1181,10 @@ class TestResolve:
         assert report.final_check_rounds == 1  # an all-fallback wave ends the sweep
 
     def test_noisy_hierarchy_ends_before_max_levels(self):
-        """Noisy replies keep packing sets, but the hierarchy ends once no
-        packed set holds an open pair (criterion 04's data at a 20% error
-        rate)."""
+        """Noisy replies keep packing sets, but the hierarchy ends on
+        evidence: once no packed set holds an open pair, the sweep asks the
+        open pairs left, and the run ends with none (criterion 04's data at
+        a 20% error rate)."""
         records, truth = generate_dataset(40, 5, typo_rate=0.1, drop_rate=0.05, seed=1)
         emb = planted_embeddings(truth, noise=0.1, seed=1)
         block = Block("b0", tuple(sorted(records)))
@@ -1168,15 +1192,14 @@ class TestResolve:
         resolver = Resolver(
             records, backend, config=SetConfig(max_regen=0, seed=0), embeddings=emb
         )
-        _, _, report = resolver.resolve([block])
-        deepest = len(report.level_set_counts) - 1
-        assert deepest < resolver.max_levels
-        assert report.max_levels_hits == 0
+        partition, _, report = resolver.resolve([block])
+        assert report.guardrail.fallbacks == 0
+        assert not _open_pairs_left(resolver, partition, block).any()
 
     def test_noisy_blocks_stop_on_evidence(self):
         """Three 100-record blocks under an oracle that errs 30% of the time:
-        every hierarchy and sweep ends on evidence, well inside a cap of 10
-        levels."""
+        every hierarchy and sweep ends on evidence, with no open pair left in
+        any block, well inside 10 levels and 10 sweep waves."""
         records, truth = generate_dataset(60, 5, seed=2)
         emb = planted_embeddings(truth, noise=0.05, seed=2)
         entities = sorted(set(truth.values()))
@@ -1187,28 +1210,14 @@ class TestResolve:
             blocks.append(Block(f"b{k}", tuple(ids)))
         resolver = Resolver(
             records, SimulatedOracle(OracleConfig(truth, 0.3, 2)),
-            config=SetConfig(seed=2), embeddings=emb, max_levels=10,
+            config=SetConfig(seed=2), embeddings=emb,
         )
-        _, _, report = resolver.resolve(blocks)
-        assert report.max_levels_hits == 0
-        assert len(report.level_set_counts) - 1 < resolver.max_levels
-        assert report.final_check_rounds < resolver.max_levels
-
-    def test_max_levels_cap_is_reported(self):
-        """With one level allowed, a noisy block still has open pairs when the
-        cap stops it, and the report says so."""
-        records, truth = generate_dataset(40, 5, seed=1)
-        emb = planted_embeddings(truth, noise=0.05, seed=1)
-        block = Block("b0", tuple(sorted(records)))
-        resolver = Resolver(
-            records, SimulatedOracle(OracleConfig(truth, 0.3, 1)),
-            config=SetConfig(seed=1), embeddings=emb, max_levels=1,
-        )
-        _, _, report = resolver.resolve([block])
-        assert report.max_levels_hits == 1
-        assert report.as_dict()["max_levels_hits"] == 1
-        assert len(report.level_set_counts) <= 2
-        assert report.final_check_rounds <= 1
+        partition, _, report = resolver.resolve(blocks)
+        assert report.guardrail.fallbacks == 0
+        for block in blocks:
+            assert not _open_pairs_left(resolver, partition, block).any()
+        assert len(report.level_set_counts) - 1 < 10
+        assert report.final_check_rounds < 10
 
     def test_sets_without_an_open_pair_are_carried_not_sent(self, monkeypatch):
         """Under a noisy oracle, a merge round sends exactly the packed sets
@@ -1706,6 +1715,18 @@ class TestPackerProperties:
         assert not (open_ & ~covered).any()
 
 
+def _open_pairs_left(resolver, partition, block):
+    """The open pairs (see open_pairs) among the partition's clusters of
+    ``block``, in representative order."""
+    members = set(block.members)
+    nodes = sorted(
+        (n for n in partition.clusters if n.representative in members),
+        key=lambda n: n.representative,
+    )
+    sims = resolver.index.sims(n.representative for n in nodes)
+    return open_pairs(nodes, resolver.store, resolver.config, sims)
+
+
 def _partition_digest(partition):
     clusters = sorted(",".join(sorted(n.members)) for n in partition.clusters)
     return hashlib.sha256("\n".join(clusters).encode()).hexdigest()
@@ -1776,7 +1797,6 @@ def test_planted_block_resolves_as_pinned():
     assert report.level_set_counts == [17, 9, 5, 1]
     assert report.final_check_sets == 0
     assert ledger.api_calls == 32
-    assert report.max_levels_hits == 0
 
 
 def test_resolver_takes_a_prebuilt_index():
@@ -1799,6 +1819,56 @@ def test_resolver_takes_a_prebuilt_index():
     assert ledger.api_calls == 32
 
 
+def test_a_prebuilt_index_must_cover_the_records():
+    """An index built without one of the records is a ValueError naming it,
+    raised when the resolver is built, not a KeyError mid-run."""
+    records, truth = generate_dataset(6, 3, seed=1)
+    missing = sorted(records)[4]
+    index = SimilarityIndex({rid: r for rid, r in records.items() if rid != missing})
+    backend = SimulatedOracle(OracleConfig(truth, 0.0, 1))
+    with pytest.raises(ValueError, match=repr(missing)):
+        Resolver(records, backend, index=index)
+
+
+class TestBlockChecks:
+    """resolve() takes disjoint blocks with distinct ids over known records,
+    and rejects any other before a call is made."""
+
+    def _rejects(self, blocks, match):
+        records, truth = generate_dataset(6, 3, seed=1)
+        ledger = CostLedger()
+        resolver = Resolver(
+            records, SimulatedOracle(OracleConfig(truth, 0.0, 1)), ledger=ledger
+        )
+        with pytest.raises(ValueError, match=match):
+            resolver.resolve(blocks(sorted(records)))
+        assert ledger.api_calls == 0
+
+    def test_overlapping_blocks_are_rejected(self):
+        self._rejects(
+            lambda ids: [Block("b0", tuple(ids[0:3])), Block("b1", tuple(ids[2:5]))],
+            "in two blocks",
+        )
+        self._rejects(
+            lambda ids: [Block("b0", tuple(ids[:10])), Block("b1", tuple(ids[5:]))],
+            "in two blocks",
+        )
+        self._rejects(
+            lambda ids: [Block("b0", (ids[0], ids[1], ids[0]))], "twice in one"
+        )
+
+    def test_an_unknown_record_is_rejected(self):
+        self._rejects(
+            lambda ids: [Block("b0", tuple(ids[:3]) + ("nobody",))], "'nobody'"
+        )
+
+    def test_a_repeated_block_id_is_rejected(self):
+        self._rejects(
+            lambda ids: [Block("b0", tuple(ids[:3])), Block("b0", tuple(ids[3:6]))],
+            "block id 'b0'",
+        )
+
+
 def test_800_record_block_resolves_as_pinned():
     """One 800-record planted block under an exact oracle: merge rounds over
     hundreds of nodes from dozens of origin sets, and k-means over the whole
@@ -1816,7 +1886,6 @@ def test_800_record_block_resolves_as_pinned():
     assert report.level_set_counts == [89, 48, 28, 4]
     assert report.final_check_sets == 0
     assert ledger.api_calls == 169
-    assert report.max_levels_hits == 0
 
 
 def _lsh_fixture():
@@ -2085,3 +2154,106 @@ def test_elapsed_time_is_wall_clock_not_summed_latency():
     assert 0 < report.elapsed_s <= took
     assert report.as_dict()["elapsed_s"] == report.elapsed_s
     assert ledger.wall_time > report.elapsed_s
+
+
+class _Adversary:
+    """A backend that answers each prompt from its set id alone: every member
+    apart ("singletons"), all in one group ("one-group"), or a random
+    partition ("random"). "poisoned" answers unparseable text for every
+    prompt that holds record ``poisoned`` and for about 40% of the rest, so
+    the gateway falls back and that record's pairs never settle, and a
+    random partition otherwise."""
+
+    def __init__(self, kind, seed, poisoned=None):
+        self.kind, self.seed, self.poisoned = kind, seed, poisoned
+
+    def complete(self, prompt, record_sets):
+        (rs,) = record_sets
+        rng = random.Random(f"{self.seed}:{rs.set_id}")
+        n = len(rs)
+        if self.kind == "poisoned" and (
+            rng.random() < 0.4 or any(self.poisoned in node.members for node in rs.members)
+        ):
+            return "no labels here", None
+        if self.kind == "singletons":
+            labels = range(n)
+        elif self.kind == "one-group":
+            labels = [0] * n
+        else:
+            k = rng.randint(1, n)
+            labels = [rng.randrange(k) for _ in range(n)]
+        groups: dict[int, list[str]] = {}
+        for pos, label in enumerate(labels):
+            groups.setdefault(label, []).append(f"R{pos + 1}")
+        return "\n".join(",".join(g) for g in groups.values()), None
+
+
+def _unsettled(store, ids):
+    """Pairs of the entities of ``ids`` not yet settled: distinct roots, no
+    cannot-link."""
+    roots = sorted({store.root(rid) for rid in ids})
+    return sum(not store.cannot_link(a, b) for a, b in itertools.combinations(roots, 2))
+
+
+class TestTermination:
+    """Each block's hierarchy stops by proof, under any backend. Every asked
+    set of two or more members holds an unsettled pair, and a reply that did
+    not fall back settles every pair in its set, so a block's count of
+    unsettled pairs falls on every round in which such a set got such a
+    reply.
+    A round without one ends merging or the sweep, so a block has at most 3
+    such rounds (level 0, the last merge round, the last sweep wave) and at
+    most C(n, 2) + 3 rounds in all. The round budget raises past that, so a
+    hierarchy that would loop fails instead of hanging."""
+
+    @pytest.mark.parametrize("kind", ["singletons", "one-group", "random", "poisoned"])
+    @pytest.mark.parametrize("layout", ["lsh", "one-block"])
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16))
+    def test_unsettled_pairs_fall_every_answered_round(self, kind, layout, seed):
+        records, _ = generate_dataset(20, 4, seed=seed)
+        index = SimilarityIndex(records)
+        if layout == "lsh":
+            blocks = make_blocks(
+                "lsh", records, index.token_sets, index.embeddings,
+                BlockingParams(b_t=0.2, seed=seed),
+            )
+            config = SetConfig(seed=seed)
+        else:
+            blocks = [Block("b0", tuple(sorted(records)))]
+            config = SetConfig(b_t=0.1, seed=seed)
+        poisoned = random.Random(seed).choice(sorted(records))
+        resolver = Resolver(
+            records, _Adversary(kind, seed, poisoned), config=config, index=index
+        )
+        block_of = {rid: b.block_id for b in blocks for rid in b.members}
+        members = {b.block_id: b.members for b in blocks}
+        budget = {b.block_id: math.comb(len(b), 2) + 3 for b in blocks}
+        rounds = dict.fromkeys(members, 0)
+        idle = dict.fromkeys(members, 0)
+        ask = Resolver._round
+
+        def counting(self, steps):
+            ids = [block_of[step[0][0].members[0].representative] for step in steps]
+            for b in ids:
+                rounds[b] += 1
+                if rounds[b] > budget[b]:
+                    raise AssertionError(f"block {b} ran past its round budget")
+            for rs, _ in itertools.chain(*steps):
+                reps = [node.representative for node in rs.members]
+                assert len(reps) < 2 or _unsettled(self.store, reps), rs.set_id
+            before = [_unsettled(self.store, members[b]) for b in ids]
+            answered = ask(self, steps)
+            for b, was, done in zip(ids, before, answered):
+                if any(len(rs) >= 2 and not engine._is_fallback(c) for rs, c in done):
+                    assert _unsettled(self.store, members[b]) < was, b
+                else:
+                    idle[b] += 1
+                    assert idle[b] <= 3, b
+            return answered
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Resolver, "_round", counting)
+            partition, _, _ = resolver.resolve(blocks)
+        partition.validate(records)
+        assert any(rounds.values())
