@@ -9,7 +9,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -157,32 +157,110 @@ def hashed_tfidf(ids, token_lists, token_sets, dim: int, seed: int) -> np.ndarra
     return matrix
 
 
+# Characters that leave a file to the per-row reader: a quote (csv quoting),
+# NUL (which csv rejects on some Python versions) and \x1c-\x1f, which
+# np.loadtxt strips round a number as whitespace but float() rejects.
+_ROW_READER_ONLY = '"\0\x1c\x1d\x1e\x1f'
+
+
 def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
     """Load a CSV of precomputed embeddings: header "id,d0,...,d{dim-1}"
     with at least one dimension, then one row per id holding exactly one
-    value per header dimension. Every record id needs a row; an id given
-    twice, or a row of zeros (it has no direction), is an error. A row's
-    error names its file line."""
+    value per header dimension, in the syntax float() accepts. Every record
+    id needs a row; an id given twice, a non-finite value, or a row of zeros
+    (it has no direction), is an error.
+
+    The value columns of the whole file are read by one C-level parse
+    (np.loadtxt), fed line by line as the file streams, into one (n, dim)
+    float64 matrix, and each id maps to its row, in file order. The checks
+    then run over the whole matrix. A file that parse may not read as csv
+    and float() would (a quoted field, say, or a value such as "1_0" that
+    only float() accepts), or that fails a check, is read again by the
+    per-row reader, which loads it as float() does or raises the error
+    naming its file line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        dim = _header_dim(path, reader)
+        try:
+            out = _bulk_rows(fh, dim)
+        except ValueError:  # a line left to the per-row reader, bad text or value
+            out = None
+    if out is None or not all(rid in out for rid in record_ids):
+        return _load_rows(path, record_ids)
+    return out
+
+
+def _header_dim(path, reader) -> int:
+    """The dimension of an embedding file's "id,d0,..." header row."""
+    header = next(reader, None)
+    if header is None or not header or header[0] != "id":
+        raise EmbeddingParseError(f"{path}: missing 'id,d0,...' header row")
+    if len(header) < 2:
+        raise EmbeddingParseError(
+            f"{path} line {reader.line_num}: header has no dimension columns"
+        )
+    return len(header) - 1
+
+
+def _bulk_rows(fh, dim: int) -> dict[str, np.ndarray] | None:
+    """The rows left in fh, by one np.loadtxt parse of their value columns
+    as fh streams them; None if a check fails. Raises ValueError for a line
+    only the per-row reader may read."""
+    ids: list[str] = []
+    limit = csv.field_size_limit()
+
+    def lines():
+        # fh opened with newline="" ends lines where csv ends rows, and
+        # without quotes a row is its line split at commas
+        for line in fh:
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            if (
+                len(line) > limit
+                or line.count(",") != dim
+                or any(c in line for c in _ROW_READER_ONLY)
+            ):
+                raise ValueError("a line for the per-row reader")
+            ids.append(line[: line.index(",")])
+            yield line
+
+    rows = lines()
+    first = next(rows, None)
+    if first is None:  # np.loadtxt warns on no data
+        return {}
+    matrix = np.loadtxt(
+        chain([first], rows),
+        delimiter=",",
+        comments=None,
+        usecols=range(1, dim + 1),
+        ndmin=2,
+    )
+    if (
+        len(set(ids)) < len(ids)
+        or not np.isfinite(matrix).all()
+        or not matrix.any(axis=1).all()
+    ):
+        return None
+    return dict(zip(ids, matrix, strict=True))
+
+
+def _load_rows(path, record_ids) -> dict[str, np.ndarray]:
+    """load_embeddings one row at a time, with float() per value: the reader
+    that names the file line of the first error."""
     out: dict[str, np.ndarray] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0] != "id":
-            raise EmbeddingParseError(f"{path}: missing 'id,d0,...' header row")
-        if len(header) < 2:
-            raise EmbeddingParseError(
-                f"{path} line {reader.line_num}: header has no dimension columns"
-            )
+        dim = _header_dim(path, reader)
         for row in reader:
             if not row:
                 continue
             rid, where = row[0], f"{path} line {reader.line_num}"
             if rid in out:
                 raise EmbeddingParseError(f"{where}: duplicate id {rid!r}")
-            if len(row) != len(header):
+            if len(row) != dim + 1:
                 raise DimMismatch(
-                    f"{where}: id {rid!r} has dim {len(row) - 1}, "
-                    f"header has {len(header) - 1}"
+                    f"{where}: id {rid!r} has dim {len(row) - 1}, header has {dim}"
                 )
             try:
                 values = np.array([float(x) for x in row[1:]])
@@ -200,10 +278,18 @@ def load_embeddings(path, record_ids) -> dict[str, np.ndarray]:
 
 
 def save_embeddings(path, embeddings: dict[str, np.ndarray]) -> None:
-    with open(path, "w", newline="") as fh:
+    """Write embeddings as load_embeddings reads them, rows sorted by id,
+    each value as repr(float), which reads back bitwise. Raises ValueError,
+    before opening path, when there are none or their dimensions differ."""
+    dims = {len(v) for v in embeddings.values()}
+    if len(dims) != 1:
+        raise ValueError(
+            "no embeddings to save" if not dims else "embeddings differ in dimension"
+        )
+    (dim,) = dims
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        first = next(iter(embeddings.values()))
-        writer.writerow(["id"] + [f"d{i}" for i in range(len(first))])
+        writer.writerow(["id"] + [f"d{i}" for i in range(dim)])
         for rid in sorted(embeddings):
             writer.writerow([rid] + [repr(float(x)) for x in embeddings[rid]])
 

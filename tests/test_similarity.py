@@ -1,11 +1,16 @@
+import csv
 import hashlib
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from erset import similarity
 from erset.model import Attribute, EmptyRecord, Record
 from erset.synth import generate_dataset, planted_embeddings
 from erset.similarity import (
@@ -196,6 +201,249 @@ def test_load_embeddings_rejects_non_finite_values(tmp_path, bad):
     path.write_text(f"id,d0,d1\na,1.0,2.0\nr1,{bad},1\n")
     with pytest.raises(EmbeddingParseError, match="non-finite value for id 'r1'"):
         load_embeddings(path, ["a", "r1"])
+
+
+def _reference_load_embeddings(path, record_ids):
+    """load_embeddings as it was before its bulk parse: csv rows, float() per
+    value. Kept frozen, as the reference that load_embeddings must equal."""
+    out = {}
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not header or header[0] != "id":
+            raise EmbeddingParseError(f"{path}: missing 'id,d0,...' header row")
+        if len(header) < 2:
+            raise EmbeddingParseError(
+                f"{path} line {reader.line_num}: header has no dimension columns"
+            )
+        for row in reader:
+            if not row:
+                continue
+            rid, where = row[0], f"{path} line {reader.line_num}"
+            if rid in out:
+                raise EmbeddingParseError(f"{where}: duplicate id {rid!r}")
+            if len(row) != len(header):
+                raise DimMismatch(
+                    f"{where}: id {rid!r} has dim {len(row) - 1}, "
+                    f"header has {len(header) - 1}"
+                )
+            try:
+                values = np.array([float(x) for x in row[1:]])
+            except ValueError as exc:
+                raise EmbeddingParseError(f"{where}: bad row for id {rid!r}") from exc
+            if not np.isfinite(values).all():
+                raise EmbeddingParseError(f"{where}: non-finite value for id {rid!r}")
+            if not values.any():
+                raise EmbeddingParseError(f"{where}: zero vector for id {rid!r}")
+            out[rid] = values
+    missing = [rid for rid in record_ids if rid not in out]
+    if missing:
+        raise MissingRecord(f"{path}: no embedding for record id {missing[0]!r}")
+    return out
+
+
+def _load_outcome(load, path, record_ids):
+    """What load returns, as (id, dtype, shape, bytes) in order, or the type
+    and message of what it raises; a warning is raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = load(path, record_ids)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return [(rid, v.dtype, v.shape, v.tobytes()) for rid, v in got.items()]
+
+
+# Values both parsers read alike: signs and bare points, signed zero,
+# subnormals, the largest finite float, padding both strip, long digit runs.
+_VALUES = st.sampled_from([
+    "1.0", "+1.", ".5", "-0.0", "5e-324", "2.2250738585072014e-308",
+    "1.7976931348623157e308", " 2.5 ", "1\u2003", "0.30000000000000004",
+    "1.00000000000000011102230246251565404236316680908203125000000000000001",
+]) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# Values where they part or which fail a check: overflow, nan, digit-group
+# underscores, a non-ASCII digit, a comment mark, separators only np.loadtxt
+# strips as whitespace, and text neither reads.
+_ODD_VALUES = st.sampled_from([
+    "1e400", "-1e400", "nan", "inf", "1_0", "\u0661", "0.2#junk", "\x1c1",
+    "1\x1f", "", "x", "0x10",
+])
+_IDS = st.sampled_from(["r1", "r2", "r3", "r4", "r5", " r1", "r\u00e9", ""])
+_QUOTED_IDS = st.sampled_from(["a,b", 'say "hi"', "two\nlines"])
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+# Line breaks of str.splitlines at which csv ends no row.
+_NON_CSV_BREAKS = st.sampled_from(list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+
+
+def _csv_field(value: str) -> str:
+    """value as one csv field: quoted, quotes doubled, if it needs it."""
+    if any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def _embedding_files(draw):
+    """An embedding file's text and the record ids to load from it. An id
+    may need quotes, and one row may have a flaw: a repeated id, zeros, an
+    odd value, or one value too few or too many. Blank and whitespace-only
+    lines, mixed line ends, a line break at which csv ends no row and a
+    byte-order mark come in; some files have a header and no rows, and some
+    miss a record id."""
+    dim = draw(st.integers(1, 3))
+    ids = draw(st.lists(_IDS, unique=True, max_size=5))
+    rows = [[rid] + draw(st.lists(_VALUES, min_size=dim, max_size=dim)) for rid in ids]
+    if rows and draw(st.integers(0, 5)) == 0:
+        draw(st.sampled_from(rows))[0] = draw(_QUOTED_IDS)
+    flaws = [None] * 4 + ["repeat", "zero", "odd", "narrow", "wide"]
+    flaw = draw(st.sampled_from(flaws))
+    if rows and flaw:
+        row = draw(st.sampled_from(rows))
+        if flaw == "repeat":
+            rows.append([draw(st.sampled_from(ids))] + row[1:])
+        elif flaw == "zero":
+            zero = st.sampled_from(["0", "-0.0", "0.0"])
+            row[1:] = draw(st.lists(zero, min_size=dim, max_size=dim))
+        elif flaw == "odd":
+            row[draw(st.integers(1, dim))] = draw(_ODD_VALUES)
+        else:
+            row[1:] = row[1:-1] if flaw == "narrow" else row[1:] + ["1.0"]
+    lines = ["id," + ",".join(f"d{i}" for i in range(dim))]
+    for row in rows:
+        lines.append(",".join(map(_csv_field, row)))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "", "", " ", "\t"])))
+    ends = [draw(_LINE_ENDS) for _ in lines]
+    if len(ends) > 1 and draw(st.integers(0, 7)) == 0:
+        ends[draw(st.integers(1, len(ends) - 1))] = draw(_NON_CSV_BREAKS)
+    text = "".join(map(str.__add__, lines, ends))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    record_ids = [row[0] for row in rows if draw(st.booleans())]
+    if draw(st.integers(0, 5)) == 0:
+        record_ids.append("zz")
+    return text, record_ids
+
+
+@settings(max_examples=400, deadline=None)
+@given(_embedding_files())
+def test_load_embeddings_equals_the_per_row_reference(case):
+    """Bitwise the same vectors, in the same order, or the same error type
+    and message, with no warning, on files the bulk parse reads and files it
+    leaves to the per-row reader."""
+    text, record_ids = case
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "emb.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        want = _load_outcome(_reference_load_embeddings, path, record_ids)
+        assert _load_outcome(load_embeddings, path, record_ids) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['id,d0\n"say ""hi""",1.0\n', "id,d0\nr\x001,1.0\n"]
+    + [f"id,d0\nr1,1.0{c}r2,2.0\n" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+    + [f"id,d0\nr1,{c}1.0{c}\n" for c in "\x1c\x1d\x1e\x1f"],
+)
+def test_load_embeddings_equals_the_reference_where_parsers_part(tmp_path, text):
+    """A quoted id, NUL, a line break where csv ends no row, and separators
+    that np.loadtxt strips but float() rejects: each loads or fails as the
+    per-row reference does."""
+    path = tmp_path / "emb.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = _load_outcome(_reference_load_embeddings, path, [])
+    assert _load_outcome(load_embeddings, path, []) == want
+
+
+def test_a_plain_file_is_read_in_one_bulk_parse(tmp_path, monkeypatch):
+    """A file as csv.writer writes it (CRLF line ends, repr values) never
+    reaches the per-row reader, and each id maps to a row of one matrix."""
+    path = tmp_path / "emb.csv"
+    emb = {"a": np.array([1.0, -0.0, 5e-324]), "b": np.array([0.1, 2.0, -3.5])}
+    save_embeddings(path, emb)
+    monkeypatch.setattr(similarity, "_load_rows", None)
+    loaded = load_embeddings(path, ["b"])
+    assert list(loaded) == ["a", "b"]
+    assert loaded["a"].base is loaded["b"].base is not None
+    assert all(loaded[k].tobytes() == emb[k].tobytes() for k in emb)
+
+
+def test_load_embeddings_keeps_a_comment_mark_a_bad_value(tmp_path):
+    """np.loadtxt's default comments="#" would load 0.2#junk as 0.2."""
+    path = tmp_path / "emb.csv"
+    path.write_text("id,d0,d1\na,1.0,2.0\nr1,0.5,0.2#junk\n")
+    with pytest.raises(EmbeddingParseError, match="line 3: bad row for id 'r1'$"):
+        load_embeddings(path, ["a", "r1"])
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1_0", 10.0), ("\u0661", 1.0)],
+    ids=["underscore", "arabic-indic"],
+)
+def test_load_embeddings_reads_values_only_float_accepts(tmp_path, value, expected):
+    """float() reads digit-group underscores and non-ASCII digits, which
+    np.loadtxt rejects: such a file loads as float() reads it."""
+    path = tmp_path / "emb.csv"
+    path.write_text(f"id,d0,d1\na,{value},2.0\n", encoding="utf-8")
+    assert load_embeddings(path, ["a"])["a"].tolist() == [expected, 2.0]
+
+
+def test_load_embeddings_keeps_the_csv_field_size_limit(tmp_path):
+    """A value longer than csv's field limit is csv's error, though float()
+    reads it."""
+    path = tmp_path / "emb.csv"
+    value = "1." + "0" * csv.field_size_limit()
+    path.write_text(f"id,d0\na,{value}\n")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_embeddings(path, ["a"])
+
+
+def test_save_embeddings_rejects_an_empty_mapping(tmp_path):
+    path = tmp_path / "emb.csv"
+    with pytest.raises(ValueError, match="no embeddings to save"):
+        save_embeddings(path, {})
+    assert not path.exists()
+
+
+def test_save_embeddings_rejects_mixed_dimensions(tmp_path):
+    path = tmp_path / "emb.csv"
+    with pytest.raises(ValueError, match="embeddings differ in dimension"):
+        save_embeddings(path, {"a": np.ones(2), "b": np.ones(3)})
+    assert not path.exists()
+
+
+_EXTREMES = st.sampled_from([
+    -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.30000000000000004, 1.2345678901234567e-89,
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=4),
+        st.lists(
+            _EXTREMES | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=3,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_save_then_load_is_bitwise(vectors):
+    """repr(float) reads back to the same bits: signed zero, subnormals, the
+    largest finite floats and 17 significant digits."""
+    emb = {rid: np.array(v) for rid, v in vectors.items() if any(v)}
+    assume(emb)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "emb.csv")
+        save_embeddings(path, emb)
+        loaded = load_embeddings(path, list(emb))
+    assert list(loaded) == sorted(emb)
+    assert all(loaded[rid].tobytes() == emb[rid].tobytes() for rid in emb)
 
 
 @pytest.mark.parametrize(
