@@ -1,20 +1,19 @@
-"""Initial block creation: a prefix-filtered Jaccard self-join over token
-sets, exact at b_t, or random-hyperplane LSH over embeddings, which tests
-cosine b_t only on pairs that share a band bucket and so stays fast on large
-inputs at some cost in recall."""
+"""Initial block creation: an exact Jaccard self-join over token sets, one
+sparse product run in row stripes of bounded size, or random-hyperplane LSH
+over embeddings, which tests cosine b_t only on pairs that share a band
+bucket and so can miss pairs at some cost in recall."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .metrics import pairwise_f1
 from .model import ERError
-from .similarity import cosine_blocks, jaccard, row_norms
+from .similarity import cosine_blocks, row_norms
 
 
 class NoValidationData(ERError):
@@ -74,60 +73,44 @@ def _components(ids: list[str], ia, ib) -> list[Block]:
     ]
 
 
-def filter_block(token_sets: dict[str, set], params: BlockingParams) -> list[Block]:
-    """Prefix-filtered Jaccard self-join at threshold b_t, then components.
+# Values one kernel call may hold, a filter stripe's scores or an LSH call's
+# gathered rows and cosine block, so peak memory grows with neither the input
+# nor its buckets; a bucket too large for it is verified in row stripes.
+_VERIFY_BUDGET = 1 << 19
 
-    Tokens are ordered rarest-first; a record's prefix is the shortest token
-    run that any b_t-similar record must share one token with. Candidate
-    survivors are verified exactly; each record keeps at most k_candidates
-    partners (highest similarity first).
+
+def filter_block(token_sets: dict[str, set], params: BlockingParams) -> list[Block]:
+    """Jaccard self-join at threshold b_t, then components. Each record keeps
+    at most k_candidates partners at or above b_t: most similar first, then
+    lowest id.
+
+    One sparse record-by-token product, in row stripes of at most
+    _VERIFY_BUDGET scores, gives each pair's exact count c of shared tokens
+    and so its Jaccard c / (|a| + |b| - c). A pair that shares no token has
+    no score, so a record without tokens pairs with none.
     """
     ids = sorted(token_sets)
-    df: dict[str, int] = {}
-    for rid in ids:
-        for t in token_sets[rid]:
-            df[t] = df.get(t, 0) + 1
-    rank = {t: i for i, (t) in enumerate(sorted(df, key=lambda t: (df[t], t)))}
-    ordered = {rid: sorted(token_sets[rid], key=rank.__getitem__) for rid in ids}
-
-    t = params.b_t
-    index: dict[str, list[str]] = {}
-    candidates: dict[str, set[str]] = {rid: set() for rid in ids}
-    for rid in ids:
-        tokens = ordered[rid]
-        if not tokens:
-            continue
-        prefix_len = len(tokens) - math.ceil(t * len(tokens)) + 1
-        for token in tokens[:prefix_len]:
-            for other in index.get(token, ()):
-                # length filter: |a| >= t * |b| is necessary for jaccard >= t
-                la, lb = len(tokens), len(ordered[other])
-                if min(la, lb) < t * max(la, lb):
-                    continue
-                candidates[rid].add(other)
-            index.setdefault(token, []).append(rid)
-
-    scored: dict[str, list[tuple[float, str]]] = {rid: [] for rid in ids}
-    for rid in ids:
-        for other in candidates[rid]:
-            sim = jaccard(token_sets[rid], token_sets[other])
-            if sim >= t:
-                scored[rid].append((sim, other))
-                scored[other].append((sim, rid))
-    pos = {rid: i for i, rid in enumerate(ids)}
-    ia, ib = [], []
-    for i, rid in enumerate(ids):
-        top = sorted(scored[rid], key=lambda p: (-p[0], p[1]))[: params.k_candidates]
-        for _, other in top:
-            ia.append(i)
-            ib.append(pos[other])
-    return _components(ids, ia, ib)
-
-
-# Doubles one kernel call may hold, gathered rows and cosine block together,
-# so peak memory does not grow with the number or size of the buckets. A
-# bucket too large for it is verified in row stripes.
-_VERIFY_BUDGET = 1 << 19
+    vocab: dict[str, int] = {}
+    cols = [vocab.setdefault(t, len(vocab)) for rid in ids for t in token_sets[rid]]
+    sizes = np.array([len(token_sets[rid]) for rid in ids], dtype=np.intp)
+    shape = (len(ids), len(vocab))
+    incidence = csr_array((np.ones(len(cols)), cols, np.r_[0, np.cumsum(sizes)]), shape)
+    transposed = incidence.T.tocsr()
+    stripe = max(1, _VERIFY_BUDGET // max(len(ids), 1))
+    edges = [np.empty((2, 0), dtype=np.intp)]  # (rows, partners) per stripe
+    for lo in range(0, len(ids), stripe):
+        shared = incidence[lo : lo + stripe] @ transposed
+        i = lo + np.repeat(np.arange(shared.shape[0]), np.diff(shared.indptr))
+        j, c = shared.indices, shared.data
+        sim = c / (sizes[i] + sizes[j] - c)
+        # the stripe's pairs at or above b_t by row, then similarity
+        # descending, then column: each row's first k_candidates are its top
+        keep = np.flatnonzero((sim >= params.b_t) & (i != j))
+        keep = keep[np.lexsort((j[keep], -sim[keep], i[keep]))]
+        i, j = i[keep], j[keep]
+        top = np.arange(len(i)) - np.searchsorted(i, i) < params.k_candidates
+        edges.append(np.stack((i, j))[:, top])
+    return _components(ids, *np.hstack(edges))
 
 
 def _band_buckets(band: np.ndarray) -> list[np.ndarray]:

@@ -280,18 +280,26 @@ def _load_rows(path, record_ids) -> dict[str, np.ndarray]:
 def save_embeddings(path, embeddings: dict[str, np.ndarray]) -> None:
     """Write embeddings as load_embeddings reads them, rows sorted by id,
     each value as repr(float), which reads back bitwise. Raises ValueError,
-    before opening path, when there are none or their dimensions differ."""
-    dims = {len(v) for v in embeddings.values()}
-    if len(dims) != 1:
-        raise ValueError(
-            "no embeddings to save" if not dims else "embeddings differ in dimension"
-        )
-    (dim,) = dims
+    before opening path, for no embeddings, rows of mixed shape, or a row
+    that is no vector, is zero (as dimension 0 is) or holds a non-finite value."""
+    if not embeddings:
+        raise ValueError("no embeddings to save")
+    ids = sorted(embeddings)
+    rows = [np.asarray(embeddings[rid], dtype=float) for rid in ids]
+    if len({v.shape for v in rows}) > 1:
+        raise ValueError("embeddings differ in dimension")
+    for rid, values in zip(ids, rows):
+        if values.ndim != 1:
+            raise ValueError(f"embedding for id {rid!r} has shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite value for id {rid!r}")
+        if not values.any():
+            raise ValueError(f"zero vector for id {rid!r}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"d{i}" for i in range(dim)])
-        for rid in sorted(embeddings):
-            writer.writerow([rid] + [repr(float(x)) for x in embeddings[rid]])
+        writer.writerow(["id"] + [f"d{i}" for i in range(len(rows[0]))])
+        for rid, values in zip(ids, rows):
+            writer.writerow([rid] + [repr(float(x)) for x in values])
 
 
 class SimilarityIndex:
@@ -318,8 +326,14 @@ class SimilarityIndex:
         if missing:
             raise MissingRecord(f"no embedding for record id {missing[0]!r}")
         self.embeddings = {rid: np.asarray(embeddings[rid], dtype=float) for rid in ids}
-        if len({v.shape for v in self.embeddings.values()}) > 1:
-            raise DimMismatch("embeddings differ in dimension")
+        shapes = sorted({v.shape for v in self.embeddings.values()})
+        if len(shapes) > 1 or any(len(shape) != 1 or not shape[0] for shape in shapes):
+            raise DimMismatch(f"embeddings need one shape (dim,), dim > 0: {shapes}")
+        # one check of the stacked rows, which are alike vectors
+        matrix = np.array(list(self.embeddings.values()))
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=-1))
+        if bad.size:
+            raise EmbeddingParseError(f"non-finite value for id {ids[bad[0]]!r}")
 
     def rows(self, ids) -> np.ndarray:
         """The embeddings of ids, stacked in order."""

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -82,6 +83,29 @@ class TestFilterBlock:
         blocks = filter_block(tokens, BlockingParams(method="filter", b_t=0.5))
         _assert_disjoint_cover(blocks, tokens)
         assert all(len(b) == 1 for b in blocks)
+
+    @pytest.mark.parametrize("b_t, size", [(0.14, 50), (0.28, 25), (0.56, 25)])
+    def test_subset_at_exactly_b_t_shares_a_block(self, b_t, size):
+        # the subset's Jaccard is its share of the set, b_t exactly, while
+        # b_t * size rounds above the subset's size: a length filter
+        # min(|a|, |b|) < b_t * max(|a|, |b|) would drop the pair
+        whole = {f"t{k:02d}" for k in range(size)}
+        part = set(sorted(whole)[: round(b_t * size)])
+        assert jaccard(whole, part) == b_t
+        assert len(part) < b_t * size
+        params = BlockingParams(method="filter", b_t=b_t)
+        blocks = filter_block({"a": whole, "b": part}, params)
+        assert blocks == [Block("b00000", ("a", "b"))]
+
+    @pytest.mark.parametrize(
+        "k, members", [(1, [("a", "b"), ("c", "d")]), (2, [("a", "b", "c", "d")])]
+    )
+    def test_k_candidates_caps_each_records_partners(self, k, members):
+        # a and b are twins, as are c and d; across the pairs Jaccard is 1/3,
+        # so one partner each keeps only the twins
+        tokens = {"a": {"x", "y"}, "b": {"x", "y"}, "c": {"y", "z"}, "d": {"y", "z"}}
+        params = BlockingParams(method="filter", b_t=0.3, k_candidates=k)
+        assert [b.members for b in filter_block(tokens, params)] == members
 
 
 class TestLshBlock:
@@ -181,6 +205,64 @@ def _reference_lsh_block(embeddings, params):
         if cosine(embeddings[a], embeddings[b]) >= params.b_t
     ]
     return _reference_components(ids, kept)
+
+
+def _reference_filter_block(token_sets, params):
+    """Filter blocking as a plain loop: every pair that shares a token and
+    whose jaccard() is >= b_t, the top k_candidates per record by (-sim, id),
+    then components."""
+    ids = sorted(token_sets)
+    scored = {rid: [] for rid in ids}
+    for a, b in itertools.combinations(ids, 2):
+        if token_sets[a] & token_sets[b]:
+            sim = jaccard(token_sets[a], token_sets[b])
+            if sim >= params.b_t:
+                scored[a].append((-sim, b))
+                scored[b].append((-sim, a))
+    kept = [
+        (rid, other)
+        for rid in ids
+        for _, other in sorted(scored[rid])[: params.k_candidates]
+    ]
+    return _reference_components(ids, kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.frozensets(st.sampled_from("abcdefg"), max_size=5), max_size=14),
+    st.sampled_from([0.14, 0.2, 0.25, 0.28, 1 / 3, 0.4, 0.5, 0.56, 0.6, 2 / 3, 0.8])
+    | st.floats(0.01, 0.99),
+    st.sampled_from([1, 2, 3, 50]),
+    st.sampled_from([1, 5, 1 << 19]),
+)
+def test_filter_block_matches_reference(sets, b_t, k, budget):
+    # a seven-token alphabet makes ties and empty sets common; ids sort in
+    # a different order from their numbers; budgets of 1 or 5 scores run
+    # stripes of one row, or of a few on inputs of at most five records
+    tokens = {f"r{n}": set(ts) for n, ts in enumerate(sets)}
+    params = BlockingParams(method="filter", b_t=b_t, k_candidates=k)
+    with mock.patch.object(blocking, "_VERIFY_BUDGET", budget):
+        assert filter_block(tokens, params) == _reference_filter_block(tokens, params)
+
+
+def test_filter_block_runs_in_row_stripes(monkeypatch):
+    # a budget of 20 scores over 7 records is stripes of 2 rows: 4 products
+    records, _ = generate_dataset(7, 1, seed=2)
+    tokens = SimilarityIndex(records).token_sets
+    params = BlockingParams(method="filter", b_t=0.3)
+    expected = filter_block(tokens, params)
+    rows = []
+    real = blocking.csr_array
+
+    class Spy(real):
+        def __matmul__(self, other):
+            rows.append(self.shape[0])
+            return super().__matmul__(other)
+
+    monkeypatch.setattr(blocking, "csr_array", Spy)
+    monkeypatch.setattr(blocking, "_VERIFY_BUDGET", 20)
+    assert filter_block(tokens, params) == expected
+    assert rows == [2, 2, 2, 1]
 
 
 def _tfidf_embeddings(n_entities, seed):

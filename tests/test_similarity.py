@@ -414,6 +414,23 @@ def test_save_embeddings_rejects_mixed_dimensions(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "emb, match",
+    [
+        ({"a": np.zeros(2), "b": np.ones(2)}, "zero vector for id 'a'"),
+        ({"a": np.zeros(0)}, "zero vector for id 'a'"),
+        ({"a": np.ones(2), "b": np.array([1.0, np.nan])}, "non-finite value for id 'b'"),
+        ({"a": np.array([-np.inf, 1.0])}, "non-finite value for id 'a'"),
+        ({"a": np.ones((1, 2))}, r"id 'a' has shape \(1, 2\)"),
+    ],
+)
+def test_save_embeddings_rejects_what_load_embeddings_rejects(tmp_path, emb, match):
+    path = tmp_path / "emb.csv"
+    with pytest.raises(ValueError, match=match):
+        save_embeddings(path, emb)
+    assert not path.exists()
+
+
 _EXTREMES = st.sampled_from([
     -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
     -1.7976931348623157e308, 0.30000000000000004, 1.2345678901234567e-89,
@@ -505,6 +522,24 @@ def test_index_rejects_embeddings_of_mixed_dimension():
     records = {rid: _record(rid, name=rid) for rid in ("a", "b")}
     with pytest.raises(DimMismatch):
         SimilarityIndex(records, embeddings={"a": np.ones(3), "b": np.ones(4)})
+
+
+@pytest.mark.parametrize(
+    "a, b, error, match",
+    [
+        ([[1.0, 2.0]], [[3.0, 1.0]], DimMismatch, r"\[\(1, 2\)\]"),
+        ([], [], DimMismatch, r"\[\(0,\)\]"),
+        (1.0, 2.0, DimMismatch, r"\[\(\)\]"),
+        ([1.0, 2.0], [np.nan, 1.0], EmbeddingParseError, "non-finite value for id 'b'"),
+        ([1.0, 2.0], [np.inf, 1.0], EmbeddingParseError, "non-finite value for id 'b'"),
+    ],
+)
+def test_index_rejects_what_is_not_a_finite_vector(a, b, error, match):
+    """Caught at construction: sims would return NaN, or an (n, 1, 1) array
+    for (1, dim) rows."""
+    records = {rid: _record(rid, name=rid) for rid in ("a", "b")}
+    with pytest.raises(error, match=match):
+        SimilarityIndex(records, embeddings={"a": np.array(a), "b": np.array(b)})
 
 
 def test_index_sim_raises_zero_vector_at_call():
