@@ -10,9 +10,14 @@ import os
 import secrets
 import shutil
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .blocking import Block
 from .model import Attribute, ERError, Record
+
+# only save_blocks' annotation names Block; importing blocking at run time
+# would close the cycle similarity -> dataio -> blocking -> similarity
+if TYPE_CHECKING:
+    from .blocking import Block
 
 
 class DuplicateId(ERError):
@@ -122,11 +127,12 @@ def ingest(
 
 
 def atomic_write(path: str, content: str) -> None:
-    """Write a file fully or not at all (temp file + atomic rename), with the
-    mode ``open(path, "w")`` gives: an existing file's, else 0o666 less the umask."""
+    """Write a file fully or not at all (temp file + atomic rename), as UTF-8
+    with ``content``'s line ends kept, and with the mode ``open(path, "w")``
+    gives: an existing file's, else 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "x")
+    fh = open(tmp, "x", newline="", encoding="utf-8")
     try:
         with fh:
             fh.write(content)

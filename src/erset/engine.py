@@ -3,7 +3,6 @@ cluster merging, exit condition and the end-to-end driver."""
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from collections.abc import Callable, Generator, Iterable, Sequence
@@ -471,11 +470,11 @@ def pack_sets(sizes: Sequence[int], blocks: Sequence, set_size: int) -> list[lis
     first-fit-decreasing (size descending, then round order) into prompts of
     at most ``set_size`` members, never two sets of one block in a prompt;
     one-member and full sets get a prompt of their own. Returns each
-    prompt's set indices ascending, prompts ordered by their first set. Bins
-    are found through buckets of free room; a bucket's bins that already
-    hold the set's block are passed over, so a round costs up to the square
-    of its largest block's set count, and a round of one block, whose sets
-    can share nothing, is returned at once.
+    prompt's set indices ascending, prompts ordered by their first set. Each
+    small set costs one scan of the prompts opened so far, which is cheap at
+    the round sizes measured (at most 601 small sets in a round of 10,000
+    records); a round of one block, whose sets can share nothing, is
+    returned at once.
     """
     if len(set(blocks)) < 2:
         return [[k] for k in range(len(sizes))]
@@ -486,32 +485,19 @@ def pack_sets(sizes: Sequence[int], blocks: Sequence, set_size: int) -> list[lis
     bins: list[list[int]] = []
     room: list[int] = []
     held: list[set] = []
-    # free[r]: heap of the bins left with r free places; a bin whose room has
-    # since shrunk is dropped from the heap when it surfaces
-    free: list[list[int]] = [[] for _ in range(set_size)]
     for k in small:
         size, block = sizes[k], blocks[k]
-        fit = None
-        for r in range(size, set_size):
-            heap, passed = free[r], []
-            while heap and (room[heap[0]] != r or block in held[heap[0]]):
-                b = heapq.heappop(heap)
-                if room[b] == r:
-                    passed.append(b)
-            if heap and (fit is None or heap[0] < fit):
-                fit = heap[0]
-            for b in passed:
-                heapq.heappush(heap, b)
-        if fit is None:
-            fit = len(bins)
+        fit = next(
+            (b for b, r in enumerate(room) if r >= size and block not in held[b]),
+            len(bins),
+        )
+        if fit == len(bins):
             bins.append([])
             room.append(set_size)
             held.append(set())
         bins[fit].append(k)
         held[fit].add(block)
         room[fit] -= size
-        if room[fit] >= 2:
-            heapq.heappush(free[room[fit]], fit)
     shared = {k for group in bins for k in group}
     prompts = [sorted(group) for group in bins]
     prompts += [[k] for k in range(len(sizes)) if k not in shared]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import re
 from array import array
@@ -13,6 +14,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from .dataio import atomic_write
 from .model import EmptyRecord, ERError, Record
 
 _WORD_RE = re.compile(r"\w+")
@@ -279,7 +281,8 @@ def _load_rows(path, record_ids) -> dict[str, np.ndarray]:
 
 def save_embeddings(path, embeddings: dict[str, np.ndarray]) -> None:
     """Write embeddings as load_embeddings reads them, rows sorted by id,
-    each value as repr(float), which reads back bitwise. Raises ValueError,
+    each value as repr(float), which reads back bitwise; the file is written
+    fully or not at all (dataio.atomic_write). Raises ValueError,
     before opening path, for no embeddings, rows of mixed shape, or a row
     that is no vector, is zero (as dimension 0 is) or holds a non-finite value."""
     if not embeddings:
@@ -295,11 +298,12 @@ def save_embeddings(path, embeddings: dict[str, np.ndarray]) -> None:
             raise ValueError(f"non-finite value for id {rid!r}")
         if not values.any():
             raise ValueError(f"zero vector for id {rid!r}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"d{i}" for i in range(len(rows[0]))])
-        for rid, values in zip(ids, rows):
-            writer.writerow([rid] + [repr(float(x)) for x in values])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["id"] + [f"d{i}" for i in range(len(rows[0]))])
+    for rid, values in zip(ids, rows):
+        writer.writerow([rid] + [repr(float(x)) for x in values])
+    atomic_write(path, buf.getvalue())
 
 
 class SimilarityIndex:

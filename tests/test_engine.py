@@ -781,12 +781,24 @@ class TestPromptSharing:
             if len(p) > 1:
                 assert all(2 <= sizes[k] < set_size for k in p)
 
-    def test_pack_sets_first_fit_decreasing_by_hand(self):
-        # a's 3 may not join a's 4, so it opens a second prompt; b's 3 and
-        # c's 2 fill the first; the full set and the one-member set go alone
-        sizes = [4, 3, 3, 2, 9, 1]
-        blocks = ["a", "a", "b", "c", "d", "e"]
-        assert pack_sets(sizes, blocks, 9) == [[0, 2, 3], [1], [4], [5]]
+    @pytest.mark.parametrize(
+        "sizes, blocks, expected",
+        [
+            # a's 3 may not join a's 4, so it opens a second prompt; b's 3
+            # and c's 2 fill the first; the full set and the one-member set
+            # go alone
+            ([4, 3, 3, 2, 9, 1], ["a", "a", "b", "c", "d", "e"],
+             [[0, 2, 3], [1], [4], [5]]),
+            # c's 5 does not fit beside d's 6 and opens a second prompt, and
+            # d's 2 may not join d's 6, so it joins c's 5; a's 2 goes to the
+            # first prompt with room (3 left), not to the one it fits most
+            # tightly (2 left), which best fit and next fit would both choose
+            ([2, 6, 5, 2], ["d", "d", "c", "a"], [[0, 2], [1, 3]]),
+        ],
+        ids=["block-conflict", "first-not-best"],
+    )
+    def test_pack_sets_first_fit_decreasing_by_hand(self, sizes, blocks, expected):
+        assert pack_sets(sizes, blocks, 9) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(_wave(), st.integers(0, 2**32 - 1), st.booleans())

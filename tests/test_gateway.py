@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -429,3 +431,129 @@ class TestHttpProvider:
             ProviderConfig(endpoint="http://x", model="m", temperature=-1)
         with pytest.raises(ValueError):
             ProviderConfig(endpoint="http://x", model="m", max_retries=-1)
+
+
+class TestTranscript:
+    """``ProviderConfig.transcript_path`` (``--transcript``): one appended
+    JSON line per reply the provider decodes, and nothing else."""
+
+    KEY = "sk-transcript-test-key"
+
+    @staticmethod
+    def _scripted(monkeypatch, replies):
+        """Each post takes the next of ``replies``: an exception to raise, or
+        a (status, body) reply whose body is a JSON text. Returns the posts'
+        headers."""
+        import requests as requests_mod
+
+        script, headers = iter(replies), []
+
+        class FakeResponse:
+            def __init__(self, status, text):
+                self.status_code, self.text = status, text
+
+            def json(self):
+                return json.loads(self.text)
+
+        def post(*args, **kwargs):
+            headers.append(kwargs["headers"])
+            reply = next(script)
+            if isinstance(reply, Exception):
+                raise reply
+            return FakeResponse(*reply)
+
+        monkeypatch.setattr(requests_mod, "post", post)
+        monkeypatch.setattr("erset.gateway.time.sleep", lambda s: None)
+        monkeypatch.setenv("TRANSCRIPT_TEST_KEY", TestTranscript.KEY)
+        return headers
+
+    @staticmethod
+    def _complete(transcript_path, max_retries=4):
+        provider = HttpProvider(
+            ProviderConfig(
+                endpoint="http://x",
+                model="m",
+                api_key_env="TRANSCRIPT_TEST_KEY",
+                max_retries=max_retries,
+                requests_per_minute=100000,
+                transcript_path=transcript_path,
+            )
+        )
+        records = _records(2)
+        rs = _record_set(records)
+        prompt = build_prompt(rs, records)
+        return prompt, provider.complete(prompt, [rs])
+
+    def test_one_line_per_decoded_reply(self, monkeypatch, tmp_path):
+        """A transport error, a 503 and an undecodable body leave no line; a
+        decoded reply without content does, and is retried; the reply kept
+        does too. Lines are appended to what the file held, and the API key
+        sent in the headers is nowhere in it."""
+        import requests as requests_mod
+
+        no_content = {"choices": [{"message": {"content": None}}]}
+        good = {
+            "choices": [{"message": {"content": "R1,R2"}}],
+            "usage": {"prompt_tokens": 11, "completion_tokens": 3},
+        }
+        headers = self._scripted(
+            monkeypatch,
+            [
+                requests_mod.ConnectionError("refused"),
+                (503, json.dumps({"error": "busy"})),
+                (200, "<html>not json</html>"),
+                (200, json.dumps(no_content)),
+                (200, json.dumps(good)),
+            ],
+        )
+        path = tmp_path / "transcript.jsonl"
+        path.write_text('{"earlier": 1}\n')
+        prompt, reply = self._complete(str(path))
+        assert reply == ("R1,R2", (11, 3))
+        assert len(headers) == 5
+        assert all(h["Authorization"] == f"Bearer {self.KEY}" for h in headers)
+        request = {
+            "model": "m",
+            "temperature": 0.0,
+            "messages": [
+                {"role": "system", "content": prompt.system_text},
+                {"role": "user", "content": prompt.user_text},
+            ],
+        }
+        text = path.read_text()
+        assert [json.loads(line) for line in text.splitlines()] == [
+            {"earlier": 1},
+            {"request": request, "response": no_content},
+            {"request": request, "response": good},
+        ]
+        assert self.KEY not in text
+
+    def test_no_line_without_a_decoded_reply(self, monkeypatch, tmp_path):
+        """A 4xx reply fails at once, and retries that end in transport
+        errors, retried statuses and undecodable bodies decode nothing: no
+        transcript file is made."""
+        import requests as requests_mod
+
+        path = tmp_path / "transcript.jsonl"
+        self._scripted(monkeypatch, [(400, json.dumps({"error": "bad"}))])
+        with pytest.raises(ProviderUnavailable, match="400"):
+            self._complete(str(path))
+        self._scripted(
+            monkeypatch,
+            [
+                requests_mod.Timeout("slow"),
+                (429, json.dumps({"error": "slow down"})),
+                (200, ""),
+            ],
+        )
+        with pytest.raises(ProviderUnavailable):
+            self._complete(str(path), max_retries=2)
+        assert not path.exists()
+
+    def test_no_file_without_a_path(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        reply = {"choices": [{"message": {"content": "R1\nR2"}}]}
+        self._scripted(monkeypatch, [(200, json.dumps(reply))])
+        _, (text, _) = self._complete(None)
+        assert text == "R1\nR2"
+        assert os.listdir(tmp_path) == []

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import math
 import os
@@ -429,6 +430,32 @@ def test_save_embeddings_rejects_what_load_embeddings_rejects(tmp_path, emb, mat
     with pytest.raises(ValueError, match=match):
         save_embeddings(path, emb)
     assert not path.exists()
+
+
+def test_a_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
+    """A save that fails partway through its rows (the disk fills on the
+    second) leaves the file it would replace byte-identical, and no
+    temporary file beside it."""
+    path = tmp_path / "emb.csv"
+    save_embeddings(path, {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])})
+    before = path.read_bytes()
+    real_writer = csv.writer
+
+    class DiskFullWriter:
+        def __init__(self, *args, **kwargs):
+            self.writer, self.rows = real_writer(*args, **kwargs), 0
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.writer.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", DiskFullWriter)
+    with pytest.raises(OSError, match="No space left"):
+        save_embeddings(path, {"a": np.array([5.0, 6.0]), "b": np.array([7.0, 8.0])})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["emb.csv"]
 
 
 _EXTREMES = st.sampled_from([
