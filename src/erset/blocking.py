@@ -1,6 +1,6 @@
-"""Initial block creation: an exact Jaccard self-join over token sets, one
-sparse product run in row stripes of bounded size, or random-hyperplane LSH
-over embeddings, which tests cosine b_t only on pairs that share a band
+"""Initial block creation: an exact Jaccard self-join over token sets, their
+token_incidence product run in row stripes of bounded size, or random-hyperplane
+LSH over embeddings, which tests cosine b_t only on pairs that share a band
 bucket and so can miss pairs at some cost in recall."""
 
 from __future__ import annotations
@@ -8,12 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 from .metrics import pairwise_f1
 from .model import ERError
-from .similarity import cosine_blocks, row_norms
+from .similarity import cosine_blocks, row_norms, token_incidence
 
 
 class NoValidationData(ERError):
@@ -84,17 +84,13 @@ def filter_block(token_sets: dict[str, set], params: BlockingParams) -> list[Blo
     at most k_candidates partners at or above b_t: most similar first, then
     lowest id.
 
-    One sparse record-by-token product, in row stripes of at most
-    _VERIFY_BUDGET scores, gives each pair's exact count c of shared tokens
-    and so its Jaccard c / (|a| + |b| - c). A pair that shares no token has
-    no score, so a record without tokens pairs with none.
+    The token_incidence product that sims reads Jaccard from, in row stripes
+    of at most _VERIFY_BUDGET scores, gives each pair's exact count c of shared
+    tokens and Jaccard c / (|a| + |b| - c). A pair sharing no token has no
+    score: two token-less records never pair here, though sims scores them 1.0.
     """
     ids = sorted(token_sets)
-    vocab: dict[str, int] = {}
-    cols = [vocab.setdefault(t, len(vocab)) for rid in ids for t in token_sets[rid]]
-    sizes = np.array([len(token_sets[rid]) for rid in ids], dtype=np.intp)
-    shape = (len(ids), len(vocab))
-    incidence = csr_array((np.ones(len(cols)), cols, np.r_[0, np.cumsum(sizes)]), shape)
+    incidence, sizes = token_incidence([token_sets[rid] for rid in ids])
     transposed = incidence.T.tocsr()
     stripe = max(1, _VERIFY_BUDGET // max(len(ids), 1))
     edges = [np.empty((2, 0), dtype=np.intp)]  # (rows, partners) per stripe

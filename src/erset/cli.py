@@ -156,8 +156,8 @@ def _apply_config_file(parser, argv):
     """Read --config (flat key=value, keys named like flags) and re-parse with
     its values as the subcommands' defaults, so explicit flags always win and
     argparse converts each value with its flag's type. A key that names no
-    flag of any command, or a value its flag's type cannot parse, is a
-    ConfigError."""
+    flag of any command, or a value its flag's type cannot parse or that is
+    not one of its choices, is a ConfigError."""
     args, _ = parser.parse_known_args(argv)
     if not getattr(args, "config", None):
         return parser.parse_args(argv)
@@ -179,19 +179,19 @@ def _apply_config_file(parser, argv):
     unknown = [key for key in values if key.replace("-", "_") not in dests]
     if unknown:
         raise ConfigError(f"{args.config}: unknown key {unknown[0]!r}")
-    # argparse would convert these at parse time and exit with its usage
-    # text (code 2, which erset uses for data errors) on a bad one
+    # argparse would exit with its usage text (code 2, erset's data errors) on
+    # a bad value at parse time, and never checks a default against choices
     for action in flags:
         value = overrides.get(action.dest)
-        if value is None or action.type is None:
+        if value is None:
             continue
+        line = f"{args.config}: {action.option_strings[0][2:]} = {value!r}"
         try:
-            action.type(value)
+            value = action.type(value) if action.type else value
         except ValueError:
-            raise ConfigError(
-                f"{args.config}: {action.option_strings[0][2:]} = {value!r} "
-                f"is not a valid {action.type.__name__}"
-            ) from None
+            raise ConfigError(f"{line} is not a valid {action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"{line} is not one of {', '.join(action.choices)}")
     for p in subparsers:
         p.set_defaults(**overrides)
     return parser.parse_args(argv)

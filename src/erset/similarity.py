@@ -10,9 +10,10 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .dataio import atomic_write
 from .model import EmptyRecord, ERError, Record
@@ -65,11 +66,23 @@ def tokenize(record: Record) -> list[str]:
 
 
 def jaccard(a, b) -> float:
-    """Jaccard similarity on de-duplicated token sets; 1.0 when both are empty."""
+    """The per-pair reference: Jaccard of de-duplicated tokens, 1.0 if both empty."""
     sa, sb = set(a), set(b)
     if not sa and not sb:
         return 1.0
     return len(sa & sb) / len(sa | sb)
+
+
+def token_incidence(sets) -> tuple[csr_array, np.ndarray]:
+    """The 0/1 (len(sets), tokens) matrix marking each set's distinct tokens,
+    and each set's size. Its product with its transpose counts the c tokens two
+    sets share exactly, so c / (|a| + |b| - c) equals their jaccard() bitwise."""
+    vocab: dict[str, int] = {}
+    cols = [vocab.setdefault(t, len(vocab)) for s in sets for t in s]
+    sizes = np.array([len(s) for s in sets], dtype=np.intp)
+    shape = (len(sets), len(vocab))
+    incidence = csr_array((np.ones(len(cols)), cols, np.r_[0, np.cumsum(sizes)]), shape)
+    return incidence, sizes
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -344,23 +357,19 @@ class SimilarityIndex:
         return np.array([self.embeddings[rid] for rid in ids])
 
     def sims(self, ids, others=None) -> np.ndarray:
-        """(len(ids), len(others)) similarities of ids with others (with ids
-        themselves by default) under the configured measure. Cosines raise
-        ZeroVector if any pair holds a zero embedding."""
+        """(len(ids), len(others)) similarities of ids with others (ids by
+        default): token_incidence Jaccard, 1.0 for two token-less records, or
+        cosine, which raises ZeroVector for a pair holding a zero embedding."""
         ids = list(ids)
         others = ids if others is None else list(others)
         if not ids or not others:
             return np.zeros((len(ids), len(others)))
         if self.config.measure == "jaccard":
-            sets = self.token_sets
-            if others is not ids:
-                rows = [[jaccard(sets[a], sets[b]) for b in others] for a in ids]
-                return np.array(rows)
-            # symmetric, and 1.0 on the diagonal: one jaccard() per pair
-            out = np.ones((len(ids), len(ids)))
-            for i, j in combinations(range(len(ids)), 2):
-                out[i, j] = out[j, i] = jaccard(sets[ids[i]], sets[ids[j]])
-            return out
+            sets = [self.token_sets[rid] for rid in ids + others]
+            incidence, sizes = token_incidence(sets)
+            shared = (incidence[: len(ids)] @ incidence[len(ids) :].T).toarray()
+            union = sizes[: len(ids), None] + sizes[None, len(ids) :] - shared
+            return np.divide(shared, union, out=np.ones_like(shared), where=union > 0)
         a = self.rows(ids)
         b = a if others is ids else self.rows(others)
         na = row_norms(a)

@@ -17,7 +17,7 @@ from erset.blocking import (
     make_blocks,
     tune_threshold,
 )
-from erset import blocking
+from erset import blocking, similarity
 from erset.model import ConstraintStore
 from erset.similarity import (
     SimilarityIndex,
@@ -252,14 +252,14 @@ def test_filter_block_runs_in_row_stripes(monkeypatch):
     params = BlockingParams(method="filter", b_t=0.3)
     expected = filter_block(tokens, params)
     rows = []
-    real = blocking.csr_array
+    real = similarity.csr_array
 
     class Spy(real):
         def __matmul__(self, other):
             rows.append(self.shape[0])
             return super().__matmul__(other)
 
-    monkeypatch.setattr(blocking, "csr_array", Spy)
+    monkeypatch.setattr(similarity, "csr_array", Spy)
     monkeypatch.setattr(blocking, "_VERIFY_BUDGET", 20)
     assert filter_block(tokens, params) == expected
     assert rows == [2, 2, 2, 1]

@@ -538,8 +538,11 @@ class TestCli:
             ("set-size = abc", "set-size = 'abc' is not a valid int"),
             ("b-t = high", "b-t = 'high' is not a valid float"),
             ("seed = 1.5", "seed = '1.5' is not a valid int"),
+            ("backend = grpc", "backend = 'grpc' is not one of oracle, http"),
+            ("measure = dice", "measure = 'dice' is not one of cosine, jaccard"),
+            ("blocking = canopy", "blocking = 'canopy' is not one of filter, lsh, none"),
         ],
-        ids=["set-size", "b-t", "seed"],
+        ids=["set-size", "b-t", "seed", "backend", "measure", "blocking"],
     )
     def test_config_file_unparseable_value_is_config_error(
         self, tmp_path, capsys, line, shown

@@ -660,6 +660,44 @@ def test_jaccard_sims_equal_jaccard():
             assert full[i, j] == jaccard(idx.token_sets[a], idx.token_sets[b])
 
 
+_WORDS = st.lists(st.sampled_from("abcde"), max_size=4).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("abcd"), _WORDS), min_size=1, max_size=8),
+    st.data(),
+)
+def test_jaccard_sims_equal_jaccard_bitwise(fields, data):
+    """Records whose token sets come from a five-letter alphabet; an empty
+    value leaves a record with no tokens. Every entry of every shape is
+    jaccard()'s, 1.0 for two token-less records included. The embeddings are
+    given, since hashed TF-IDF rejects a record with no tokens."""
+    records = {
+        f"r{k}": Record(f"r{k}", (Attribute(name, value),))
+        for k, (name, value) in enumerate(fields)
+    }
+    emb = {rid: np.ones(2) for rid in records}
+    idx = SimilarityIndex(records, SimilarityConfig(measure="jaccard"), emb)
+    rids = sorted(records)
+    ids = data.draw(st.lists(st.sampled_from(rids), max_size=6))
+    others = data.draw(st.lists(st.sampled_from(rids), max_size=6))
+
+    def expected(rows, cols):
+        sets = idx.token_sets
+        return np.array([[jaccard(sets[a], sets[b]) for b in cols] for a in rows])
+
+    for rows, cols, got in [
+        (ids, ids, idx.sims(ids)),
+        (ids, others, idx.sims(ids, others)),
+        (ids + others, others, idx.sims(ids + others, others)),
+        (rids, rids, idx.sims(rids)),
+    ]:
+        want = expected(rows, cols).reshape(len(rows), len(cols))
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), (rows, cols)
+
+
 def _reference_hash(token, seed):
     digest = hashlib.blake2b(
         token.encode("utf-8"), digest_size=8, key=str(seed).encode("utf-8")
