@@ -89,8 +89,10 @@ def ingest(
             raise DuplicateColumn(f"{path}: header names column {repeated[0]!r} twice")
         id_idx = header.index(id_column)
         truth_idx = header.index(truth_column) if truth_column else None
+        # each column's Attribute per distinct value, one object shared by
+        # every record that holds it
         attr_columns = [
-            (i, name)
+            (i, name, {})
             for i, name in enumerate(header)
             if i != id_idx and i != truth_idx
         ]
@@ -112,13 +114,14 @@ def ingest(
             rid = row[id_idx]
             if rid in records:
                 raise DuplicateId(f"{path} line {line}: duplicate id {rid!r}")
-            records[rid] = Record(
-                id=rid,
-                attributes=tuple(
-                    Attribute(name, row[i] if i < len(row) else "")
-                    for i, name in attr_columns
-                ),
-            )
+            attributes = []
+            for i, name, interned in attr_columns:
+                value = row[i] if i < len(row) else ""
+                attribute = interned.get(value)
+                if attribute is None:
+                    attribute = interned[value] = Attribute(name, value)
+                attributes.append(attribute)
+            records[rid] = Record(rid, tuple(attributes))
             if truth_idx is not None:
                 truth[rid] = row[truth_idx]
     if not records:

@@ -7,8 +7,6 @@ import hashlib
 import io
 import math
 import re
-from array import array
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -61,8 +59,32 @@ def serialize(record: Record) -> str:
 
 
 def tokenize(record: Record) -> list[str]:
-    """Lower-cased words of the serialized record."""
+    """Lower-cased words of the serialized record: the per-record reference
+    tokenize_records computes once per distinct value."""
     return _WORD_RE.findall(serialize(record).lower())
+
+
+def tokenize_records(records) -> list[list[str]]:
+    """tokenize() of each record, with each distinct (name, value) pair's
+    words found once: the words of "name: value", lower-cased, joined in
+    attribute order. The serialized parts are joined by spaces, and neither
+    a \\w+ word nor lower()'s final-sigma context crosses a space, so the
+    joined words are the serialized record's."""
+    words: dict[tuple[str, str], list[str]] = {}
+    out = []
+    for record in records:
+        if not record.attributes:
+            raise EmptyRecord(f"record {record.id} has no attributes")
+        tokens = []
+        for a in record.attributes:
+            if a.value:
+                key = (a.name, a.value)
+                part = words.get(key)
+                if part is None:
+                    part = words[key] = _WORD_RE.findall(f"{a.name}: {a.value}".lower())
+                tokens += part
+        out.append(tokens)
+    return out
 
 
 def jaccard(a, b) -> float:
@@ -129,38 +151,46 @@ def cosine_blocks(
 
 def hashed_tfidf(ids, token_lists, token_sets, dim: int, seed: int) -> np.ndarray:
     """(len(ids), dim) signed feature-hashing TF-IDF embeddings, L2-normalized,
-    of the records ids, given each one's token list and set of distinct tokens.
+    of the records ids, given each one's token list and set of distinct tokens
+    (of the sets only their number is read: the lists give the same sets).
 
-    A token's df counts the token sets holding it. Each distinct token is
-    hashed once with keyed blake2b, for its bucket and sign. One np.add.at
-    adds every record's terms in first-appearance order, the order a
-    per-record loop adds them in, so each cell sums bitwise alike. Raises for
-    the first record, in order, that has no tokens or hashes to the zero
-    vector.
+    Array passes over every occurrence's vocabulary code: one np.unique over
+    (row, code) gives each record's terms, the tokens of its set with their
+    counts, in first-appearance order; a token's df, the sets holding it, is
+    one np.bincount over the terms. Each distinct token is hashed once with
+    keyed blake2b, for its bucket and sign, and given its idf by math.log
+    (np.log may differ in the last bit). One np.add.at adds every record's
+    terms in first-appearance order, the order a per-record loop adds them
+    in, so each cell sums bitwise alike. Raises for the first record, in
+    order, that has no tokens or hashes to the zero vector.
     """
-    df: Counter[str] = Counter()
-    for tokens in token_sets:
-        df.update(tokens)
+    flat = list(chain.from_iterable(token_lists))
+    vocab = {token: code for code, token in enumerate(dict.fromkeys(flat))}
+    size = len(vocab)
+    codes = np.fromiter(map(vocab.__getitem__, flat), np.int64, len(flat))
+    lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
+    rows = np.repeat(np.arange(len(token_lists)), lengths)
+    _, first, counts = np.unique(rows * size + codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    # one entry per term, at its first occurrence
+    first, counts = first[order], counts[order]
+    rows, codes = rows[first], codes[first]
+    # a record's terms are its token set, so a token's df counts its terms
+    df = np.bincount(codes, minlength=size).tolist()
+    n = len(token_sets)
+    idfs = np.array([math.log(1.0 + n / d) for d in df])
     key = str(seed).encode("utf-8")
-    terms: dict[str, tuple[int, float, float]] = {}
-    rows, buckets, weights = array("q"), array("q"), array("d")
-    for row, tokens in enumerate(token_lists):
-        for token, count in Counter(tokens).items():
-            term = terms.get(token)
-            if term is None:
-                digest = hashlib.blake2b(
-                    token.encode("utf-8"), digest_size=8, key=key
-                ).digest()
-                h = int.from_bytes(digest, "little")
-                idf = math.log(1.0 + len(token_sets) / df[token])
-                term = terms[token] = (h % dim, 1.0 if (h >> 63) & 1 else -1.0, idf)
-            bucket, sign, idf = term
-            rows.append(row)
-            buckets.append(bucket)
-            weights.append(sign * (count * idf))
+    digests = (
+        hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+        for token in vocab
+    )
+    # each digest read as int.from_bytes(digest, "little")
+    hashes = np.frombuffer(b"".join(digests), "<u8")
+    buckets = (hashes % dim).astype(np.intp)
+    signs = np.where(hashes >> 63, 1.0, -1.0)
+    weights = signs[codes] * (counts * idfs[codes])
     matrix = np.zeros((len(token_lists), dim))
-    cells = (np.frombuffer(rows, np.int64), np.frombuffer(buckets, np.int64))
-    np.add.at(matrix, cells, np.frombuffer(weights))
+    np.add.at(matrix, (rows, buckets[codes]), weights)
     norms = row_norms(matrix)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -330,7 +360,7 @@ class SimilarityIndex:
     ):
         self.config = config or SimilarityConfig()
         ids = list(records)
-        tokens = [tokenize(r) for r in records.values()]
+        tokens = tokenize_records(records.values())
         self.token_sets = dict(zip(ids, map(set, tokens)))
         if embeddings is None:
             matrix = hashed_tfidf(
@@ -365,10 +395,16 @@ class SimilarityIndex:
         if not ids or not others:
             return np.zeros((len(ids), len(others)))
         if self.config.measure == "jaccard":
-            sets = [self.token_sets[rid] for rid in ids + others]
-            incidence, sizes = token_incidence(sets)
-            shared = (incidence[: len(ids)] @ incidence[len(ids) :].T).toarray()
-            union = sizes[: len(ids), None] + sizes[None, len(ids) :] - shared
+            if others is ids:  # the incidence of ids times its own transpose
+                a, na = token_incidence([self.token_sets[rid] for rid in ids])
+                b, nb = a, na
+            else:
+                sets = [self.token_sets[rid] for rid in ids + others]
+                incidence, sizes = token_incidence(sets)
+                a, b = incidence[: len(ids)], incidence[len(ids) :]
+                na, nb = sizes[: len(ids)], sizes[len(ids) :]
+            shared = (a @ b.T).toarray()
+            union = na[:, None] + nb[None, :] - shared
             return np.divide(shared, union, out=np.ones_like(shared), where=union > 0)
         a = self.rows(ids)
         b = a if others is ids else self.rows(others)

@@ -13,7 +13,7 @@ import erset
 from erset import blocking, cli, dataio, engine, metrics, similarity
 from erset.cli import _apply_config_file, build_parser, main
 from erset.gateway import OracleConfig, SimulatedOracle
-from erset.model import SetConfig
+from erset.model import Attribute, Record, SetConfig
 from erset.synth import generate_dataset
 
 
@@ -75,6 +75,44 @@ class TestDataio:
         path.write_text("name,id\nann,r1\nbob\n")
         with pytest.raises(dataio.MissingField, match=r"line 3: no id$"):
             dataio.ingest(path)
+
+    def test_ingest_shares_one_attribute_per_column_value(self, tmp_path):
+        """Records equal a per-row Record build, short rows and empty values
+        included; a (column, value) repeated across rows is one object, and
+        one value in two columns is two attributes, each with its name."""
+        path = tmp_path / "v.csv"
+        path.write_text(
+            "id,name,city\n"
+            "r1,oslo,oslo\n"
+            "r2,ann,oslo\n"
+            "r3,,bergen\n"
+            "r4,oslo,\n"
+            "r5,ann\n"
+        )
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        expected = {
+            row[0]: Record(
+                row[0],
+                tuple(
+                    Attribute(name, row[i] if i < len(row) else "")
+                    for i, name in ((1, "name"), (2, "city"))
+                ),
+            )
+            for row in rows
+        }
+        records = dataio.ingest(path).records
+        assert records == expected
+        attrs = {rid: r.attributes for rid, r in records.items()}
+        assert attrs["r1"][1] is attrs["r2"][1]  # city oslo
+        assert attrs["r1"][0] is attrs["r4"][0]  # name oslo
+        assert attrs["r2"][0] is attrs["r5"][0]  # name ann
+        assert attrs["r4"][1] is attrs["r5"][1]  # empty, and missing from a short row
+        assert attrs["r1"][0] is not attrs["r1"][1]  # oslo in two columns
+        assert attrs["r1"][0] == Attribute("name", "oslo")
+        assert attrs["r1"][1] == Attribute("city", "oslo")
+        assert attrs["r3"][0] == Attribute("name", "")
+        assert attrs["r4"][1] == Attribute("city", "")
+        assert attrs["r3"][0] is not attrs["r4"][1]
 
     def test_header_naming_a_column_twice_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "h.csv"

@@ -735,6 +735,56 @@ def _reference_embedder(corpus, dim, seed):
     return embed
 
 
+# Values whose words per (name, value) pair must join to the serialized
+# record's: a final capital sigma ("ΟΔΟΣ" lowers to "οδος"), "İ", whose
+# lower() is two code points, values holding ":" or "name: x",
+# whitespace-only and empty values, and an empty name.
+_TRICKY_VALUES = [
+    _record("t1", name="ΟΔΟΣ ΑΘΗΝΑΣ", city="ΣΟΦΙΑ Σ"),
+    _record("t2", name="İSTANBUL İ", city="ıi İi"),
+    _record("t3", name="a:b", note="name: x", city=":"),
+    _record("t4", name="ΟΔΟΣ", city=" ", phone="\t", note=""),
+    _record("t5", **{"": "Σ", "ΟΔΟΣ": "İ:Σ"}),
+]
+
+
+def test_tokenize_records_equals_tokenize_per_record():
+    """Per-value words joined in attribute order are tokenize()'s, in the
+    index's token sets too; a record without attributes raises as
+    tokenize() does."""
+    records = _bitwise_corpus()
+    expected = [tokenize(r) for r in records.values()]
+    assert similarity.tokenize_records(records.values()) == expected
+    tricky = dict(zip(records, expected))
+    assert tricky["t1"] == ["name", "οδος", "αθηνας", "city", "σοφια", "σ"]
+    assert tricky["t2"] == ["name", "i", "stanbul", "i", "city", "ıi", "i", "i"]
+    assert tricky["t3"] == ["name", "a", "b", "note", "name", "x", "city"]
+    assert tricky["t4"] == ["name", "οδος", "city", "phone"]
+    # ":" is case-ignorable, so the sigma after "İ:" ends a word; the space
+    # after "ΟΔΟΣ:" stops its context
+    assert tricky["t5"] == ["σ", "οδος", "i", "ς"]
+    index = SimilarityIndex(records, embeddings={rid: np.ones(2) for rid in records})
+    assert list(index.token_sets.values()) == [set(t) for t in expected]
+    with pytest.raises(EmptyRecord, match="^record e has no attributes$"):
+        similarity.tokenize_records([_record("f", name="x"), Record("e", ())])
+
+
+_TRICKY_TEXT = st.text("aΣσςİiı:' .\t", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_TRICKY_TEXT, _TRICKY_TEXT), min_size=1, max_size=4))
+def test_tokenize_records_equals_tokenize_on_tricky_text(pairs):
+    """Random names and values over sigmas, dotted and dotless i, colons,
+    apostrophes, full stops and whitespace."""
+    attributes = dict(pairs)  # a record names each attribute once
+    record = Record("r", tuple(Attribute(k, v) for k, v in attributes.items()))
+    shared = Record("s", record.attributes[::-1])
+    assert similarity.tokenize_records([record, shared, record]) == [
+        tokenize(record), tokenize(shared), tokenize(record)
+    ]
+
+
 def _bitwise_corpus():
     """Repeated tokens, tokens shared across records, and non-ASCII text."""
     records, _ = generate_dataset(10, 3, seed=5)
@@ -743,6 +793,7 @@ def _bitwise_corpus():
         _record("x2", name="Zoë Ångström", city="Malmö", note="straße STRASSE"),
         _record("x3", name="東京 大阪 東京", city="ʻOumuamua"),
         _record("x4", name="ada lovelace", city="", phone="555 555 0100"),
+        *_TRICKY_VALUES,
     ]
     records.update((r.id, r) for r in extra)
     return records
@@ -798,3 +849,51 @@ def test_first_failing_record_names_the_error(zero_first):
     with pytest.raises(error, match=f"^{message}$"):
         for record in order:
             reference(record)
+
+
+_ALPHABET_WORDS = st.lists(st.sampled_from(["a", "b", "c", "d", "A"]), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.sampled_from("xyz"), _ALPHABET_WORDS), min_size=1, max_size=3
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(1, 8),
+    st.integers(0, 3),
+)
+def test_hashed_tfidf_equals_the_per_record_loop(rows, dim, seed):
+    """Corpora over a five-word alphabet, so tokens repeat within a record
+    and across records and small dims sum several terms per cell: each row
+    is the reference loop's byte for byte, or the first failing record
+    raises the reference's error and message."""
+    records = {
+        f"r{k}": _record(f"r{k}", **{name: " ".join(words) for name, words in fields})
+        for k, fields in enumerate(rows)
+    }
+    order = list(records.values())
+    reference = _reference_embedder(order, dim, seed)
+    expected = []
+    failure = None
+    for record in order:
+        try:
+            expected.append(reference(record).tobytes())
+        except (EmptyRecord, ZeroVector) as exc:
+            failure = (type(exc), str(exc))
+            break
+    tokens = [tokenize(record) for record in order]
+    config = SimilarityConfig(dim=dim, seed=seed)
+    embedders = [
+        lambda: hashed_tfidf(list(records), tokens, [set(t) for t in tokens], dim, seed),
+        lambda: SimilarityIndex(records, config).embeddings.values(),
+    ]
+    for embed in embedders:
+        if failure:
+            with pytest.raises(failure[0], match=f"^{failure[1]}$"):
+                embed()
+        else:
+            assert [row.tobytes() for row in embed()] == expected
