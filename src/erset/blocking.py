@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from .metrics import pairwise_f1
 from .model import ERError
@@ -73,10 +73,23 @@ def _components(ids: list[str], ia, ib) -> list[Block]:
     ]
 
 
-# Values one kernel call may hold, a filter stripe's scores or an LSH call's
-# gathered rows and cosine block, so peak memory grows with neither the input
-# nor its buckets; a bucket too large for it is verified in row stripes.
+# Values one kernel call may hold, a stripe of rows against all ids or an LSH
+# call's gathered rows and cosine block, so peak memory grows with neither the
+# input nor its buckets; a bucket too large for it is verified in row stripes.
 _VERIFY_BUDGET = 1 << 19
+
+
+def _pairs(n, read, floor):
+    """Per row stripe of at most _VERIFY_BUDGET values, read(lo, hi) being rows
+    lo..hi-1 against all n ids: the stripe's pairs i != j at or above floor,
+    as index arrays i, j and their values, by row, then column."""
+    stripe = max(1, _VERIFY_BUDGET // max(n, 1))
+    for lo in range(0, n, stripe):
+        values = read(lo, min(lo + stripe, n))
+        i, j = np.nonzero(values >= floor)
+        keep = lo + i != j
+        i, j = i[keep], j[keep]
+        yield lo + i, j, values[i, j]
 
 
 def filter_block(token_sets: dict[str, set], params: BlockingParams) -> list[Block]:
@@ -84,26 +97,28 @@ def filter_block(token_sets: dict[str, set], params: BlockingParams) -> list[Blo
     at most k_candidates partners at or above b_t: most similar first, then
     lowest id.
 
-    The token_incidence product that sims reads Jaccard from, in row stripes
-    of at most _VERIFY_BUDGET scores, gives each pair's exact count c of shared
-    tokens and Jaccard c / (|a| + |b| - c). A pair sharing no token has no
-    score: two token-less records never pair here, though sims scores them 1.0.
+    The token_incidence product that sims reads Jaccard from, read by _pairs
+    in dense row stripes, gives each pair's exact count c of shared tokens and
+    Jaccard c / (|a| + |b| - c). A pair sharing no token scores 0: two
+    token-less records never pair here, though sims scores them 1.0.
     """
     ids = sorted(token_sets)
     incidence, sizes = token_incidence([token_sets[rid] for rid in ids])
     transposed = incidence.T.tocsr()
-    stripe = max(1, _VERIFY_BUDGET // max(len(ids), 1))
+
+    def read(lo, hi):
+        shared = (incidence[lo:hi] @ transposed).toarray()
+        union = sizes[lo:hi, None] - shared
+        union += sizes
+        # exact small integers; 0 only for two token-less records, sharing 0
+        return np.divide(shared, np.maximum(union, 1, out=union), out=shared)
+
     edges = [np.empty((2, 0), dtype=np.intp)]  # (rows, partners) per stripe
-    for lo in range(0, len(ids), stripe):
-        shared = incidence[lo : lo + stripe] @ transposed
-        i = lo + np.repeat(np.arange(shared.shape[0]), np.diff(shared.indptr))
-        j, c = shared.indices, shared.data
-        sim = c / (sizes[i] + sizes[j] - c)
-        # the stripe's pairs at or above b_t by row, then similarity
-        # descending, then column: each row's first k_candidates are its top
-        keep = np.flatnonzero((sim >= params.b_t) & (i != j))
-        keep = keep[np.lexsort((j[keep], -sim[keep], i[keep]))]
-        i, j = i[keep], j[keep]
+    for i, j, sim in _pairs(len(ids), read, params.b_t):
+        # by row, then similarity descending, then column: each row's first
+        # k_candidates are its top
+        order = np.lexsort((j, -sim, i))
+        i, j = i[order], j[order]
         top = np.arange(len(i)) - np.searchsorted(i, i) < params.k_candidates
         edges.append(np.stack((i, j))[:, top])
     return _components(ids, *np.hstack(edges))
@@ -198,13 +213,22 @@ def tune_threshold(ids, index, truth: dict[str, str]) -> float:
     if missing:
         raise NoValidationData(f"no label for record id {missing[0]!r}")
 
-    lo, hi = np.triu_indices(len(ids), 1)
-    sims = index.sims(ids)[lo, hi]
+    # a pair's level counts the grid thresholds it passes; the forest, a
+    # minimum spanning one of the pairs so far by top - level (0 is no edge),
+    # has at or above each level the components of that level's pairs
+    grid, top = THRESHOLD_GRID, len(THRESHOLD_GRID) + 1
+    forest = np.empty((3, 0), dtype=np.intp)  # rows, partners, levels
+    for i, j, sim in _pairs(
+        len(ids), lambda lo, hi: index.sims(ids[lo:hi], ids), grid[0]
+    ):
+        a, b, level = np.hstack((forest, (i, j, np.searchsorted(grid, sim, "right"))))
+        graph = coo_array((top - level, (a, b)), shape=(len(ids), len(ids)))
+        tree = minimum_spanning_tree(graph).tocoo()
+        forest = np.stack((tree.row, tree.col, top - tree.data.astype(np.intp)))
     truth_sub = {rid: truth[rid] for rid in ids}
     best_t, best_f1 = None, 0.0
-    for t in THRESHOLD_GRID:
-        keep = sims >= t
-        blocks = _components(ids, lo[keep], hi[keep])
+    for k, t in enumerate(grid):
+        blocks = _components(ids, *forest[:2, forest[2] > k])
         pred = {rid: block.block_id for block in blocks for rid in block.members}
         _, _, f1 = pairwise_f1(pred, truth_sub)
         if f1 > best_f1 + 1e-12:

@@ -37,8 +37,7 @@ class Record:
     attributes: tuple[Attribute, ...]
 
     def __post_init__(self):
-        names = [a.name for a in self.attributes]
-        if len(names) != len(set(names)):
+        if len({a.name for a in self.attributes}) != len(self.attributes):
             raise ValueError(f"record {self.id}: duplicate attribute names")
 
 

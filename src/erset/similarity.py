@@ -149,10 +149,9 @@ def cosine_blocks(
     )
 
 
-def hashed_tfidf(ids, token_lists, token_sets, dim: int, seed: int) -> np.ndarray:
+def hashed_tfidf(ids, token_lists, dim: int, seed: int) -> np.ndarray:
     """(len(ids), dim) signed feature-hashing TF-IDF embeddings, L2-normalized,
-    of the records ids, given each one's token list and set of distinct tokens
-    (of the sets only their number is read: the lists give the same sets).
+    of the records ids, given each one's token list.
 
     Array passes over every occurrence's vocabulary code: one np.unique over
     (row, code) gives each record's terms, the tokens of its set with their
@@ -177,7 +176,7 @@ def hashed_tfidf(ids, token_lists, token_sets, dim: int, seed: int) -> np.ndarra
     rows, codes = rows[first], codes[first]
     # a record's terms are its token set, so a token's df counts its terms
     df = np.bincount(codes, minlength=size).tolist()
-    n = len(token_sets)
+    n = len(token_lists)
     idfs = np.array([math.log(1.0 + n / d) for d in df])
     key = str(seed).encode("utf-8")
     digests = (
@@ -363,9 +362,7 @@ class SimilarityIndex:
         tokens = tokenize_records(records.values())
         self.token_sets = dict(zip(ids, map(set, tokens)))
         if embeddings is None:
-            matrix = hashed_tfidf(
-                ids, tokens, self.token_sets.values(), self.config.dim, self.config.seed
-            )
+            matrix = hashed_tfidf(ids, tokens, self.config.dim, self.config.seed)
             self.embeddings = dict(zip(ids, matrix))
             return
         # one embedding per record: an id without a record is dropped

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erset.blocking import (
+    THRESHOLD_GRID,
     Block,
     BlockingParams,
     NoValidationData,
@@ -18,8 +19,10 @@ from erset.blocking import (
     tune_threshold,
 )
 from erset import blocking, similarity
-from erset.model import ConstraintStore
+from erset.metrics import pairwise_f1
+from erset.model import Attribute, ConstraintStore, Record
 from erset.similarity import (
+    SimilarityConfig,
     SimilarityIndex,
     ZeroVector,
     cosine,
@@ -415,6 +418,115 @@ class TestTuneThreshold:
             tune_threshold(["a", "b"], TableIndex(default=0.5), {"a": "x"})
         with pytest.raises(NoValidationData):
             tune_threshold([], TableIndex(default=0.5), {})
+
+
+def _reference_tune_threshold(ids, index, truth):
+    """tune_threshold over the whole matrix: the components of the upper
+    triangle's pairs at or above each grid threshold, best F1 first, then
+    the smaller threshold."""
+    ids = sorted(ids)
+    lo, hi = np.triu_indices(len(ids), 1)
+    sims = index.sims(ids)[lo, hi]
+    truth_sub = {rid: truth[rid] for rid in ids}
+    best_t, best_f1 = None, 0.0
+    for t in THRESHOLD_GRID:
+        keep = sims >= t
+        blocks = _components(ids, lo[keep], hi[keep])
+        pred = {rid: block.block_id for block in blocks for rid in block.members}
+        _, _, f1 = pairwise_f1(pred, truth_sub)
+        if f1 > best_f1 + 1e-12:
+            best_t, best_f1 = t, f1
+    if best_t is None:
+        return THRESHOLD_GRID[-1]
+    return best_t
+
+
+class _SimsSpy:
+    """An index whose sims calls record the number of values they return."""
+
+    def __init__(self, index):
+        self.index = index
+        self.sizes = []
+
+    def sims(self, ids, others=None):
+        values = self.index.sims(ids, others)
+        self.sizes.append(values.size)
+        return values
+
+
+# every grid threshold, one ulp either side of it, and values outside the grid
+_EDGE_SIMS = sorted(
+    {v for t in THRESHOLD_GRID for v in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))}
+    | {0.0, 0.01, 0.12, 0.97, 1.0}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sampled_from("xyz"), min_size=n, max_size=n),
+            st.lists(
+                st.sampled_from(_EDGE_SIMS),
+                min_size=n * (n - 1) // 2,
+                max_size=n * (n - 1) // 2,
+            ),
+        )
+    ),
+    st.sampled_from([1, 5, 1 << 19]),
+)
+def test_tune_threshold_matches_reference(case, budget):
+    # a few labels and values drawn from a short list make ties, repeated
+    # similarities and pairs at exactly a threshold common; ids sort in a
+    # different order from their numbers; budgets of 1 or 5 values run
+    # stripes of one row, or of a few on inputs of at most five records
+    labels, values = case
+    ids = [f"r{k}" for k in range(len(labels))]
+    truth = dict(zip(ids, labels))
+    index = TableIndex(dict(zip(itertools.combinations(sorted(ids), 2), values)))
+    with mock.patch.object(blocking, "_VERIFY_BUDGET", budget):
+        assert tune_threshold(ids, index, truth) == _reference_tune_threshold(
+            ids, index, truth
+        )
+
+
+def _tokenless_index(measure):
+    """A 60-record index with two records whose every value is empty, under
+    given planted embeddings: Jaccard scores the two 1.0 with each other."""
+    records, truth = generate_dataset(12, 5, seed=4)
+    for rid in ("q1", "q2"):
+        records[rid] = Record(rid, (Attribute("name", ""), Attribute("city", "")))
+        truth[rid] = "q"
+    embeddings = planted_embeddings(truth, noise=0.3, seed=4)
+    index = SimilarityIndex(records, SimilarityConfig(measure=measure), embeddings)
+    return index, truth
+
+
+@pytest.mark.parametrize("measure", ["cosine", "jaccard"])
+@pytest.mark.parametrize("budget", [1, 37, 1 << 19])
+def test_tune_threshold_matches_reference_on_real_indexes(measure, budget, monkeypatch):
+    records, truth = generate_dataset(20, 4, typo_rate=0.3, seed=6)
+    cases = [(SimilarityIndex(records, SimilarityConfig(measure=measure)), truth)]
+    cases.append(_tokenless_index(measure))
+    if measure == "jaccard":
+        assert cases[1][0].sim("q1", "q2") == 1.0
+    monkeypatch.setattr(blocking, "_VERIFY_BUDGET", budget)
+    for index, truth in cases:
+        ids = sorted(truth)
+        assert tune_threshold(ids, index, truth) == _reference_tune_threshold(
+            ids, index, truth
+        )
+
+
+@pytest.mark.parametrize("budget, rows", [(20, 2), (81, 9), (100, 9)])
+def test_tune_threshold_reads_stripes_within_the_budget(budget, rows, monkeypatch):
+    # 9 records: a budget of 20 values is stripes of 2 rows against all 9
+    _, truth = generate_dataset(3, 3, seed=2)
+    spy = _SimsSpy(TableIndex(default=0.5))
+    monkeypatch.setattr(blocking, "_VERIFY_BUDGET", budget)
+    tune_threshold(sorted(truth), spy, truth)
+    assert spy.sizes and max(spy.sizes) <= budget
+    assert max(spy.sizes) == rows * len(truth)
 
 
 def test_make_blocks_none_and_unknown():

@@ -807,7 +807,7 @@ def test_embeddings_bitwise_equal_the_per_record_loop(dim, seed):
     index = SimilarityIndex(records, SimilarityConfig(dim=dim, seed=seed))
     ids = list(records)
     tokens = [tokenize(record) for record in records.values()]
-    matrix = hashed_tfidf(ids, tokens, [set(t) for t in tokens], dim, seed)
+    matrix = hashed_tfidf(ids, tokens, dim, seed)
     for row, (rid, record) in enumerate(records.items()):
         expected = reference(record).tobytes()
         assert index.embeddings[rid].tobytes() == expected, rid
@@ -844,7 +844,7 @@ def test_first_failing_record_names_the_error(zero_first):
         SimilarityIndex(records, SimilarityConfig(dim=1, seed=0))
     tokens = [tokenize(record) for record in order]
     with pytest.raises(error, match=f"^{message}$"):
-        hashed_tfidf(list(records), tokens, [set(t) for t in tokens], 1, 0)
+        hashed_tfidf(list(records), tokens, 1, 0)
     reference = _reference_embedder(order, 1, 0)
     with pytest.raises(error, match=f"^{message}$"):
         for record in order:
@@ -888,7 +888,7 @@ def test_hashed_tfidf_equals_the_per_record_loop(rows, dim, seed):
     tokens = [tokenize(record) for record in order]
     config = SimilarityConfig(dim=dim, seed=seed)
     embedders = [
-        lambda: hashed_tfidf(list(records), tokens, [set(t) for t in tokens], dim, seed),
+        lambda: hashed_tfidf(list(records), tokens, dim, seed),
         lambda: SimilarityIndex(records, config).embeddings.values(),
     ]
     for embed in embedders:
