@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from .metrics import pairwise_f1
 from .model import ERError
-from .similarity import cosine_blocks, row_norms, token_incidence
+from .similarity import _VERIFY_BUDGET, cosine_blocks, row_norms, token_incidence
 
 
 class NoValidationData(ERError):
@@ -71,12 +71,6 @@ def _components(ids: list[str], ia, ib) -> list[Block]:
         Block(block_id=f"b{i:05d}", members=tuple(members))
         for i, members in enumerate(groups.values())
     ]
-
-
-# Values one kernel call may hold, a stripe of rows against all ids or an LSH
-# call's gathered rows and cosine block, so peak memory grows with neither the
-# input nor its buckets; a bucket too large for it is verified in row stripes.
-_VERIFY_BUDGET = 1 << 19
 
 
 def _pairs(n, read, floor):
@@ -173,11 +167,12 @@ def lsh_block(
 ) -> list[Block]:
     """Random-hyperplane LSH banding, purified by an exact cosine check at b_t.
 
-    Rows sharing a band's bit pattern form a bucket. Each bucket's cosine
-    block is computed whole, a stack of equal-size buckets per kernel call
-    of at most _VERIFY_BUDGET doubles, and its pairs at or above b_t join
-    the graph whose components are the blocks. A pair found in several bands
-    adds its edge several times, which changes no component.
+    Rows sharing a band's bit pattern form a bucket. The buckets of all
+    bands are gathered by size, and each bucket's cosine block is computed
+    whole, a stack of equal-size buckets per kernel call of at most
+    _VERIFY_BUDGET doubles; its pairs at or above b_t join the graph whose
+    components are the blocks. A pair found in several bands adds its edge
+    several times, which changes no component.
     """
     ids = sorted(embeddings)
     if not ids:
@@ -190,12 +185,15 @@ def lsh_block(
     norms = row_norms(matrix)
 
     rows_per_band = params.lsh_planes // params.lsh_bands
-    ia, ib = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    by_size: dict[int, list[np.ndarray]] = {}
     for lo in range(0, params.lsh_bands * rows_per_band, rows_per_band):
         for rows in _band_buckets(bits[:, lo : lo + rows_per_band]):
-            a, b = _verify(matrix, norms, rows, params.b_t)
-            ia.extend(a)
-            ib.extend(b)
+            by_size.setdefault(rows.shape[1], []).append(rows)
+    ia, ib = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for stacks in by_size.values():
+        a, b = _verify(matrix, norms, np.concatenate(stacks), params.b_t)
+        ia.extend(a)
+        ib.extend(b)
     return _components(ids, np.concatenate(ia), np.concatenate(ib))
 
 

@@ -636,6 +636,8 @@ class Resolver:
         self.parallelism = parallelism
         self.store = ConstraintStore(sorted(records))
         self.report = ResolveReport()
+        # the level-0 matrices of blocks that fit one set, until drawn
+        self._level0: dict[str, np.ndarray] = {}
         self._resolved = False
 
     def _round(
@@ -650,9 +652,10 @@ class Resolver:
         The round's sets are packed into prompts once (pack_sets): sets
         smaller than one prompt, of different blocks, share a call. A prompt
         of one set is that set with its matrix; a shared prompt is
-        share_prompt of its sets, with one read of its representatives'
-        similarities, so the guardrail (guarded_cluster) judges the clustering
-        of the records the backend was shown. Each set's clustering is then
+        share_prompt of its sets, with its representatives' similarities, all
+        shared prompts' read stacked (SimilarityIndex.group_sims), so the
+        guardrail (guarded_cluster) judges the clustering of the records the
+        backend was shown. Each set's clustering is then
         cut from its prompt's (split_clustering), so a group that spans two
         blocks is never applied, as blocking presumes.
 
@@ -668,7 +671,17 @@ class Resolver:
             [b for b, step in enumerate(steps) for _ in step],
             self.config.set_size,
         )
-        prompts = [self._prompt([given[k] for k in prompt]) for prompt in packed]
+        prompts = [given[prompt[0]] for prompt in packed]
+        shared = [
+            (p, share_prompt([given[k][0] for k in prompt]))
+            for p, prompt in enumerate(packed)
+            if len(prompt) > 1
+        ]
+        reads = self.index.group_sims(
+            [node.representative for node in rs.members] for _, rs in shared
+        )
+        for (p, rs), sims in zip(shared, reads):
+            prompts[p] = (rs, sims)
         cluster = self.gateway.cluster_records
         threaded = self.parallelism > 1 and len(prompts) > 1
         with ThreadPoolExecutor(self.parallelism) if threaded else nullcontext() as pool:
@@ -695,23 +708,14 @@ class Resolver:
             start += len(step)
         return out
 
-    def _prompt(
-        self, held: list[tuple[RecordSet, np.ndarray]]
-    ) -> tuple[RecordSet, np.ndarray]:
-        """The prompt that asks ``held``'s sets, with its matrix: one set
-        with its own, or several sets' share_prompt with one read."""
-        if len(held) == 1:
-            return held[0]
-        shared = share_prompt([rs for rs, _ in held])
-        return shared, self.index.sims(node.representative for node in shared.members)
-
     def _nodes(self, nodes, answered=()) -> list[ClusterNode]:
         """One node per entity among ``nodes``, as the constraint store knows
         it, in order of first appearance. Its origin set is the ``answered``
         set (see _round) that held its first node, or else that node's own.
         An entity held by one of the nodes keeps its members and
         representative, and is that node itself if its origin is unchanged;
-        the representative of any other is computed from its members.
+        the representatives of the others are computed from their members,
+        in one call (SimilarityIndex.representatives).
 
         A merge round's sets are disjoint, and a reply only joins nodes of
         its own set, so rebuilding after the whole round is folded in gives
@@ -720,12 +724,17 @@ class Resolver:
         groups: dict[str, list[ClusterNode]] = {}
         for node in nodes:
             groups.setdefault(self.store.root(node.representative), []).append(node)
+        joined = {
+            k: frozenset().union(*(node.members for node in group))
+            for k, group in enumerate(groups.values())
+            if len(group) > 1
+        }
+        elected = dict(zip(joined, self.index.representatives(joined.values())))
         out = []
-        for first, *rest in groups.values():
+        for k, (first, *rest) in enumerate(groups.values()):
             origin = held.get(first.representative, first.origin_set)
             if rest:
-                members = first.members.union(*(node.members for node in rest))
-                first = ClusterNode(members, self.index.representative(members), origin)
+                first = ClusterNode(joined[k], elected[k], origin)
             elif origin != first.origin_set:
                 first = replace(first, origin_set=origin)
             out.append(first)
@@ -739,8 +748,11 @@ class Resolver:
     def _level0_sets(self, block: Block) -> list[tuple[RecordSet, np.ndarray]]:
         """Draw the block's level-0 sets, each with the similarity matrix of
         its records in set order (next_record_set), from one pre-clustering
-        of the whole block; a block that fits one set needs none."""
+        of the whole block; a block that fits one set needs none, and its
+        matrix, read by resolve() with every such block's, is taken here and
+        dropped."""
         remaining = set(block.members)
+        held = self._level0.pop(block.block_id, None)
         cluster_of = (
             pre_clusters(remaining, self.config, self.index)
             if len(remaining) > self.config.set_size
@@ -749,7 +761,7 @@ class Resolver:
         sets: list[tuple[RecordSet, np.ndarray]] = []
         while remaining:
             ids, sims = next_record_set(
-                remaining, self.config, self.index, cluster_of, turn=len(sets)
+                remaining, self.config, self.index, cluster_of, len(sets), held
             )
             remaining.difference_update(ids)
             record_set = RecordSet(
@@ -845,7 +857,9 @@ class Resolver:
         The blocks' hierarchies advance together: each round asks the
         current sets of every block still going, in block order, through one
         _round, so sets of different blocks smaller than one prompt share
-        calls, a small block's level-0 set among them. A block of one
+        calls, a small block's level-0 set among them. The level-0 matrices
+        of all blocks of 2 to set_size records are read first, in one stacked
+        read (SimilarityIndex.group_sims). A block of one
         record, or one drawn as a single level-0 set whose reply did not
         fall back, ends without a merge round or sweep (see
         _resolve_block). ``report.elapsed_s`` is the time this call took. A
@@ -862,6 +876,13 @@ class Resolver:
         self._resolved = True
         start = time.monotonic()
         self.report.blocks = len(blocks)
+        fits = [b for b in blocks if 2 <= len(b) <= self.config.set_size]
+        self._level0 = dict(
+            zip(
+                (b.block_id for b in fits),
+                self.index.group_sims(sorted(b.members) for b in fits),
+            )
+        )
         steps = map(self._resolve_block, blocks)
         live = [(step, sets) for step in steps if (sets := _advance(step))]
         while live:
@@ -871,8 +892,13 @@ class Resolver:
                 for (step, _), done in zip(live, answered)
                 if (sets := _advance(step, done))
             ]
-        singletons = map(ClusterNode.singleton, sorted(self.records))
-        partition = Partition(self._nodes(singletons))
+        entities = list(self.store.components().values())
+        partition = Partition([
+            ClusterNode(frozenset(members), representative)
+            for members, representative in zip(
+                entities, self.index.representatives(entities)
+            )
+        ])
         partition.validate(self.records)
         self.report.ledger = self.ledger.snapshot()
         self.report.elapsed_s = time.monotonic() - start

@@ -165,13 +165,15 @@ def pre_clusters(ids, config: SetConfig, index) -> dict:
 
 
 def next_record_set(
-    b_remain, config: SetConfig, index, cluster_of=None, turn: int = 0
+    b_remain, config: SetConfig, index, cluster_of=None, turn: int = 0, sims=None
 ) -> tuple[list, np.ndarray]:
     """Select and order the members of the next record set from a block.
 
     Returns min(|b_remain|, set_size) ids in one greedy similarity chain from
     the lowest id, and their similarity matrix in that order (the chain's
-    one read, permuted); the caller removes the ids from the block. For
+    one read, permuted); the caller removes the ids from the block. A
+    b_remain that fits one set may come with ``sims``, the matrix of its
+    sorted ids, read already (Resolver.resolve reads them stacked). For
     oversized blocks, the block's k-means pre-clusters (``cluster_of``, from
     ``pre_clusters``; computed over ``b_remain`` when not given) drive
     diversity: floor(S_s/S_d) records per sufficiently large pre-cluster,
@@ -248,6 +250,7 @@ def next_record_set(
             profile[c] = profile.get(c, 0) + 1
             selected.append(rid)
         pool = sorted(selected)
-    sims = index.sims(pool)
+    if sims is None:
+        sims = index.sims(pool)
     chain = similarity_chain(sims, 0)
     return [pool[k] for k in chain], sims[np.ix_(chain, chain)]

@@ -8,6 +8,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -147,6 +148,26 @@ def cosine_blocks(
         na[..., :, None],
         nb[..., None, :],
     )
+
+
+# Values one kernel call may hold: a stack of id groups (SimilarityIndex's
+# group reads), a stripe of rows against all ids, or an LSH call's gathered
+# rows and cosine block, so peak memory grows with neither the input nor its
+# groups; a group or bucket too large for it is read alone or in row stripes.
+_VERIFY_BUDGET = 1 << 19
+
+
+def _stacks(groups, cost):
+    """For each size of the groups, in order of first appearance, the
+    positions of the groups of that size, in runs of as many as
+    _VERIFY_BUDGET values hold, at least one, cost(size) values a group."""
+    at: dict[int, list[int]] = {}
+    for k, group in enumerate(groups):
+        at.setdefault(len(group), []).append(k)
+    for size, positions in at.items():
+        step = max(1, _VERIFY_BUDGET // max(1, cost(size)))
+        for lo in range(0, len(positions), step):
+            yield size, positions[lo : lo + step]
 
 
 def hashed_tfidf(ids, token_lists, dim: int, seed: int) -> np.ndarray:
@@ -383,6 +404,19 @@ class SimilarityIndex:
         """The embeddings of ids, stacked in order."""
         return np.array([self.embeddings[rid] for rid in ids])
 
+    @cached_property
+    def _incidence(self) -> tuple[csr_array, np.ndarray, dict[str, int]]:
+        """token_incidence of every record, built on the first Jaccard read,
+        its set sizes and each id's row."""
+        incidence, sizes = token_incidence(self.token_sets.values())
+        return incidence, sizes, {rid: k for k, rid in enumerate(self.token_sets)}
+
+    def _tokens(self, ids) -> tuple[csr_array, np.ndarray]:
+        """The incidence rows of ids and their set sizes."""
+        incidence, sizes, row_of = self._incidence
+        at = np.fromiter(map(row_of.__getitem__, ids), np.intp, len(ids))
+        return incidence[at], sizes[at]
+
     def sims(self, ids, others=None) -> np.ndarray:
         """(len(ids), len(others)) similarities of ids with others (ids by
         default): token_incidence Jaccard, 1.0 for two token-less records, or
@@ -392,14 +426,8 @@ class SimilarityIndex:
         if not ids or not others:
             return np.zeros((len(ids), len(others)))
         if self.config.measure == "jaccard":
-            if others is ids:  # the incidence of ids times its own transpose
-                a, na = token_incidence([self.token_sets[rid] for rid in ids])
-                b, nb = a, na
-            else:
-                sets = [self.token_sets[rid] for rid in ids + others]
-                incidence, sizes = token_incidence(sets)
-                a, b = incidence[: len(ids)], incidence[len(ids) :]
-                na, nb = sizes[: len(ids)], sizes[len(ids) :]
+            a, na = self._tokens(ids)
+            b, nb = (a, na) if others is ids else self._tokens(others)
             shared = (a @ b.T).toarray()
             union = na[:, None] + nb[None, :] - shared
             return np.divide(shared, union, out=np.ones_like(shared), where=union > 0)
@@ -409,20 +437,58 @@ class SimilarityIndex:
         nb = na if b is a else row_norms(b)
         return cosine_blocks(a, b, na, nb)
 
+    def group_sims(self, groups) -> list[np.ndarray]:
+        """sims(group) of each id group, bitwise. Under cosine, one kernel
+        call per stack of equal-size groups, each stack of at most
+        _VERIFY_BUDGET values; under Jaccard, one sims() read per group."""
+        groups = [list(group) for group in groups]
+        if self.config.measure == "jaccard":
+            return [self.sims(group) for group in groups]
+        out = [np.zeros((0, 0))] * len(groups)
+        # a stack holds its gathered rows as well as its matrices
+        for size, at in _stacks(groups, lambda size: size * (self._dim + size)):
+            if not size:
+                continue
+            rows = self.rows(rid for k in at for rid in groups[k])
+            rows = rows.reshape(len(at), size, -1)
+            norms = row_norms(rows)
+            for k, sims in zip(at, cosine_blocks(rows, rows, norms, norms)):
+                out[k] = sims
+        return out
+
+    @property
+    def _dim(self) -> int:
+        return len(next(iter(self.embeddings.values())))
+
     def sim(self, a: str, b: str) -> float:
         return float(self.sims([a], [b])[0, 0])
 
     def representative(self, members) -> str:
         """The member whose embedding has the highest cosine with the
-        members' mean embedding, ties to the lowest id; the lowest id when
-        the mean is zero."""
-        ids = sorted(members)
-        if len(ids) == 1:
-            return ids[0]
-        rows = self.rows(ids)
-        mean = rows.mean(axis=0)
-        norm = row_norms(mean)
-        if norm == 0.0:
-            return ids[0]
-        sims = _over_norms(np.vecdot(rows, mean), row_norms(rows), norm).tolist()
-        return min(zip(ids, sims), key=lambda t: (1.0 - t[1], t[0]))[0]
+        members' mean embedding, by the least 1.0 - cosine, ties to the
+        lowest id; the lowest id when the mean is zero (representatives)."""
+        return self.representatives([members])[0]
+
+    def representatives(self, groups) -> list[str]:
+        """representative() of each group of ids: one kernel call per stack
+        of equal-size groups, each stack of at most _VERIFY_BUDGET values."""
+        groups = [sorted(group) for group in groups]
+        # one member, or a zero mean: the lowest id
+        out = [group[0] for group in groups]
+        for size, at in _stacks(groups, lambda size: size * self._dim):
+            if size < 2:
+                continue
+            rows = self.rows(rid for k in at for rid in groups[k])
+            rows = rows.reshape(len(at), size, -1)
+            mean = rows.mean(axis=1)
+            norm = row_norms(mean)
+            live = norm != 0.0
+            rows, mean, norm = rows[live], mean[live], norm[live]
+            sims = _over_norms(
+                np.vecdot(rows, mean[:, None, :]), row_norms(rows), norm[:, None]
+            )
+            best = np.argmin(1.0 - sims, axis=1).tolist()
+            for k, pick in zip(np.asarray(at)[live].tolist(), best):
+                out[k] = groups[k][pick]
+        return out
+

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erset import engine, setbuilder
+from erset import engine, setbuilder, similarity
 from erset.blocking import Block, BlockingParams, make_blocks
 from erset.engine import (
     Resolver,
@@ -508,6 +508,30 @@ class TestNodes:
         again = resolver._nodes(nodes)
         assert [n.origin_set for n in again] == ["s1"] * 3
         assert all(a is b for a, b in zip(again, nodes))
+
+    def test_only_merged_entities_are_elected(self):
+        """A rebuild asks representatives() for the entities it merged and
+        for no other: a node whose entity is unchanged keeps its
+        representative without it being computed again."""
+        ids = ["a", "b", "c", "d"]
+        resolver = self._resolver(ids)
+        asked = []
+        representatives = resolver.index.representatives
+
+        def electing(groups):
+            groups = [sorted(g) for g in groups]
+            asked.extend(groups)
+            return representatives(groups)
+
+        resolver.index.representatives = electing
+        level = [ClusterNode.singleton(rid, "s0") for rid in ["c", "b", "a", "d"]]
+        rs = RecordSet("s1", tuple(level))
+        clustering = SetClustering("s1", ((0, 2), (1,), (3,)))
+        apply_clustering(resolver.store, rs, clustering)
+        nodes = resolver._nodes(level, [(rs, clustering)])
+        assert asked == [["a", "c"]]
+        assert resolver._nodes(nodes) == nodes
+        assert asked == [["a", "c"]]
 
     def test_only_answered_nodes_take_a_new_origin(self):
         """A level rebuilt after a round: each node held by an answered set
@@ -1158,6 +1182,32 @@ class TestResolve:
         assert sorted(map(sorted, (n.members for n in partition.clusters))) == sorted(
             map(sorted, entities.values())
         )
+
+    def test_one_set_block_elects_only_for_the_partition(self, monkeypatch):
+        """A one-set block's reply elects no representative while the block
+        runs: representatives() is asked once, after the block has ended,
+        for the final partition."""
+        records, truth = generate_dataset(3, 3, seed=5)
+        emb = planted_embeddings(truth, noise=0.05, seed=5)
+        block = Block("b0", tuple(sorted(records)))
+        events = []
+        resolve_block = Resolver._resolve_block
+        representatives = SimilarityIndex.representatives
+
+        def resolving(resolver, block):
+            events.append("block")
+            yield from resolve_block(resolver, block)
+            events.append("end")
+
+        def electing(index, groups):
+            events.append("representatives")
+            return representatives(index, groups)
+
+        monkeypatch.setattr(Resolver, "_resolve_block", resolving)
+        monkeypatch.setattr(SimilarityIndex, "representatives", electing)
+        backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
+        Resolver(records, backend, embeddings=emb).resolve([block])
+        assert events == ["block", "end", "representatives"]
 
     def test_one_set_block_that_falls_back_still_sweeps(self):
         """A reply that never parses settles nothing: the one-set block goes
@@ -2012,6 +2062,99 @@ def test_jaccard_block_resolves_as_pinned():
         assert report.guardrail.repaired == 37
         assert report.guardrail.regenerations == 0
         assert report.guardrail.conflict_warnings == 14
+
+
+@pytest.mark.parametrize("measure", ["cosine", "jaccard"])
+def test_every_prompt_carries_its_representatives_matrix(measure, monkeypatch):
+    """Under either measure, the matrix each prompt reaches the guardrail
+    with, a one-set block's level-0 set and a shared prompt included, is
+    index.sims of its representatives, byte for byte."""
+    records, truth, index, blocks = _lsh_fixture()
+    resolver = Resolver(
+        records,
+        SimulatedOracle(OracleConfig(truth, 0.3, 1)),
+        config=SetConfig(seed=1),
+        sim_config=SimilarityConfig(measure=measure),
+        embeddings=index.embeddings,
+    )
+    guarded = engine.guarded_cluster
+    asked = []
+
+    def checking(prompts, ask, max_regen):
+        for rs, sims in prompts:
+            want = resolver.index.sims(n.representative for n in rs.members)
+            assert sims.tobytes() == want.tobytes(), rs.set_id
+            asked.append(rs.set_id)
+        return guarded(prompts, ask, max_regen)
+
+    monkeypatch.setattr(engine, "guarded_cluster", checking)
+    resolver.resolve(blocks)
+    assert any("+" in set_id for set_id in asked)
+    one_set = {b.block_id for b in blocks if 2 <= len(b) <= resolver.config.set_size}
+    assert one_set & {set_id.split(".")[0] for set_id in asked if ".L0." in set_id}
+
+
+def test_one_set_blocks_read_level0_in_one_call_per_size(monkeypatch):
+    """The level-0 matrices of blocks that fit one set are read before the
+    first round, one kernel call per block size, not one per block."""
+    records, truth, index, blocks = _lsh_fixture()
+    resolver = Resolver(
+        records,
+        SimulatedOracle(OracleConfig(truth, 0.0, 1)),
+        config=SetConfig(seed=1),
+        sim_config=index.config,
+        embeddings=index.embeddings,
+    )
+    fits = [b for b in blocks if 2 <= len(b) <= resolver.config.set_size]
+    sizes = {len(b) for b in fits}
+    assert len(fits) > len(sizes)
+    calls = []
+    kernel = similarity.cosine_blocks
+
+    def counting(a, b, na, nb):
+        calls.append(a.shape)
+        return kernel(a, b, na, nb)
+
+    class FirstRound(Exception):
+        pass
+
+    def stopping(resolver, steps):
+        raise FirstRound
+
+    monkeypatch.setattr(similarity, "cosine_blocks", counting)
+    monkeypatch.setattr(Resolver, "_round", stopping)
+    with pytest.raises(FirstRound):
+        resolver.resolve(fits)
+    assert len(calls) <= len(sizes)
+    assert resolver._level0 == {}
+
+
+def test_final_partition_is_the_stores_entities():
+    """The partition resolve() returns is the one _nodes built from every
+    record's singleton: the store's entities in order of their lowest id,
+    each with its representative (a one-record entity its record) and no
+    origin set."""
+    records, truth, index, blocks = _lsh_fixture()
+    resolver = Resolver(
+        records,
+        SimulatedOracle(OracleConfig(truth, 0.3, 1)),
+        config=SetConfig(seed=1),
+        sim_config=index.config,
+        embeddings=index.embeddings,
+    )
+    partition, _, _ = resolver.resolve(blocks)
+    groups = {}
+    for rid in sorted(records):
+        groups.setdefault(resolver.store.root(rid), []).append(ClusterNode.singleton(rid))
+    expected = []
+    for first, *rest in groups.values():
+        if rest:
+            members = first.members.union(*(node.members for node in rest))
+            first = ClusterNode(members, resolver.index.representative(members))
+        expected.append(first)
+    assert any(len(node.members) > 1 for node in expected)
+    assert partition.clusters == expected
+    assert {node.origin_set for node in partition.clusters} == {None}
 
 
 class _InFlight:

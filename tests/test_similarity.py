@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -634,6 +635,173 @@ def test_sims_of_permuted_ids_are_the_permuted_matrix(measure):
     perm = np.random.default_rng(0).permutation(len(ids))
     permuted = idx.sims(ids[k] for k in perm)
     assert np.array_equal(permuted, idx.sims(ids)[np.ix_(perm, perm)])
+
+
+def _or_zero_vector(read):
+    """read()'s value, or ZeroVector if it raises that."""
+    try:
+        return read()
+    except ZeroVector:
+        return ZeroVector
+
+
+def _reference_representative(index, members):
+    """representative() as it was before the stacked read: one group, its
+    mean by mean(axis=0), its least 1.0 - cosine by min() over the ids."""
+    ids = sorted(members)
+    if len(ids) == 1:
+        return ids[0]
+    rows = index.rows(ids)
+    mean = rows.mean(axis=0)
+    norm = row_norms(mean)
+    if norm == 0.0:
+        return ids[0]
+    sims = similarity._over_norms(np.vecdot(rows, mean), row_norms(rows), norm).tolist()
+    return min(zip(ids, sims), key=lambda t: (1.0 - t[1], t[0]))[0]
+
+
+def _group_index(planted):
+    """_kernel_index's records under their own embeddings, kept bitwise, and
+    under given ones for four more: r_twin repeats the first record's
+    embedding, for ties; r_neg0 and r_neg1 negate it, so that a group of it
+    and its negations, summed in id order, has a zero mean exactly; r_zero
+    is a zero row."""
+    index = _kernel_index(planted)
+    ids = sorted(index.embeddings)
+    emb = dict(index.embeddings)
+    emb["r_twin"] = emb[ids[0]].copy()
+    emb["r_neg0"], emb["r_neg1"] = -emb[ids[0]], -emb[ids[0]]
+    emb["r_zero"] = np.zeros_like(emb[ids[0]])
+    records = {rid: _record(rid, name=rid) for rid in emb}
+    return SimilarityIndex(records, embeddings=emb)
+
+
+_GROUP_INDEXES = {planted: _group_index(planted) for planted in (False, True)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.sampled_from([1, None]), st.data())
+def test_representatives_match_the_per_group_reference(planted, budget, data):
+    """Groups of 1 to 12 ids, of mixed sizes, from a pool that holds
+    duplicate embeddings, negations and a zero row: the stacked
+    representatives are the frozen per-group reference's, with a stack of
+    one group per call (budget 1) and at the default budget. A zero row
+    raises ZeroVector unless its group's mean is zero."""
+    index = _GROUP_INDEXES[planted]
+    ids = sorted(index.embeddings)
+    pool = ids[:9] + ["r_dup0", "r_dup1", "r_twin", "r_neg0", "r_neg1", "r_zero"]
+    groups = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True),
+            max_size=8,
+        )
+        | st.just([[ids[0], "r_neg0", "r_zero"], [ids[0], "r_neg0", "r_neg1", "r_twin"]])
+    )
+    expected = [_or_zero_vector(lambda: _reference_representative(index, g)) for g in groups]
+    with mock.patch.object(similarity, "_VERIFY_BUDGET", budget or similarity._VERIFY_BUDGET):
+        got = [_or_zero_vector(lambda: index.representative(reversed(g))) for g in groups]
+        assert got == expected
+        if ZeroVector in expected:
+            with pytest.raises(ZeroVector):
+                index.representatives(groups)
+        else:
+            assert index.representatives(groups) == expected
+
+
+def test_representative_ties_and_zero_means():
+    index = _GROUP_INDEXES[True]
+    first, second = sorted(index.embeddings)[:2]
+    # equal embeddings: the lowest id; a zero mean: the lowest id, before
+    # any zero row is looked at, and per group in a stacked call
+    assert index.representative({"r_twin", first}) == first
+    assert index.representative({"r_neg0", first}) == first
+    assert index.representative({"r_twin", "r_neg1", "r_neg0", first}) == first
+    assert index.representative({"r_zero", "r_neg0", first}) == first
+    with pytest.raises(ZeroVector):
+        index.representative({"r_zero", first})
+    assert index.representatives(
+        [{"r_zero", "r_neg0", first}, {first, second}, {second}]
+    ) == [first, _reference_representative(index, {first, second}), second]
+
+
+def test_representative_key_is_one_minus_cosine():
+    """Six near-orthogonal unit rows, each cosine to the mean about 0.41:
+    r0's and r1's differ in the last bit, but 1.0 - cosine rounds them
+    equal, so the tie goes to the lowest id, r0, not to the larger cosine."""
+    nudge = [
+        [-2, 3, 2, 0, -1, 3], [0, -1, 0, 2, 1, 2], [-1, 0, -1, -2, 0, -1],
+        [3, -1, 3, 3, -2, 1], [2, 3, 3, -1, 0, 0], [0, 0, 1, -1, -2, 0],
+    ]
+    rows = np.eye(6) + np.array(nudge) * 2.0**-50
+    records = {f"r{k}": _record(f"r{k}", name=f"r{k}") for k in range(6)}
+    index = SimilarityIndex(records, embeddings=dict(zip(records, rows)))
+    sims = similarity._over_norms(
+        np.vecdot(rows, rows.mean(axis=0)), row_norms(rows), row_norms(rows.mean(axis=0))
+    )
+    assert sims[1] > sims[0] and 1.0 - sims[1] == 1.0 - sims[0] < 1.0 - sims[2:].max()
+    assert index.representative(records) == _reference_representative(index, records)
+    assert index.representatives([records]) == ["r0"]
+
+
+def _tokenless_index(measure):
+    """_kernel_index's records plus q1 and q2, whose every value is empty,
+    under given planted embeddings: Jaccard scores the two 1.0."""
+    records, truth = generate_dataset(12, 3, seed=4)
+    for rid in ("q1", "q2"):
+        records[rid] = Record(rid, (Attribute("name", ""), Attribute("city", "")))
+        truth[rid] = "q"
+    emb = planted_embeddings(truth, noise=0.1, seed=4)
+    return SimilarityIndex(records, SimilarityConfig(measure=measure), emb)
+
+
+_TOKENLESS = {m: _tokenless_index(m) for m in ("cosine", "jaccard")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["cosine", "jaccard"]), st.sampled_from([1, 50, None]), st.data()
+)
+def test_group_sims_equal_sims_bitwise(measure, budget, data):
+    """Each group's stacked matrix is sims(group), byte for byte, for groups
+    of 0 to 12 ids (repeats allowed), the two token-less records among them,
+    with one group per call (budget 1), a few, or the default."""
+    index = _TOKENLESS[measure]
+    pool = ["q1", "q2"] + sorted(index.embeddings)[:10]
+    groups = data.draw(
+        st.lists(st.lists(st.sampled_from(pool), max_size=12), max_size=8)
+    )
+    with mock.patch.object(similarity, "_VERIFY_BUDGET", budget or similarity._VERIFY_BUDGET):
+        got = index.group_sims(groups)
+    assert len(got) == len(groups)
+    for group, sims in zip(groups, got):
+        want = index.sims(group)
+        assert sims.shape == want.shape and sims.dtype == want.dtype
+        assert sims.tobytes() == want.tobytes(), group
+    if measure == "jaccard":
+        (pair,) = index.group_sims([["q1", "q2"]])
+        assert (pair == 1.0).all()
+
+
+def test_group_sims_take_one_kernel_call_per_size(monkeypatch):
+    index = _TOKENLESS["cosine"]
+    ids = sorted(index.embeddings)
+    calls = []
+    real = similarity.cosine_blocks
+
+    def counting(a, b, na, nb):
+        calls.append(a.shape)
+        return real(a, b, na, nb)
+
+    monkeypatch.setattr(similarity, "cosine_blocks", counting)
+    groups = [ids[k : k + size] for k, size in enumerate([3, 2, 3, 5, 2, 3])]
+    index.group_sims(groups)
+    dim = index.embeddings[ids[0]].shape[0]
+    assert calls == [(3, 3, dim), (2, 2, dim), (1, 5, dim)]
+    # a budget of two 3-record groups' values: the three take two calls
+    calls.clear()
+    monkeypatch.setattr(similarity, "_VERIFY_BUDGET", 2 * 3 * (dim + 3))
+    index.group_sims(groups)
+    assert calls == [(2, 3, dim), (1, 3, dim), (2, 2, dim), (1, 5, dim)]
 
 
 def test_sims_raise_zero_vector_iff_a_pair_holds_a_zero_row():
