@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from .metrics import pairwise_f1
 from .model import ERError
-from .similarity import _VERIFY_BUDGET, cosine_blocks, row_norms, token_incidence
+from .similarity import _bucket_pairs, _pairs, token_incidence
 
 
 class NoValidationData(ERError):
@@ -73,19 +73,6 @@ def _components(ids: list[str], ia, ib) -> list[Block]:
     ]
 
 
-def _pairs(n, read, floor):
-    """Per row stripe of at most _VERIFY_BUDGET values, read(lo, hi) being rows
-    lo..hi-1 against all n ids: the stripe's pairs i != j at or above floor,
-    as index arrays i, j and their values, by row, then column."""
-    stripe = max(1, _VERIFY_BUDGET // max(n, 1))
-    for lo in range(0, n, stripe):
-        values = read(lo, min(lo + stripe, n))
-        i, j = np.nonzero(values >= floor)
-        keep = lo + i != j
-        i, j = i[keep], j[keep]
-        yield lo + i, j, values[i, j]
-
-
 def filter_block(token_sets: dict[str, set], params: BlockingParams) -> list[Block]:
     """Jaccard self-join at threshold b_t, then components. Each record keeps
     at most k_candidates partners at or above b_t: most similar first, then
@@ -135,42 +122,14 @@ def _band_buckets(band: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _verify(matrix, norms, rows, b_t):
-    """Lists of index arrays ia, ib: the pairs of rows ia[k] < ib[k] of one
-    bucket of the (buckets, size) stack rows whose cosine is >= b_t. Raises
-    ZeroVector if a bucket holds a zero row."""
-    size = rows.shape[1]
-    dim = matrix.shape[1]
-    per_bucket = size * (dim + size)
-    # a stack of whole buckets per kernel call, or one bucket in row stripes
-    step = max(1, _VERIFY_BUDGET // per_bucket)
-    stripe = size
-    if per_bucket > _VERIFY_BUDGET:
-        stripe = max(1, (_VERIFY_BUDGET - size * dim) // size)
-    ia, ib = [], []
-    for at in range(0, len(rows), step):
-        stack = rows[at : at + step]
-        g, ng = matrix[stack], norms[stack]
-        # rows lo.. of the stripe against columns lo..: the stripe's part of
-        # the upper triangle, whose column index runs from lo as well
-        for lo in range(0, size, stripe):
-            hi = lo + stripe
-            block = cosine_blocks(g[:, lo:hi], g[:, lo:], ng[:, lo:hi], ng[:, lo:])
-            k, i, j = np.nonzero(np.triu(block >= b_t, 1))
-            ia.append(stack[k, lo + i])
-            ib.append(stack[k, lo + j])
-    return ia, ib
-
-
 def lsh_block(
     embeddings: dict[str, np.ndarray], params: BlockingParams
 ) -> list[Block]:
     """Random-hyperplane LSH banding, purified by an exact cosine check at b_t.
 
     Rows sharing a band's bit pattern form a bucket. The buckets of all
-    bands are gathered by size, and each bucket's cosine block is computed
-    whole, a stack of equal-size buckets per kernel call of at most
-    _VERIFY_BUDGET doubles; its pairs at or above b_t join the graph whose
+    bands are read together (similarity._bucket_pairs, which stacks them by
+    size), and each bucket's pairs at or above b_t join the graph whose
     components are the blocks. A pair found in several bands adds its edge
     several times, which changes no component.
     """
@@ -182,19 +141,15 @@ def lsh_block(
     planes = rng.standard_normal((params.lsh_planes, dim))
     matrix = np.array([embeddings[rid] for rid in ids], dtype=float)
     bits = (matrix @ planes.T) > 0  # n x planes
-    norms = row_norms(matrix)
 
     rows_per_band = params.lsh_planes // params.lsh_bands
-    by_size: dict[int, list[np.ndarray]] = {}
-    for lo in range(0, params.lsh_bands * rows_per_band, rows_per_band):
-        for rows in _band_buckets(bits[:, lo : lo + rows_per_band]):
-            by_size.setdefault(rows.shape[1], []).append(rows)
-    ia, ib = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for stacks in by_size.values():
-        a, b = _verify(matrix, norms, np.concatenate(stacks), params.b_t)
-        ia.extend(a)
-        ib.extend(b)
-    return _components(ids, np.concatenate(ia), np.concatenate(ib))
+    buckets = [
+        rows
+        for lo in range(0, params.lsh_bands * rows_per_band, rows_per_band)
+        for stack in _band_buckets(bits[:, lo : lo + rows_per_band])
+        for rows in stack
+    ]
+    return _components(ids, *_bucket_pairs(matrix, buckets, params.b_t))
 
 
 THRESHOLD_GRID = [round(0.05 * i, 2) for i in range(1, 20)]

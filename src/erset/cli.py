@@ -217,7 +217,6 @@ def _load_dataset(args) -> dataio.Dataset:
 def _index(args, dataset) -> SimilarityIndex:
     config = SimilarityConfig(
         measure=args.measure,
-        embedder="external_file" if args.embeddings else "hashed_tfidf",
         dim=args.dim,
         seed=args.seed,
     )

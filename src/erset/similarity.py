@@ -150,24 +150,70 @@ def cosine_blocks(
     )
 
 
-# Values one kernel call may hold: a stack of id groups (SimilarityIndex's
-# group reads), a stripe of rows against all ids, or an LSH call's gathered
-# rows and cosine block, so peak memory grows with neither the input nor its
-# groups; a group or bucket too large for it is read alone or in row stripes.
+# Values one kernel call may hold, the one budget _per_call sizes every read
+# by: a stack of id groups (SimilarityIndex's group reads), a row stripe
+# against all ids (_pairs) or LSH buckets' rows and cosine blocks
+# (_bucket_pairs). So peak memory grows with neither the input nor its groups.
 _VERIFY_BUDGET = 1 << 19
+
+
+def _per_call(cost, held=0):
+    """How many items of cost values each one kernel call takes, at least
+    one, when the call also holds held values whatever its items."""
+    return max(1, (_VERIFY_BUDGET - held) // max(1, cost))
 
 
 def _stacks(groups, cost):
     """For each size of the groups, in order of first appearance, the
-    positions of the groups of that size, in runs of as many as
-    _VERIFY_BUDGET values hold, at least one, cost(size) values a group."""
+    positions of the groups of that size, in runs of _per_call(cost(size))
+    groups, cost(size) values a group."""
     at: dict[int, list[int]] = {}
     for k, group in enumerate(groups):
         at.setdefault(len(group), []).append(k)
     for size, positions in at.items():
-        step = max(1, _VERIFY_BUDGET // max(1, cost(size)))
+        step = _per_call(cost(size))
         for lo in range(0, len(positions), step):
             yield size, positions[lo : lo + step]
+
+
+def _pairs(n, read, floor):
+    """Per row stripe of _per_call(n) rows, read(lo, hi) being rows lo..hi-1
+    against all n ids: the stripe's pairs i != j at or above floor, as index
+    arrays i, j and their values, by row, then column."""
+    stripe = _per_call(n)
+    for lo in range(0, n, stripe):
+        values = read(lo, min(lo + stripe, n))
+        i, j = np.nonzero(values >= floor)
+        keep = lo + i != j
+        i, j = i[keep], j[keep]
+        yield lo + i, j, values[i, j]
+
+
+def _bucket_pairs(matrix, buckets, floor):
+    """Index arrays ia, ib of the pairs of matrix rows ia[k] < ib[k] that
+    share one of the buckets, each a 1-d array of ascending row numbers, and
+    whose cosine is at or above floor. A kernel call reads a stack of
+    equal-size buckets (_stacks), or a bucket too large for one call in row
+    stripes. Raises ZeroVector if a bucket holds a zero row."""
+    norms = row_norms(matrix)
+    dim = matrix.shape[1]
+    ia, ib = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    # a call holds its gathered rows as well as its cosine blocks
+    for size, at in _stacks(buckets, lambda size: size * (dim + size)):
+        stack = np.array([buckets[k] for k in at])
+        g, ng = matrix[stack], norms[stack]
+        # a lone bucket's stripe holds its gathered rows and size values a
+        # row; a bucket that fits one call is one stripe
+        stripe = min(size, _per_call(size, size * dim))
+        # rows lo.. of the stripe against columns lo..: the stripe's part of
+        # the upper triangle, whose column index runs from lo as well
+        for lo in range(0, size, stripe):
+            hi = lo + stripe
+            block = cosine_blocks(g[:, lo:hi], g[:, lo:], ng[:, lo:hi], ng[:, lo:])
+            k, i, j = np.nonzero(np.triu(block >= floor, 1))
+            ia.append(stack[k, lo + i])
+            ib.append(stack[k, lo + j])
+    return np.concatenate(ia), np.concatenate(ib)
 
 
 def hashed_tfidf(ids, token_lists, dim: int, seed: int) -> np.ndarray:
@@ -439,8 +485,8 @@ class SimilarityIndex:
 
     def group_sims(self, groups) -> list[np.ndarray]:
         """sims(group) of each id group, bitwise. Under cosine, one kernel
-        call per stack of equal-size groups, each stack of at most
-        _VERIFY_BUDGET values; under Jaccard, one sims() read per group."""
+        call per stack of equal-size groups (_stacks); under Jaccard, one
+        sims() read per group."""
         groups = [list(group) for group in groups]
         if self.config.measure == "jaccard":
             return [self.sims(group) for group in groups]
@@ -471,7 +517,7 @@ class SimilarityIndex:
 
     def representatives(self, groups) -> list[str]:
         """representative() of each group of ids: one kernel call per stack
-        of equal-size groups, each stack of at most _VERIFY_BUDGET values."""
+        of equal-size groups (_stacks)."""
         groups = [sorted(group) for group in groups]
         # one member, or a zero mean: the lowest id
         out = [group[0] for group in groups]
@@ -483,10 +529,9 @@ class SimilarityIndex:
             mean = rows.mean(axis=1)
             norm = row_norms(mean)
             live = norm != 0.0
-            rows, mean, norm = rows[live], mean[live], norm[live]
-            sims = _over_norms(
-                np.vecdot(rows, mean[:, None, :]), row_norms(rows), norm[:, None]
-            )
+            # each group's rows against its one mean row
+            rows, mean, norm = rows[live], mean[live, None], norm[live, None]
+            sims = cosine_blocks(rows, mean, row_norms(rows), norm)[..., 0]
             best = np.argmin(1.0 - sims, axis=1).tolist()
             for k, pick in zip(np.asarray(at)[live].tolist(), best):
                 out[k] = groups[k][pick]

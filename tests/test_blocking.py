@@ -244,7 +244,7 @@ def test_filter_block_matches_reference(sets, b_t, k, budget):
     # stripes of one row, or of a few on inputs of at most five records
     tokens = {f"r{n}": set(ts) for n, ts in enumerate(sets)}
     params = BlockingParams(method="filter", b_t=b_t, k_candidates=k)
-    with mock.patch.object(blocking, "_VERIFY_BUDGET", budget):
+    with mock.patch.object(similarity, "_VERIFY_BUDGET", budget):
         assert filter_block(tokens, params) == _reference_filter_block(tokens, params)
 
 
@@ -263,7 +263,7 @@ def test_filter_block_runs_in_row_stripes(monkeypatch):
             return super().__matmul__(other)
 
     monkeypatch.setattr(similarity, "csr_array", Spy)
-    monkeypatch.setattr(blocking, "_VERIFY_BUDGET", 20)
+    monkeypatch.setattr(similarity, "_VERIFY_BUDGET", 20)
     assert filter_block(tokens, params) == expected
     assert rows == [2, 2, 2, 1]
 
@@ -333,12 +333,12 @@ class TestLshMatchesReference:
             calls.append(a.shape[:-1])  # (buckets, stripe rows)
             return cosine_blocks(a, b, na, nb)
 
-        monkeypatch.setattr(blocking, "cosine_blocks", counted)
+        monkeypatch.setattr(similarity, "cosine_blocks", counted)
         # buckets of up to 150 rows whole, larger ones in 2 to 6 stripes;
         # then every row a stripe of its own
         for budget in (150 * (dim + 150), 1):
             calls.clear()
-            monkeypatch.setattr(blocking, "_VERIFY_BUDGET", budget)
+            monkeypatch.setattr(similarity, "_VERIFY_BUDGET", budget)
             assert lsh_block(emb, params) == expected
             assert len(calls) > 16  # more kernel calls than buckets
         assert calls == [(1, 1)] * len(calls)
@@ -347,7 +347,7 @@ class TestLshMatchesReference:
         # the zero row hashes to all-zero bits and shares its bucket with
         # the six rows whose bits are all zero too; every bucket row is a
         # stripe of its own
-        monkeypatch.setattr(blocking, "_VERIFY_BUDGET", 1)
+        monkeypatch.setattr(similarity, "_VERIFY_BUDGET", 1)
         rng = np.random.default_rng(0)
         params = BlockingParams(lsh_planes=2, lsh_bands=2)
         planes = np.random.default_rng(params.seed).standard_normal((2, 8))
@@ -484,7 +484,7 @@ def test_tune_threshold_matches_reference(case, budget):
     ids = [f"r{k}" for k in range(len(labels))]
     truth = dict(zip(ids, labels))
     index = TableIndex(dict(zip(itertools.combinations(sorted(ids), 2), values)))
-    with mock.patch.object(blocking, "_VERIFY_BUDGET", budget):
+    with mock.patch.object(similarity, "_VERIFY_BUDGET", budget):
         assert tune_threshold(ids, index, truth) == _reference_tune_threshold(
             ids, index, truth
         )
@@ -510,7 +510,7 @@ def test_tune_threshold_matches_reference_on_real_indexes(measure, budget, monke
     cases.append(_tokenless_index(measure))
     if measure == "jaccard":
         assert cases[1][0].sim("q1", "q2") == 1.0
-    monkeypatch.setattr(blocking, "_VERIFY_BUDGET", budget)
+    monkeypatch.setattr(similarity, "_VERIFY_BUDGET", budget)
     for index, truth in cases:
         ids = sorted(truth)
         assert tune_threshold(ids, index, truth) == _reference_tune_threshold(
@@ -523,10 +523,50 @@ def test_tune_threshold_reads_stripes_within_the_budget(budget, rows, monkeypatc
     # 9 records: a budget of 20 values is stripes of 2 rows against all 9
     _, truth = generate_dataset(3, 3, seed=2)
     spy = _SimsSpy(TableIndex(default=0.5))
-    monkeypatch.setattr(blocking, "_VERIFY_BUDGET", budget)
+    monkeypatch.setattr(similarity, "_VERIFY_BUDGET", budget)
     tune_threshold(sorted(truth), spy, truth)
     assert spy.sizes and max(spy.sizes) <= budget
     assert max(spy.sizes) == rows * len(truth)
+
+
+def test_one_budget_sizes_every_blocking_read(monkeypatch):
+    # only similarity's budget is patched, and the filter's products, the
+    # sweep's sims stripes and LSH's kernel calls all keep within it: 300
+    # values are stripes of 8 of the 36 records, and an 18-row bucket of
+    # 8-dim rows is stripes of (300 - 18 * 8) // 18 = 8 rows
+    records, truth = generate_dataset(12, 3, typo_rate=0.2, seed=3)
+    index = SimilarityIndex(records, embeddings=planted_embeddings(truth, 8, 0.5, 3))
+    budget = 300
+    monkeypatch.setattr(similarity, "_VERIFY_BUDGET", budget)
+
+    products = []
+
+    class Spy(similarity.csr_array):
+        def __matmul__(self, other):
+            out = super().__matmul__(other)
+            products.append(out.shape)
+            return out
+
+    monkeypatch.setattr(similarity, "csr_array", Spy)
+    filter_block(index.token_sets, BlockingParams(method="filter", b_t=0.3))
+    assert products == [(8, 36)] * 4 + [(4, 36)]
+
+    spy = _SimsSpy(index)
+    tune_threshold(sorted(truth), spy, truth)
+    assert spy.sizes == [8 * 36] * 4 + [4 * 36]
+
+    calls = []
+
+    def counted(a, b, na, nb):
+        block = cosine_blocks(a, b, na, nb)
+        calls.append((a.shape[-2], b.shape[-2], b.size + block.size))
+        return block
+
+    monkeypatch.setattr(similarity, "cosine_blocks", counted)
+    lsh_block(index.embeddings, BlockingParams(b_t=0.3, lsh_planes=8, lsh_bands=8))
+    assert max(held for _, _, held in calls) <= budget
+    assert any(rows < columns for rows, columns, _ in calls)  # a striped bucket
+    assert not hasattr(blocking, "_VERIFY_BUDGET")
 
 
 def test_make_blocks_none_and_unknown():

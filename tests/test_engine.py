@@ -469,13 +469,14 @@ class TestNodes:
             ),
         )
         asked = []
-        representative = resolver.index.representative
+        representatives = resolver.index.representatives
 
-        def counting(members):
-            asked.append(sorted(members))
-            return representative(members)
+        def counting(groups):
+            groups = [sorted(g) for g in groups]
+            asked.extend(groups)
+            return representatives(groups)
 
-        resolver.index.representative = counting
+        resolver.index.representatives = counting
         apart = SetClustering("s1", ((0,), (1,), (2,)))
         apply_clustering(store, rs, apart)
         nodes = resolver._nodes(rs.members, [(rs, apart)])
@@ -1152,7 +1153,7 @@ class TestResolve:
         block = Block("b0", tuple(sorted(records)))
         events = []
         resolve_block = Resolver._resolve_block
-        representative = SimilarityIndex.representative
+        representatives = SimilarityIndex.representatives
 
         def resolving(resolver, block):
             events.append("block")
@@ -1162,13 +1163,13 @@ class TestResolve:
         def reading(resolver, nodes):
             raise AssertionError("a one-set block read a level")
 
-        def electing(index, members):
-            events.append("representative")
-            return representative(index, members)
+        def electing(index, groups):
+            events.append("representatives")
+            return representatives(index, groups)
 
         monkeypatch.setattr(Resolver, "_resolve_block", resolving)
         monkeypatch.setattr(Resolver, "_level", reading)
-        monkeypatch.setattr(SimilarityIndex, "representative", electing)
+        monkeypatch.setattr(SimilarityIndex, "representatives", electing)
         backend = SimulatedOracle(OracleConfig(truth, 0.0, 0))
         resolver = Resolver(records, backend, embeddings=emb)
         partition, ledger, report = resolver.resolve([block])
