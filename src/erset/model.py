@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from scipy.cluster.hierarchy import DisjointSet
+
 
 class ERError(Exception):
     """Base class for all errors raised by this package."""
@@ -186,63 +188,50 @@ class CostLedger:
 
 
 class ConstraintStore:
-    """Must-link (union-find) plus cannot-link pairs over record ids.
+    """Must-links (one scipy ``DisjointSet``) plus cannot-links over record ids.
 
     Merging is transitive; cannot-links are rewritten to surviving roots on
-    merge, so anti-transitivity is preserved under any merge sequence.
+    merge, so anti-transitivity is preserved under any merge sequence. Which
+    member is a root is the set's choice; callers use roots only as keys.
     """
 
     def __init__(self, record_ids=()):
         # a repeated id is one record, at its first position
-        self._ids: list[str] = list(dict.fromkeys(record_ids))
-        self._index = {rid: i for i, rid in enumerate(self._ids)}
-        self._parent = list(range(len(self._ids)))
-        self._size = [1] * len(self._ids)
+        self._sets = DisjointSet(record_ids)
         # root -> set of roots it cannot link with (symmetric adjacency)
-        self._cannot: dict[int, set[int]] = {}
-
-    def _find(self, i: int) -> int:
-        parent = self._parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return i
-
-    def _root_of(self, record_id: str) -> int:
-        try:
-            return self._find(self._index[record_id])
-        except KeyError:
-            raise KeyError(f"unknown record id: {record_id!r}") from None
+        self._cannot: dict[str, set[str]] = {}
 
     def root(self, record_id: str) -> str:
         """Id of the record at the root of this record's entity."""
-        return self._ids[self._root_of(record_id)]
+        try:
+            return self._sets[record_id]
+        except KeyError:
+            raise KeyError(f"unknown record id: {record_id!r}") from None
 
     def same_entity(self, a: str, b: str) -> bool:
-        return self._root_of(a) == self._root_of(b)
+        return self.root(a) == self.root(b)
 
     def cannot_link(self, a: str, b: str) -> bool:
-        ra, rb = self._root_of(a), self._root_of(b)
+        ra, rb = self.root(a), self.root(b)
         return rb in self._cannot.get(ra, ())
 
     def merge(self, a: str, b: str) -> None:
-        ra, rb = self._root_of(a), self._root_of(b)
+        ra, rb = self.root(a), self.root(b)
         if ra == rb:
             return
         if rb in self._cannot.get(ra, ()):
             raise ConstraintConflict(f"cannot merge {a!r} and {b!r}: known distinct")
-        if self._size[ra] < self._size[rb]:
+        self._sets.merge(ra, rb)
+        if self._sets[ra] != ra:
             ra, rb = rb, ra
-        # rb's tree joins ra; rewrite rb's cannot-links to ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+        # rb's entity joined ra's; rewrite rb's cannot-links to ra
         for other in self._cannot.pop(rb, set()):
             self._cannot[other].discard(rb)
             self._cannot[other].add(ra)
             self._cannot.setdefault(ra, set()).add(other)
 
     def add_cannot_link(self, a: str, b: str) -> None:
-        ra, rb = self._root_of(a), self._root_of(b)
+        ra, rb = self.root(a), self.root(b)
         if ra == rb:
             raise ConstraintConflict(
                 f"cannot-link between {a!r} and {b!r}: already same entity"
@@ -251,12 +240,10 @@ class ConstraintStore:
         self._cannot.setdefault(rb, set()).add(ra)
 
     def has_cannot_links(self, record_ids) -> bool:
-        """True if any given record's entity has a known cannot-link."""
-        return any(self._cannot.get(self._root_of(r)) for r in record_ids)
+        """True if any given record's entity has a known cannot-link. Only
+        tests and the bench tracer read this; ROADMAP item 1 drops it."""
+        return any(self._cannot.get(self.root(r)) for r in record_ids)
 
     def components(self) -> dict[str, list[str]]:
-        """Root representative id -> sorted member ids."""
-        groups: dict[int, list[str]] = {}
-        for rid in self._ids:
-            groups.setdefault(self._root_of(rid), []).append(rid)
-        return {min(members): sorted(members) for members in groups.values()}
+        """Lowest member id -> sorted member ids, in first-record order."""
+        return {min(members): sorted(members) for members in self._sets.subsets()}

@@ -47,7 +47,7 @@ from erset.model import (
 from erset.similarity import SimilarityConfig, SimilarityIndex
 from erset.synth import generate_dataset, planted_embeddings
 
-from .fakes import TableIndex, embedding_index
+from .fakes import ReferenceStore, TableIndex, embedding_index
 
 
 def _sims(rs, table):
@@ -2005,6 +2005,38 @@ def test_noisy_lsh_blocks_resolve_as_pinned():
         assert report.guardrail.repaired == 22
         assert report.guardrail.regenerations == 0
         assert report.guardrail.conflict_warnings == 1
+
+
+def test_store_roots_do_not_leak(monkeypatch):
+    """The engine uses the store's roots only as keys: resolving the 33 LSH
+    blocks under an oracle that errs 30% of the time over the brute-force
+    store, whose roots are other members (135 of this run's 184 root
+    lookups differ), gives the same partition, ledger and integer report
+    counters, with one worker or three."""
+    records, truth, index, blocks = _lsh_fixture()
+
+    def run(parallelism):
+        resolver = Resolver(
+            records,
+            SimulatedOracle(OracleConfig(truth, 0.3, 1)),
+            config=SetConfig(seed=1),
+            index=index,
+            parallelism=parallelism,
+        )
+        partition, ledger, report = resolver.resolve(blocks)
+        ints = {
+            k: v
+            for k, v in {**ledger.snapshot(), **report.as_dict()}.items()
+            if isinstance(v, (int, list))
+        }
+        return set(partition.clusters), ints
+
+    for parallelism in (1, 3):
+        real = run(parallelism)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "ConstraintStore", ReferenceStore)
+            assert run(parallelism) == real
+        assert real[1]["api_calls"] > 0 and real[1]["repaired"] > 0
 
 
 def test_exact_lsh_blocks_share_prompts_as_pinned():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erset.model import (
@@ -18,6 +18,8 @@ from erset.model import (
     UniverseMismatch,
     estimate_tokens,
 )
+
+from .fakes import ReferenceStore
 
 
 def test_record_rejects_duplicate_attribute_names():
@@ -115,6 +117,28 @@ def test_cost_ledger_accumulates():
         ledger.record(-1, 0)
 
 
+_POOL = [f"n{i}" for i in range(6)]
+_ID = st.sampled_from(_POOL + ["zz"])
+# a third of the operations merge, a third cannot-link, a third query
+_OP = st.one_of(
+    st.just("merge"),
+    st.just("add_cannot_link"),
+    st.sampled_from(
+        ["same_entity", "cannot_link", "root", "has_cannot_links", "components"]
+    ),
+)
+
+
+def _outcome(store, op, args):
+    """What one store method returns, or the type and message it raises;
+    components as an ordered list of items."""
+    try:
+        out = getattr(store, op)(*args)
+    except (KeyError, ConstraintConflict) as exc:
+        return type(exc), exc.args[0]
+    return "ok", list(out.items()) if op == "components" else out
+
+
 class TestConstraintStore:
     def test_merge_is_transitive(self):
         store = ConstraintStore(["a", "b", "c"])
@@ -150,6 +174,45 @@ class TestConstraintStore:
         assert store.components() == {"b": ["b"], "a": ["a"]}
         store.merge("a", "b")
         assert store.components() == {"a": ["a", "b"]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.permutations(_POOL[1:]),
+        st.lists(st.sampled_from(_POOL), max_size=4),
+        st.lists(
+            st.tuples(_OP, _ID, _ID, st.lists(_ID, max_size=3)),
+            min_size=10,
+            max_size=60,
+        ),
+    )
+    def test_matches_the_brute_force_store(self, order, repeats, ops):
+        """Random merges, cannot-links and queries, replayed on the store
+        and on a brute-force one whose roots are other members: the same
+        answers, components in the same order, and the same conflicts. A
+        root lies in its entity, and an unknown id raises a KeyError that
+        names it. The store's ids are n1-n5 in any order, then up to four
+        more of n0-n5, repeats included; "zz" is never a record."""
+        record_ids = [*order, *repeats]
+        store, reference = ConstraintStore(record_ids), ReferenceStore(record_ids)
+        for op, a, b, many in ops:
+            ids = {"root": [a], "has_cannot_links": many, "components": []}.get(
+                op, [a, b]
+            )
+            args = (many,) if op == "has_cannot_links" else tuple(ids)
+            got, want = (_outcome(s, op, args) for s in (store, reference))
+            if op == "root" and got[0] == "ok":
+                assert want[0] == "ok" and reference.same_entity(a, got[1])
+            else:
+                assert got == want
+            unknown = [r for r in ids if r not in record_ids]
+            # has_cannot_links stops at the first entity with a cannot-link
+            raises = bool(unknown) and not (
+                op == "has_cannot_links"
+                and reference.has_cannot_links(ids[: ids.index(unknown[0])])
+            )
+            assert (got[0] is KeyError) == raises
+            if raises:
+                assert got[1] == f"unknown record id: {unknown[0]!r}"
 
     def test_unknown_id(self):
         store = ConstraintStore(["a"])
