@@ -53,6 +53,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     _sq_dists too. Every other row, and the choice of a point to re-seed an
     emptied cluster, is decided by _sq_dists, so labels are bitwise those of
     _sq_dists alone.
+
+    One exit: convergence or the 100-step cap.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -70,8 +72,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     margin = max(1e-9, (4 * points.shape[1] + 8) * np.finfo(float).eps)
     x2_max = x2.max()
     rows = np.arange(n)
-    labels = before = np.full(n, -1, dtype=int)
-    for iteration in range(100):
+    labels = np.full(n, -1, dtype=int)
+    for _ in range(100):
         c2 = np.einsum("ij,ij->i", centers, centers)
         d = x2[:, None] - 2.0 * (points @ centers.T) + c2
         eps = margin * (x2_max + c2.max())
@@ -94,11 +96,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
             new_labels[near[int(np.argmax(exact))]] = c
         if np.array_equal(new_labels, labels):
             break
-        if np.array_equal(new_labels, before):
-            # Each step's labels follow from the last step's alone, so the
-            # labels now alternate to the cap: return the cap's.
-            return new_labels if (99 - iteration) % 2 == 0 else labels
-        before, labels = labels, new_labels
+        labels = new_labels
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
     return labels
@@ -117,13 +115,13 @@ def elbow_k(
 ) -> tuple[int, np.ndarray]:
     """Discrete knee of the within-cluster SSE curve (max second difference).
 
-    Returns the chosen k, never above k_max, and the k-means labels for it
-    from the same run that scored it."""
+    Returns the chosen k, k ≤ distinct rows and k ≤ k_max, and the k-means
+    labels for it from the same run that scored it."""
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n < 2:
         raise TooFewPoints("elbow needs at least 2 points")
-    k_cap = min(k_max, n)
+    k_cap = min(k_max, len(np.unique(points, axis=0)))
     labels = {k: kmeans(points, k, seed) for k in range(1, k_cap + 1)}
     sse = {k: _sse(points, labels[k]) for k in labels}
     if sse[1] < 1e-12 or k_cap == 1:

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from unittest import mock
 
@@ -208,6 +209,152 @@ class TestKmeansMatchesReference:
             self.check(points, k, seed % 5, k_max=k)
 
 
+def _cycle_exit_kmeans(points, k, seed=0, cycled=None):
+    """kmeans as it was with a second exit for 2-cycles, kept frozen as the
+    reference for the one-exit loop. That exit returned at the first
+    labeling repeated two steps apart, picking the one of the two that the
+    100-step cap would end on. ``cycled`` collects the step it was taken at."""
+
+    def sq_dists(a, b):
+        return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    rng = random.Random(seed)
+    centers = [points[rng.randrange(n)]]
+    dist2 = np.sum((points - centers[0]) ** 2, axis=1)
+    while len(centers) < k:
+        idx = int(np.argmax(dist2))
+        centers.append(points[idx])
+        dist2 = np.minimum(dist2, np.sum((points - centers[-1]) ** 2, axis=1))
+    centers = np.array(centers)
+    x2 = np.einsum("ij,ij->i", points, points)
+    margin = max(1e-9, (4 * points.shape[1] + 8) * np.finfo(float).eps)
+    x2_max = x2.max()
+    rows = np.arange(n)
+    labels = before = np.full(n, -1, dtype=int)
+    for iteration in range(100):
+        c2 = np.einsum("ij,ij->i", centers, centers)
+        d = x2[:, None] - 2.0 * (points @ centers.T) + c2
+        eps = margin * (x2_max + c2.max())
+        new_labels = np.argmin(d, axis=1)
+        if k > 1:
+            gap = np.partition(d, 1, axis=1)[:, 1] - d[rows, new_labels]
+            close = np.flatnonzero(gap <= 2 * eps)
+            if close.size:
+                new_labels[close] = np.argmin(sq_dists(points[close], centers), axis=1)
+        for c in np.flatnonzero(np.bincount(new_labels, minlength=k) == 0):
+            counts = np.bincount(new_labels, minlength=k)
+            own = np.where(counts[new_labels] > 1, d[rows, new_labels], -1.0)
+            near = np.flatnonzero(own >= own.max() - 2 * eps)
+            mine = new_labels[near]
+            exact = sq_dists(points[near], centers)[np.arange(len(near)), mine]
+            exact = np.where(counts[mine] > 1, exact, -1.0)
+            new_labels[near[int(np.argmax(exact))]] = c
+        if np.array_equal(new_labels, labels):
+            break
+        if np.array_equal(new_labels, before):
+            if cycled is not None:
+                cycled.append(iteration)
+            return new_labels if (99 - iteration) % 2 == 0 else labels
+        before, labels = labels, new_labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    return labels
+
+
+def _jitter(points, ulps):
+    """``points`` with each coordinate moved by its count of ulps in ``ulps``."""
+    for step in range(int(np.abs(ulps).max(initial=0))):
+        points = np.where(ulps > step, np.nextafter(points, np.inf), points)
+        points = np.where(-ulps > step, np.nextafter(points, -np.inf), points)
+    return points
+
+
+@st.composite
+def _near_tied_points(draw):
+    """2-13 points in 1-4 dims, drawn with repeats from a few integer-grid
+    rows scaled to magnitudes 1e-8..10, most coordinates then moved by up to
+    3 ulps, and maybe one coordinate set to -0.0."""
+    n = draw(st.integers(2, 13))
+    dim = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.floats(-8, 1))
+    grid = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    values = np.array(draw(st.lists(grid, min_size=1, max_size=n)), dtype=float)
+    points = values[draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))]
+    shift = st.sampled_from([0, 0, 0, -1, 1, -2, 2, -3, 3])
+    ulps = np.array(draw(st.lists(shift, min_size=n * dim, max_size=n * dim)))
+    points = _jitter(points * scale, ulps.reshape(n, dim))
+    if draw(st.booleans()):
+        points[draw(st.integers(0, n - 1)), draw(st.integers(0, dim - 1))] = -0.0
+    return points
+
+
+class TestOneExit:
+    """kmeans has one exit, convergence or the 100-step cap, and returns
+    bitwise what the frozen 2-cycle exit returned."""
+
+    @given(_near_tied_points(), st.data(), st.integers(0, 3))
+    @settings(max_examples=600, deadline=None)
+    def test_equals_the_cycle_exit(self, points, data, seed):
+        k = data.draw(st.integers(1, len(points)))
+        assert np.array_equal(
+            kmeans(points, k, seed), _cycle_exit_kmeans(points, k, seed)
+        )
+
+    @pytest.mark.parametrize(
+        "points, k, seed, distinct",
+        [
+            pytest.param(
+                [[0.83], [0.83], [0.36], [0.36], [0.36]], 3, 0, 2,
+                id="k-above-distinct-rows",
+            ),
+            pytest.param(
+                [
+                    [-0.0],
+                    [1.1810594339113711e-07],
+                    [1.181059433911371e-07],
+                    [1.1810594339113712e-07],
+                    [1.1810594339113713e-07],
+                ],
+                3, 0, 5,
+                id="k-below-distinct-rows-1d",
+            ),
+            pytest.param(
+                [[3.775932029291819e-06, 1.7360607031226753e-07, -2.3870834667936794e-07]]
+                + [[3.775932029291819e-06, 1.7360607031226755e-07, -2.387083466793679e-07]] * 2
+                + [[3.775932029291819e-06, 1.7360607031226763e-07, -2.387083466793679e-07]]
+                + [[3.775932029291819e-06, 1.7360607031226755e-07, -2.387083466793679e-07]] * 2
+                + [[3.775932029291819e-06, 1.736060703122676e-07, -2.387083466793679e-07]],
+                2, 1, 4,
+                id="k-below-distinct-rows-3d",
+            ),
+        ],
+    )
+    def test_two_cycles_end_on_the_caps_labeling(self, points, k, seed, distinct):
+        """Inputs on which the frozen exit fired: the one-exit loop runs the
+        cycle to the cap and ends on the same labeling."""
+        points = np.array(points)
+        assert len(np.unique(points, axis=0)) == distinct
+        cycled = []
+        want = _cycle_exit_kmeans(points, k, seed, cycled)
+        assert cycled == [2]
+        assert np.array_equal(kmeans(points, k, seed), want)
+
+
+@contextlib.contextmanager
+def _asked_ks():
+    """Collects the k of every setbuilder.kmeans call, in call order."""
+    ks = []
+
+    def counting(points, k, seed=0):
+        ks.append(k)
+        return kmeans(points, k, seed)
+
+    with mock.patch.object(setbuilder, "kmeans", counting):
+        yield ks
+
+
 class TestElbow:
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
@@ -231,6 +378,30 @@ class TestElbow:
             ]
         )
         assert elbow_k(pts, 4, seed=0)[0] == 2
+
+    def test_k_at_most_distinct_rows(self):
+        """11 rows of 4 distinct values, -0.0 and 0.0 being one, and k_max 6:
+        k-means runs for k = 1..4 only, so no center repeats."""
+        points = np.array(
+            [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]]
+            + [[1.0, 0.0]] * 3
+            + [[0.0, 1.0]] * 3
+            + [[3.0, 3.0]] * 2
+        )
+        with _asked_ks() as asked:
+            k, labels = elbow_k(points, 6)
+        assert asked == [1, 2, 3, 4]
+        assert k <= 4
+        assert len(np.unique(labels)) == k
+
+    @given(_near_tied_points(), st.integers(1, 8), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_asks_k_up_to_distinct_rows(self, points, k_max, seed):
+        with _asked_ks() as asked:
+            k, _ = elbow_k(points, k_max, seed)
+        cap = min(k_max, len(np.unique(points, axis=0)))
+        assert asked == list(range(1, cap + 1))
+        assert k <= cap
 
     @pytest.mark.parametrize("k_max", [1, 2, 6])
     def test_labels_are_the_chosen_k_run(self, k_max):
