@@ -38,11 +38,24 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
-    """Seeded Lloyd k-means with farthest-point init; returns a label array.
+def _farthest_first(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k initial centers: the first drawn from the seeded RNG, each next the
+    point farthest from the centers so far (ties to the lowest index). The
+    draw for k is the first k centers of any longer draw."""
+    n = len(points)
+    rng = random.Random(seed)
+    centers = [points[rng.randrange(n)]]
+    dist2 = np.sum((points - centers[0]) ** 2, axis=1)
+    while len(centers) < k:
+        idx = int(np.argmax(dist2))
+        centers.append(points[idx])
+        dist2 = np.minimum(dist2, np.sum((points - centers[-1]) ** 2, axis=1))
+    return np.array(centers)
 
-    Deterministic for a fixed seed: the first center is drawn from the seeded
-    RNG, the rest by farthest-point (ties to the lowest index).
+
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd steps from ``centers`` (updated in place); returns the labels
+    and the final centers, each the mean of its cluster's points.
 
     Each step ranks the centers by the expanded distance ‖x‖² − 2x·c + ‖c‖²,
     one matrix product. Rounding in its three terms and in _sq_dists is
@@ -56,18 +69,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
 
     One exit: convergence or the 100-step cap.
     """
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    if not 1 <= k <= n:
-        raise BadK(f"k={k} outside [1, {n}]")
-    rng = random.Random(seed)
-    centers = [points[rng.randrange(n)]]
-    dist2 = np.sum((points - centers[0]) ** 2, axis=1)
-    while len(centers) < k:
-        idx = int(np.argmax(dist2))
-        centers.append(points[idx])
-        dist2 = np.minimum(dist2, np.sum((points - centers[-1]) ** 2, axis=1))
-    centers = np.array(centers)
+    n, k = len(points), len(centers)
     x2 = np.einsum("ij,ij->i", points, points)
     margin = max(1e-9, (4 * points.shape[1] + 8) * np.finfo(float).eps)
     x2_max = x2.max()
@@ -99,15 +101,22 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
         labels = new_labels
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
-    return labels
+    return labels, centers
 
 
-def _sse(points: np.ndarray, labels: np.ndarray) -> float:
-    total = 0.0
-    for c in np.unique(labels):
-        cluster = points[labels == c]
-        total += float(np.sum((cluster - cluster.mean(axis=0)) ** 2))
-    return total
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Seeded Lloyd k-means with farthest-point init; returns a label array.
+
+    Deterministic for a fixed seed: the first center is drawn from the seeded
+    RNG, the rest by farthest-point (ties to the lowest index; _farthest_first),
+    then _lloyd runs from them. elbow_k runs the same two steps, so its labels
+    for a k equal kmeans(points, k, seed).
+    """
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    if not 1 <= k <= n:
+        raise BadK(f"k={k} outside [1, {n}]")
+    return _lloyd(points, _farthest_first(points, k, seed))[0]
 
 
 def elbow_k(
@@ -116,14 +125,32 @@ def elbow_k(
     """Discrete knee of the within-cluster SSE curve (max second difference).
 
     Returns the chosen k, k ≤ distinct rows and k ≤ k_max, and the k-means
-    labels for it from the same run that scored it."""
+    labels for it from the same run that scored it. Rows are counted
+    distinct by their bytes after adding 0.0, so −0.0 and 0.0 are one value.
+    One farthest-first draw serves every k: the run for k starts from its
+    first k centers, which is the draw kmeans(points, k, seed) makes. k = 1
+    is one cluster and needs no run; each k ≥ 2 is one _lloyd run, and its
+    SSE is summed per cluster around that run's final centers, which are
+    its clusters' means.
+    """
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n < 2:
         raise TooFewPoints("elbow needs at least 2 points")
-    k_cap = min(k_max, len(np.unique(points, axis=0)))
-    labels = {k: kmeans(points, k, seed) for k in range(1, k_cap + 1)}
-    sse = {k: _sse(points, labels[k]) for k in labels}
+    if k_max < 1:
+        raise BadK(f"k_max={k_max} below 1")
+    k_cap = min(k_max, len({row.tobytes() for row in points + 0.0}))
+    first = _farthest_first(points, k_cap, seed)
+    labels = {1: np.zeros(n, dtype=int)}
+    # the one cluster's mean, taken from its rows as _lloyd takes means
+    centers = {1: points[labels[1] == 0].mean(axis=0)[None]}
+    for k in range(2, k_cap + 1):
+        labels[k], centers[k] = _lloyd(points, first[:k].copy())
+    sse = {}
+    for k in labels:
+        sse[k] = 0.0
+        for c in range(k):
+            sse[k] += float(np.sum((points[labels[k] == c] - centers[k][c]) ** 2))
     if sse[1] < 1e-12 or k_cap == 1:
         return 1, labels[1]
     if k_cap == 2:
@@ -154,7 +181,9 @@ def similarity_chain(sims: np.ndarray, first: int) -> list[int]:
 
 def pre_clusters(ids, config: SetConfig, index) -> dict:
     """The block-level k-means pre-clustering: id -> label over ``ids``, with
-    k chosen by the elbow over k = 1..set_diversity + 2."""
+    k chosen by the elbow over k = 1..set_diversity + 2, capped at the
+    block's distinct rows; one farthest-first draw and one Lloyd run per
+    k ≥ 2 (elbow_k)."""
     ids = sorted(ids)
     _, labels = elbow_k(
         index.rows(ids), k_max=config.set_diversity + 2, seed=config.seed

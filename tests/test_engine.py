@@ -1796,17 +1796,21 @@ def _partition_digest(partition):
 
 
 def test_level0_pre_clusters_each_block_once(monkeypatch):
-    """A block larger than one set runs the elbow once, k = 1..set_diversity
-    + 2, and every level-0 set is drawn from that one pre-clustering; a block
-    that fits one set runs no k-means. Each block's level-0 sets partition
-    it, and each comes with the similarity matrix of its records, a
-    one-record set too."""
-    ks = []
-    kmeans = setbuilder.kmeans
+    """A block larger than one set runs the elbow once, one Lloyd run per
+    k = 2..set_diversity + 2, and every level-0 set is drawn from that one
+    pre-clustering; a block that fits one set runs no elbow. Each block's
+    level-0 sets partition it, and each comes with the similarity matrix of
+    its records, a one-record set too."""
+    ks, elbows = [], []
+    lloyd, elbow_k = setbuilder._lloyd, setbuilder.elbow_k
 
-    def counting(points, k, seed=0):
-        ks.append(k)
-        return kmeans(points, k, seed)
+    def counting(points, centers):
+        ks.append(len(centers))
+        return lloyd(points, centers)
+
+    def elbow(points, k_max, seed=0):
+        elbows.append(k_max)
+        return elbow_k(points, k_max, seed)
 
     records, truth = generate_dataset(12, 5, seed=2)
     emb = planted_embeddings(truth, noise=0.05, seed=2)
@@ -1823,24 +1827,25 @@ def test_level0_pre_clusters_each_block_once(monkeypatch):
     level0_sets = resolver._level0_sets
 
     def recording(block):
-        before = len(ks)
+        before = len(ks), len(elbows)
         sets = level0_sets(block)
-        drawn[block.block_id] = (len(ks) - before, sets)
+        drawn[block.block_id] = (ks[before[0]:], len(elbows) - before[1], sets)
         return sets
 
-    monkeypatch.setattr(setbuilder, "kmeans", counting)
+    monkeypatch.setattr(setbuilder, "_lloyd", counting)
+    monkeypatch.setattr(setbuilder, "elbow_k", elbow)
     monkeypatch.setattr(resolver, "_level0_sets", recording)
     resolver.resolve([big, small])
 
-    assert drawn["big"][0] == config.set_diversity + 2
-    assert drawn["small"][0] == 0
+    assert drawn["big"][:2] == (list(range(2, config.set_diversity + 3)), 1)
+    assert drawn["small"][:2] == ([], 0)
     for block in (big, small):
         members = [
-            rid for rs, _ in drawn[block.block_id][1] for node in rs.members
+            rid for rs, _ in drawn[block.block_id][2] for node in rs.members
             for rid in node.members
         ]
         assert sorted(members) == sorted(block.members)
-        for rs, sims in drawn[block.block_id][1]:
+        for rs, sims in drawn[block.block_id][2]:
             assert np.array_equal(sims, _rep_sims(resolver.index, rs.members))
 
 

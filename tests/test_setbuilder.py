@@ -103,10 +103,46 @@ def _reference_kmeans(points, k, seed=0):
     return labels
 
 
+def _reference_elbow_k(points, k_max, seed=0):
+    """elbow_k as it was with one _reference_kmeans run per k = 1..cap, the
+    cap counted by np.unique(axis=0), and each k's SSE summed around the
+    means of its clusters. Kept frozen, as the reference that elbow_k must
+    equal bitwise."""
+    points = np.asarray(points, dtype=float)
+    k_cap = min(k_max, len(np.unique(points, axis=0)))
+    labels = {k: _reference_kmeans(points, k, seed) for k in range(1, k_cap + 1)}
+    sse = {}
+    for k, labeled in labels.items():
+        sse[k] = 0.0
+        for c in np.unique(labeled):
+            cluster = points[labeled == c]
+            sse[k] += float(np.sum((cluster - cluster.mean(axis=0)) ** 2))
+    if sse[1] < 1e-12 or k_cap == 1:
+        return 1, labels[1]
+    if k_cap == 2:
+        k = 2 if sse[2] < sse[1] else 1
+        return k, labels[k]
+    sse[k_cap + 1] = sse[k_cap]
+    best_k, best_d2 = 2, -float("inf")
+    for k in range(2, k_cap + 1):
+        d2 = sse[k - 1] - 2 * sse[k] + sse[k + 1]
+        if d2 > best_d2 + 1e-12:
+            best_k, best_d2 = k, d2
+    return best_k, labels[best_k]
+
+
+def _check_elbow(points, k_max, seed):
+    k, labels = elbow_k(points, k_max, seed)
+    want_k, want_labels = _reference_elbow_k(points, k_max, seed)
+    assert k == want_k
+    assert np.array_equal(labels, want_labels)
+
+
 class TestKmeansMatchesReference:
-    """kmeans and elbow_k against _reference_kmeans, on inputs whose
-    expanded distances tie or nearly tie, so rows are re-decided by the
-    elementwise formula. ``decided`` counts the rows so re-decided."""
+    """kmeans against _reference_kmeans and elbow_k against
+    _reference_elbow_k, on inputs whose expanded distances tie or nearly
+    tie, so rows are re-decided by the elementwise formula. ``decided``
+    counts the rows so re-decided."""
 
     @pytest.fixture(autouse=True)
     def _count_redecided(self):
@@ -125,11 +161,7 @@ class TestKmeansMatchesReference:
             kmeans(points, k, seed), _reference_kmeans(points, k, seed)
         )
         if k_max is not None and len(points) >= 2:
-            got = elbow_k(points, k_max, seed)
-            with mock.patch.object(setbuilder, "kmeans", _reference_kmeans):
-                want = elbow_k(points, k_max, seed)
-            assert got[0] == want[0]
-            assert np.array_equal(got[1], want[1])
+            _check_elbow(points, k_max, seed)
 
     def test_integer_grid_with_exact_ties(self):
         for seed in range(60):
@@ -344,21 +376,40 @@ class TestOneExit:
 
 @contextlib.contextmanager
 def _asked_ks():
-    """Collects the k of every setbuilder.kmeans call, in call order."""
+    """Collects the k (its count of centers) of every Lloyd run, in call
+    order."""
     ks = []
+    lloyd = setbuilder._lloyd
 
-    def counting(points, k, seed=0):
-        ks.append(k)
-        return kmeans(points, k, seed)
+    def counting(points, centers):
+        ks.append(len(centers))
+        return lloyd(points, centers)
 
-    with mock.patch.object(setbuilder, "kmeans", counting):
+    with mock.patch.object(setbuilder, "_lloyd", counting):
         yield ks
+
+
+@st.composite
+def _signed_zero_points(draw):
+    """_near_tied_points with any of their coordinates set to 0.0 or -0.0."""
+    points = draw(_near_tied_points())
+    zero = st.sampled_from([None, None, 0.0, -0.0])
+    zeros = st.lists(zero, min_size=points.size, max_size=points.size)
+    for i, zero in enumerate(draw(zeros)):
+        if zero is not None:
+            points.flat[i] = zero
+    return points
 
 
 class TestElbow:
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
             elbow_k(np.zeros((1, 2)), 3)
+
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_bad_k_max(self, k_max):
+        with pytest.raises(BadK):
+            elbow_k(np.arange(6.0).reshape(3, 2), k_max)
 
     def test_identical_points_give_one(self):
         assert elbow_k(np.zeros((10, 2)), 5)[0] == 1
@@ -381,7 +432,8 @@ class TestElbow:
 
     def test_k_at_most_distinct_rows(self):
         """11 rows of 4 distinct values, -0.0 and 0.0 being one, and k_max 6:
-        k-means runs for k = 1..4 only, so no center repeats."""
+        k = 1 needs no run and Lloyd runs for k = 2..4 only, so no center
+        repeats."""
         points = np.array(
             [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]]
             + [[1.0, 0.0]] * 3
@@ -390,18 +442,23 @@ class TestElbow:
         )
         with _asked_ks() as asked:
             k, labels = elbow_k(points, 6)
-        assert asked == [1, 2, 3, 4]
+        assert asked == [2, 3, 4]
         assert k <= 4
         assert len(np.unique(labels)) == k
 
-    @given(_near_tied_points(), st.integers(1, 8), st.integers(0, 3))
+    @given(_signed_zero_points(), st.integers(1, 8), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
     def test_asks_k_up_to_distinct_rows(self, points, k_max, seed):
         with _asked_ks() as asked:
             k, _ = elbow_k(points, k_max, seed)
         cap = min(k_max, len(np.unique(points, axis=0)))
-        assert asked == list(range(1, cap + 1))
+        assert asked == list(range(2, cap + 1))
         assert k <= cap
+
+    @given(_signed_zero_points(), st.integers(1, 8), st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_reference(self, points, k_max, seed):
+        _check_elbow(points, k_max, seed)
 
     @pytest.mark.parametrize("k_max", [1, 2, 6])
     def test_labels_are_the_chosen_k_run(self, k_max):
@@ -474,20 +531,14 @@ class TestNextRecordSet:
         achievable = len(ids) - distinct
         assert adjacent_same >= 0.9 * achievable
 
-    def test_kmeans_runs_once_per_k(self, monkeypatch):
-        """The elbow's run for the chosen k supplies the labels: one k-means
-        run per k up to set_diversity + 2, none after."""
+    def test_kmeans_runs_once_per_k(self):
+        """The elbow's run for the chosen k supplies the labels: one Lloyd
+        run per k = 2..set_diversity + 2 (k = 1 needs none), none after."""
         truth, index = self._planted(4, 10)
-        ks = []
-
-        def counting(points, k, seed=0):
-            ks.append(k)
-            return kmeans(points, k, seed)
-
-        monkeypatch.setattr(setbuilder, "kmeans", counting)
         config = SetConfig(seed=0)
-        next_record_set(sorted(truth), config, index)
-        assert ks == list(range(1, config.set_diversity + 3))
+        with _asked_ks() as ks:
+            next_record_set(sorted(truth), config, index)
+        assert ks == list(range(2, config.set_diversity + 3))
 
     @pytest.mark.parametrize("turn, second", [(0, 1), (1, 1), (2, 2), (3, 1)])
     def test_largest_pre_cluster_first_ties_rotated_by_turn(self, turn, second):
